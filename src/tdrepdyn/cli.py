@@ -28,11 +28,21 @@ EXIT_NUMERIC = 4
 
 EXPERIMENTS = ("fig1", "fig2", "fig3", "invariants")
 
-# Horizons calibrated so each figure's curves are converged at the endpoint.
-EXPERIMENT_T_END = {"fig1": 30.0, "fig2": 100.0, "fig3": 100.0, "invariants": 300.0}
-EXPERIMENT_LOG_POINTS = {"fig1": 121, "fig2": 101, "fig3": 101, "invariants": 151}
-EXPERIMENT_RTOL = {"fig1": 1e-8, "fig2": 1e-8, "fig3": 1e-8, "invariants": 1e-10}
-EXPERIMENT_ATOL = {"fig1": 1e-10, "fig2": 1e-10, "fig3": 1e-10, "invariants": 1e-12}
+# Integrator fields a run takes when neither the -c document nor a flag sets
+# them, per command (simulate, or the experiment's name). Horizons are
+# calibrated so each figure's curves are converged at the endpoint.
+INTEGRATOR_DEFAULTS = {
+    "simulate": {"t_end": 100.0, "log_points": 201, "rtol": 1e-8, "atol": 1e-10},
+    "fig1": {"t_end": 30.0, "log_points": 121, "rtol": 1e-8, "atol": 1e-10},
+    "fig2": {"t_end": 100.0, "log_points": 101, "rtol": 1e-8, "atol": 1e-10},
+    "fig3": {"t_end": 100.0, "log_points": 101, "rtol": 1e-8, "atol": 1e-10},
+    "invariants": {"t_end": 300.0, "log_points": 151, "rtol": 1e-10, "atol": 1e-12},
+}
+# Flags that each set one top-level config key, by argparse dest.
+_FLAG_KEYS = {
+    "n": "n_states", "k": "k", "gamma": "gamma", "alpha": "alpha", "seed": "seed",
+    "trials": "n_trials", "jobs": "jobs", "outdir": "outdir",
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -104,10 +114,10 @@ def build_parser() -> _Parser:
     sim.add_argument("--eta-w", type=float, default=1.0, help="weight learning rate (default: 1)")
     sim.add_argument("--eta-phi", type=float, default=None,
                      help="representation learning rate (default: 1, or 0 for linear-td)")
-    sim.add_argument("--t-end", type=float, default=100.0, help="integration horizon (default: 100)")
-    sim.add_argument("--rtol", type=float, default=1e-8, help="solver relative tolerance (default: 1e-8)")
-    sim.add_argument("--atol", type=float, default=1e-10, help="solver absolute tolerance (default: 1e-10)")
-    sim.add_argument("--log-points", type=int, default=201, help="metric samples on [0, t_end] (default: 201)")
+    sim.add_argument("--t-end", type=float, default=None, help="integration horizon (default: 100)")
+    sim.add_argument("--rtol", type=float, default=None, help="solver relative tolerance (default: 1e-8)")
+    sim.add_argument("--atol", type=float, default=None, help="solver absolute tolerance (default: 1e-10)")
+    sim.add_argument("--log-points", type=int, default=None, help="metric samples on [0, t_end] (default: 201)")
     sim.add_argument("--store-states", action="store_true",
                      help="also write (phi, w) snapshots next to the CSV")
     sim.add_argument("-c", "--config", type=Path, default=None,
@@ -146,7 +156,7 @@ def build_parser() -> _Parser:
     run.add_argument("--jobs", type=int, default=1, help="concurrent trial workers (default: 1)")
     run.add_argument("-c", "--config", type=Path, default=None,
                      help="JSON config supplying defaults (flags win)")
-    run.add_argument("-o", "--out", type=Path, default=None,
+    run.add_argument("-o", "--out", dest="outdir", metavar="OUT", type=Path, default=None,
                      help="output directory root (default: TDREPDYN_OUT or .)")
     run.add_argument("-v", "--verbose", action="count", default=0, help="increase log level")
     run.set_defaults(func=cmd_experiment)
@@ -174,34 +184,24 @@ def _setup_logging(verbosity: int) -> None:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
-def _check_bounds(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    if getattr(args, "alpha", None) is not None and not 0 <= args.alpha <= 1:
-        parser.error(f"--alpha must be in [0, 1], got {args.alpha}")
-    if getattr(args, "gamma", None) is not None and not 0 <= args.gamma < 1:
-        parser.error(f"--gamma must be in [0, 1), got {args.gamma}")
-    if getattr(args, "n", None) is not None and args.n < 1:
-        parser.error(f"--n must be >= 1, got {args.n}")
-    if getattr(args, "t_end", None) is not None and not args.t_end > 0:
-        parser.error(f"--t-end must be > 0, got {args.t_end}")
-    for name in ("rtol", "atol"):
-        value = getattr(args, name, None)
-        if value is not None and not value > 0:
-            parser.error(f"--{name} must be > 0, got {value}")
-
-
-def _generate_mdp(args: argparse.Namespace) -> mdp_mod.MarkovRewardProcess:
-    if args.symmetric:
-        return mdp_mod.make_symmetric_mdp(n=args.n, h=args.h, gamma=args.gamma, seed=args.seed)
-    return mdp_mod.make_random_mdp(
-        n=args.n, h=args.h, gamma=args.gamma, alpha=args.alpha, seed=args.seed
-    )
+def _generate_mdp(symmetric: bool, n: int, h: int, gamma: float, alpha: float,
+                  seed: int) -> mdp_mod.MarkovRewardProcess:
+    if symmetric:
+        return mdp_mod.make_symmetric_mdp(n=n, h=h, gamma=gamma, seed=seed)
+    return mdp_mod.make_random_mdp(n=n, h=h, gamma=gamma, alpha=alpha, seed=seed)
 
 
 def cmd_gen_mdp(parser: _Parser, args: argparse.Namespace, given: set[str]) -> int:
-    _check_bounds(parser.subcommands["gen-mdp"], args)
+    sub = parser.subcommands["gen-mdp"]
+    if not 0 <= args.alpha <= 1:
+        sub.error(f"--alpha must be in [0, 1], got {args.alpha}")
+    if not 0 <= args.gamma < 1:
+        sub.error(f"--gamma must be in [0, 1), got {args.gamma}")
+    if args.n < 1:
+        sub.error(f"--n must be >= 1, got {args.n}")
     out = args.out if args.out is not None else default_out_root() / "mdp.json"
     try:
-        mrp = _generate_mdp(args)
+        mrp = _generate_mdp(args.symmetric, args.n, args.h, args.gamma, args.alpha, args.seed)
     except mdp_mod.ConvergenceError as exc:
         print(f"generation failed: {exc}", file=sys.stderr)
         return EXIT_GENERATION
@@ -222,46 +222,48 @@ def cmd_gen_mdp(parser: _Parser, args: argparse.Namespace, given: set[str]) -> i
 
 def _load_json(path: Path) -> dict:
     try:
-        return json.loads(path.read_text())
+        doc = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise _CliIOError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise _CliIOError(f"{path} does not hold a JSON object")
+    return doc
 
 
 class _CliIOError(RuntimeError):
     pass
 
 
-def _simulate_defaults(args: argparse.Namespace, given: set[str]) -> argparse.Namespace:
-    """Overlay config-file values under any flags the user did not type."""
-    if args.config is None:
-        return args
-    doc = _load_json(args.config)
-    known = {
-        "n_states": "n", "k": "k", "gamma": "gamma", "alpha": "alpha", "seed": "seed",
-    }
-    unknown = set(doc) - set(known) - {"integrator", "h_values"}
-    if unknown:
-        raise _CliIOError(f"unknown config keys in {args.config}: {sorted(unknown)}")
-    for key, dest in known.items():
-        if key in doc and dest not in given:
-            setattr(args, dest, doc[key])
-    if "h_values" in doc and "h" not in given:
-        args.h = int(doc["h_values"][0])
-    for key, dest in (("t_end", "t_end"), ("rtol", "rtol"), ("atol", "atol"),
-                      ("log_points", "log_points")):
-        if key in doc.get("integrator", {}) and dest not in given:
-            setattr(args, dest, doc["integrator"][key])
-    return args
+def _run_config(sub: argparse.ArgumentParser, args: argparse.Namespace, given: set[str],
+                command: str, **overlay) -> exp.ExperimentConfig:
+    """The run's config: the -c document under the flags the user typed and ``overlay``.
+
+    Integrator fields that none of them set come from ``command``'s row of
+    INTEGRATOR_DEFAULTS. An unreadable document or an unknown key raises
+    _CliIOError; a value out of range is a usage error.
+    """
+    doc = _load_json(args.config) if args.config is not None else {}
+    doc.update({key: getattr(args, dest) for dest, key in _FLAG_KEYS.items() if dest in given})
+    if "h" in given:
+        doc["h_values"] = [int(h) for h in np.atleast_1d(args.h)]
+    doc.update(overlay)
+    doc.setdefault("outdir", str(default_out_root()))
+    defaults = INTEGRATOR_DEFAULTS[command]
+    try:
+        doc["integrator"] = {
+            **defaults,
+            **doc.get("integrator", {}),
+            **{name: getattr(args, name) for name in defaults if name in given},
+        }
+        return exp.config_from_json(doc)
+    except exp.UnknownConfigKeyError as exc:
+        raise _CliIOError(f"{args.config}: {exc}") from exc
+    except (ValueError, TypeError) as exc:
+        sub.error(str(exc))
 
 
 def cmd_simulate(parser: _Parser, args: argparse.Namespace, given: set[str]) -> int:
     sub = parser.subcommands["simulate"]
-    try:
-        args = _simulate_defaults(args, given)
-    except _CliIOError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_IO
-    _check_bounds(sub, args)
     kind = args.dynamics.replace("-", "_")
     eta_phi = args.eta_phi
     if eta_phi is None:
@@ -271,27 +273,32 @@ def cmd_simulate(parser: _Parser, args: argparse.Namespace, given: set[str]) -> 
     except ValueError as exc:
         sub.error(str(exc))
 
+    overlay = {}
     if args.mdp is not None:
         try:
             mrp = mdp_mod.load_mdp(args.mdp)
         except (OSError, json.JSONDecodeError, ValueError) as exc:
             print(f"cannot load MDP from {args.mdp}: {exc}", file=sys.stderr)
             return EXIT_IO
-    else:
+        overlay["n_states"] = mrp.n  # k is checked against the loaded chain
+    try:
+        config = _run_config(sub, args, given, "simulate", **overlay)
+    except _CliIOError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_IO
+    if args.mdp is None:
         try:
-            mrp = _generate_mdp(args)
+            mrp = _generate_mdp(args.symmetric, config.n_states, config.h_values[0],
+                                config.gamma, config.alpha, config.seed)
         except mdp_mod.ConvergenceError as exc:
             print(f"generation failed: {exc}", file=sys.stderr)
             return EXIT_GENERATION
 
-    if not 1 <= args.k <= mrp.n:
-        sub.error(f"--k must be in [1, {mrp.n}], got {args.k}")
-    phi0 = exp.initial_representation(args.seed, mrp.n, args.k)
-    config = dyn.IntegratorConfig(
-        t_end=args.t_end, rtol=args.rtol, atol=args.atol, log_points=args.log_points
-    )
+    phi0 = exp.initial_representation(config.seed, mrp.n, config.k)
     try:
-        log = dyn.integrate(mrp, spec, phi0, config=config, store_states=args.store_states)
+        log = dyn.integrate(
+            mrp, spec, phi0, config=config.integrator, store_states=args.store_states
+        )
     except (dyn.IntegrationError, met.IllConditionedError) as exc:
         print(f"integration failed: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -313,51 +320,18 @@ def cmd_simulate(parser: _Parser, args: argparse.Namespace, given: set[str]) -> 
     return EXIT_OK
 
 
-def _experiment_config(args: argparse.Namespace, given: set[str]) -> exp.ExperimentConfig:
-    doc = _load_json(args.config) if args.config is not None else {}
-    flag_map = {
-        "n": "n_states", "k": "k", "gamma": "gamma", "alpha": "alpha",
-        "seed": "seed", "trials": "n_trials", "jobs": "jobs",
-    }
-    for dest, key in flag_map.items():
-        if dest in given:
-            doc[key] = getattr(args, dest)
-    if "h" in given:
-        doc["h_values"] = [int(h) for h in args.h]
-    if "out" in given:
-        doc["outdir"] = str(args.out)
-    else:
-        doc.setdefault("outdir", str(default_out_root()))
-    if "eta_phi" in given:
-        doc["dynamics"] = [{"kind": dyn.TWO_TIME_SCALE, "eta_w": 0.0, "eta_phi": args.eta_phi}]
-    integ = dict(doc.get("integrator", {}))
-    per_exp = {
-        "t_end": EXPERIMENT_T_END[args.name],
-        "rtol": EXPERIMENT_RTOL[args.name],
-        "atol": EXPERIMENT_ATOL[args.name],
-        "log_points": EXPERIMENT_LOG_POINTS[args.name],
-    }
-    for dest in ("t_end", "rtol", "atol", "log_points"):
-        if dest in given and getattr(args, dest) is not None:
-            integ[dest] = getattr(args, dest)
-        else:
-            integ.setdefault(dest, per_exp[dest])
-    doc["integrator"] = integ
-    return exp.config_from_json(doc)
-
-
 def cmd_experiment(parser: _Parser, args: argparse.Namespace, given: set[str]) -> int:
     sub = parser.subcommands["experiment"]
-    _check_bounds(sub, args)
     if args.eta_phi is not None and args.name not in ("fig2", "fig3"):
         sub.error("--eta-phi only applies to fig2 and fig3")
+    overlay = {}
+    if "eta_phi" in given:
+        overlay["dynamics"] = [{"kind": dyn.TWO_TIME_SCALE, "eta_w": 0.0, "eta_phi": args.eta_phi}]
     try:
-        config = _experiment_config(args, given)
+        config = _run_config(sub, args, given, args.name, **overlay)
     except _CliIOError as exc:
         print(exc, file=sys.stderr)
         return EXIT_IO
-    except (ValueError, TypeError) as exc:
-        sub.error(str(exc))
 
     if args.name == "invariants":
         reports = exp.run_invariant_suite(config)

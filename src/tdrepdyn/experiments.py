@@ -107,12 +107,18 @@ def config_to_json(config: ExperimentConfig) -> dict:
     }
 
 
+class UnknownConfigKeyError(ValueError):
+    """A config document holds a key that config_to_json never writes."""
+
+
 def config_from_json(doc: dict) -> ExperimentConfig:
-    """Inverse of config_to_json; unknown keys are rejected."""
-    known = set(config_to_json(ExperimentConfig()))
-    unknown = set(doc) - known
+    """Inverse of config_to_json; unknown keys, top-level or in ``integrator``, are rejected."""
+    known = config_to_json(ExperimentConfig())
+    unknown = sorted(set(doc) - set(known)) + sorted(
+        f"integrator.{key}" for key in set(doc.get("integrator", {})) - set(known["integrator"])
+    )
     if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        raise UnknownConfigKeyError(f"unknown config keys: {unknown}")
     kwargs = dict(doc)
     if "h_values" in kwargs:
         kwargs["h_values"] = tuple(int(h) for h in kwargs["h_values"])
@@ -199,81 +205,57 @@ def _dynamics_label(spec: dyn.DynamicsSpec) -> str:
     return f"two_time_scale_phi{spec.eta_phi:g}"
 
 
-def _two_time_scale_spec(config: ExperimentConfig) -> dyn.DynamicsSpec:
-    for spec in config.dynamics:
-        if spec.kind == dyn.TWO_TIME_SCALE:
-            return spec
-    return dyn.two_time_scale(eta_phi=1.0)
+def _scenarios(experiment: str, config: ExperimentConfig, seed: int) -> list[tuple]:
+    """The ``(curve, mrp, spec, metric)`` rows of one trial of ``experiment``.
+
+    fig1 runs every configured dynamics on one h=1 mixed chain and logs the
+    weighted value error; fig2 (three named chains) and fig3 (one mixed chain
+    per h) run the two-time-scale flow and log the normalized trace objective.
+    """
+    n, gamma, alpha = config.n_states, config.gamma, config.alpha
+
+    def mixed(h: int) -> MarkovRewardProcess:
+        return mdp_mod.make_random_mdp(n=n, h=h, gamma=gamma, alpha=alpha, seed=seed)
+
+    if experiment == "fig1":
+        mrp = mixed(1)
+        return [(_dynamics_label(spec), mrp, spec, "E") for spec in config.dynamics]
+    if experiment == "fig2":
+        chains = {
+            "h5_general": mixed(5),
+            "h1_symmetric": mdp_mod.make_symmetric_mdp(n=n, h=1, gamma=gamma, seed=seed),
+            "h1_general": mixed(1),
+        }
+    else:
+        chains = {f"h{h}": mixed(h) for h in config.h_values}
+    spec = next((s for s in config.dynamics if s.kind == dyn.TWO_TIME_SCALE), dyn.two_time_scale())
+    return [(label, mrp, spec, "f_norm") for label, mrp in chains.items()]
 
 
-def _fig1_trial(config: ExperimentConfig, index: int) -> dict:
+def _trial(experiment: str, config: ExperimentConfig, index: int) -> dict:
+    """Integrate every scenario row from the trial's shared ``phi0``."""
     seed = trial_seed(config, index)
-    mrp = mdp_mod.make_random_mdp(
-        n=config.n_states, h=1, gamma=config.gamma, alpha=config.alpha, seed=seed
-    )
     phi0 = initial_representation(seed, config.n_states, config.k)
     curves, errors = {}, {}
-    for spec in config.dynamics:
-        label = _dynamics_label(spec)
+    for label, mrp, spec, metric in _scenarios(experiment, config, seed):
         try:
-            log = dyn.integrate(mrp, spec, phi0, config=config.integrator, metric_set=("E",))
-            curves[label] = log.metrics["E"]
+            log = dyn.integrate(mrp, spec, phi0, config=config.integrator, metric_set=(metric,))
+            curves[label] = log.metrics[metric]
         except (dyn.IntegrationError, met.IllConditionedError) as exc:
             errors[label] = str(exc)
     return {"seed": seed, "curves": curves, "errors": errors}
 
 
-def _fig2_trial(config: ExperimentConfig, index: int) -> dict:
-    seed = trial_seed(config, index)
-    phi0 = initial_representation(seed, config.n_states, config.k)
-    spec = _two_time_scale_spec(config)
-    scenarios = {
-        "h5_general": mdp_mod.make_random_mdp(
-            n=config.n_states, h=5, gamma=config.gamma, alpha=config.alpha, seed=seed
-        ),
-        "h1_symmetric": mdp_mod.make_symmetric_mdp(
-            n=config.n_states, h=1, gamma=config.gamma, seed=seed
-        ),
-        "h1_general": mdp_mod.make_random_mdp(
-            n=config.n_states, h=1, gamma=config.gamma, alpha=config.alpha, seed=seed
-        ),
-    }
-    curves, errors = {}, {}
-    for label, mrp in scenarios.items():
-        try:
-            log = dyn.integrate(mrp, spec, phi0, config=config.integrator, metric_set=("f_norm",))
-            curves[label] = log.metrics["f_norm"]
-        except (dyn.IntegrationError, met.IllConditionedError) as exc:
-            errors[label] = str(exc)
-    return {"seed": seed, "curves": curves, "errors": errors}
-
-
-def _fig3_trial(config: ExperimentConfig, index: int) -> dict:
-    seed = trial_seed(config, index)
-    phi0 = initial_representation(seed, config.n_states, config.k)
-    spec = _two_time_scale_spec(config)
-    curves, errors = {}, {}
-    for h in config.h_values:
-        label = f"h{h}"
-        mrp = mdp_mod.make_random_mdp(
-            n=config.n_states, h=h, gamma=config.gamma, alpha=config.alpha, seed=seed
-        )
-        try:
-            log = dyn.integrate(mrp, spec, phi0, config=config.integrator, metric_set=("f_norm",))
-            curves[label] = log.metrics["f_norm"]
-        except (dyn.IntegrationError, met.IllConditionedError) as exc:
-            errors[label] = str(exc)
-    return {"seed": seed, "curves": curves, "errors": errors}
-
-
-_TRIAL_FUNCTIONS = {"fig1": _fig1_trial, "fig2": _fig2_trial, "fig3": _fig3_trial}
+# Numerical failures a trial may end in; they count against the abort
+# threshold. Any other exception is a bug and propagates.
+_TRIAL_FAILURES = (dyn.IntegrationError, np.linalg.LinAlgError, mdp_mod.ConvergenceError)
 
 
 def _run_one(payload: tuple[str, ExperimentConfig, int]) -> dict:
     experiment, config, index = payload
     try:
-        return _TRIAL_FUNCTIONS[experiment](config, index)
-    except Exception as exc:  # failures are aggregated, not raised per trial
+        return _trial(experiment, config, index)
+    except _TRIAL_FAILURES as exc:  # failures are aggregated, not raised per trial
         return {"seed": trial_seed(config, index), "curves": {}, "errors": {"*": str(exc)}}
 
 

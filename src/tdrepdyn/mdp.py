@@ -80,6 +80,9 @@ class MarkovRewardProcess:
             raise ValueError(f"d must have length {n}, got shape {d.shape}")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
+        for name, arr in (("P", P), ("R", R), ("d", d)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} has non-finite entries")
         if np.any(P < 0):
             raise ValueError("P has negative entries")
         row_err = np.abs(P.sum(axis=1) - 1.0).max()

@@ -136,6 +136,68 @@ def test_io_errors_exit_2(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+def test_non_finite_mdp_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    assert run_cli(["gen-mdp", "--n", "5", "--seed", "2", "-o", str(path)]) == 0
+    for field in ("P", "R"):
+        doc = json.loads(path.read_text())
+        doc[field][0] = float("nan")
+        bad = tmp_path / f"nan_{field}.json"
+        bad.write_text(json.dumps(doc))
+        assert run_cli(["simulate", "--mdp", str(bad), "--t-end", "1"]) == 2
+        assert "cannot load MDP" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------------- config
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["experiment", "fig1"]])
+@pytest.mark.parametrize("doc", [{"surprise": 1}, {"integrator": {"rtl": 1e-3}}])
+def test_unknown_config_keys_exit_2(command, doc, tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(doc))
+    assert run_cli([*command, "-c", str(config), "-o", str(tmp_path / "out")]) == 2
+    assert "unknown config keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["experiment", "fig1"]])
+@pytest.mark.parametrize("doc", [{"gamma": 1.5}, {"integrator": {"rtol": -1.0}}, {"k": 0}])
+def test_out_of_range_config_values_exit_1(command, doc, tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(doc))
+    assert run_cli([*command, "-c", str(config), "-o", str(tmp_path / "out")]) == 1
+    assert "error" in capsys.readouterr().err
+
+
+def test_simulate_accepts_experiment_manifest_config(tmp_path):
+    assert run_cli([
+        "experiment", "fig1", "--trials", "1", "--n", "6", "--seed", "3",
+        "--t-end", "2", "--log-points", "3", "-o", str(tmp_path),
+    ]) == 0
+    manifest = json.loads((tmp_path / "fig1" / "manifest.json").read_text())
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(manifest["config"]))
+    out = tmp_path / "traj.csv"
+    assert run_cli(["simulate", "-c", str(config), "--store-states", "-o", str(out)]) == 0
+    table = np.genfromtxt(out, delimiter=",", names=True)
+    assert table["t"].tolist() == [0.0, 1.0, 2.0]  # t_end and log_points from the manifest
+    doc = json.loads((tmp_path / "traj.states.json").read_text())
+    assert np.asarray(doc["phi"]).shape == (3, 6, 2)  # n_states and k from the manifest
+
+
+def test_simulate_checks_k_against_loaded_mdp(tmp_path):
+    # k=40 exceeds the default n_states=30 but fits the 50-state chain
+    mdp_path = tmp_path / "m.json"
+    assert run_cli(["gen-mdp", "--n", "50", "--seed", "1", "-o", str(mdp_path)]) == 0
+    out = tmp_path / "traj.csv"
+    code = run_cli([
+        "simulate", "--mdp", str(mdp_path), "--k", "40", "--dynamics", "linear-td",
+        "--t-end", "0.5", "--log-points", "2", "-o", str(out),
+    ])
+    assert code == 0
+    assert out.exists()
+
+
 # ----------------------------------------------------------------- simulate
 
 

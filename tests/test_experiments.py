@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from numpy.testing import assert_allclose
 from tdrepdyn import dynamics as dyn
 from tdrepdyn import experiments as exp
 from tdrepdyn.mdp import make_symmetric_mdp
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
 def tiny_config(**overrides):
@@ -147,24 +150,27 @@ def test_single_reversible_trajectory_is_monotone():
 # ------------------------------------------------------------ failure policy
 
 
-def _always_boom(config, index):
-    raise RuntimeError("synthetic trial failure")
+_trial = exp._trial
 
 
-def _boom_on_last(config, index):
+def _always_boom(experiment, config, index):
+    raise dyn.IntegrationError("synthetic trial failure")
+
+
+def _boom_on_last(experiment, config, index):
     if index == config.n_trials - 1:
-        raise RuntimeError("synthetic trial failure")
-    return exp._fig1_trial(config, index)
+        raise dyn.IntegrationError("synthetic trial failure")
+    return _trial(experiment, config, index)
 
 
 def test_failure_threshold_aborts(monkeypatch):
-    monkeypatch.setitem(exp._TRIAL_FUNCTIONS, "fig1", _always_boom)
+    monkeypatch.setattr(exp, "_trial", _always_boom)
     with pytest.raises(RuntimeError, match="trials failed"):
         exp.run_fig1(tiny_config())
 
 
 def test_failures_below_threshold_are_recorded(monkeypatch):
-    monkeypatch.setitem(exp._TRIAL_FUNCTIONS, "fig1", _boom_on_last)
+    monkeypatch.setattr(exp, "_trial", _boom_on_last)
     cfg = tiny_config(n_trials=12, max_failure_fraction=0.2)
     series = exp.run_fig1(cfg)
     for agg in series.values():
@@ -174,10 +180,41 @@ def test_failures_below_threshold_are_recorded(monkeypatch):
         assert seed == exp.trial_seed(cfg, 11) and "synthetic" in msg
 
 
+def test_bug_in_a_trial_propagates(monkeypatch):
+    # a TypeError is a bug, not a numerical trial failure to be tolerated
+    def bad_row(*args, **kwargs):
+        raise TypeError("bad scenario row")
+
+    monkeypatch.setattr(dyn, "integrate", bad_row)
+    with pytest.raises(TypeError, match="bad scenario row"):
+        exp.run_fig1(tiny_config())
+
+
 def test_parallel_trials_match_sequential():
     seq = exp.run_fig3(tiny_config(h_values=(1,), jobs=1))
     par = exp.run_fig3(tiny_config(h_values=(1,), jobs=2))
     assert np.array_equal(seq["h1"].values, par["h1"].values)
+
+
+@pytest.mark.parametrize("experiment", ["fig1", "fig2", "fig3"])
+def test_outputs_match_golden(experiment, tmp_path):
+    # tests/data/golden holds tiny_config() outputs, recorded with outdir null
+    runner = {"fig1": exp.run_fig1, "fig2": exp.run_fig2, "fig3": exp.run_fig3}[experiment]
+    runner(tiny_config(outdir=tmp_path))
+    fresh, golden = tmp_path / experiment, GOLDEN / experiment
+    assert sorted(p.name for p in fresh.iterdir()) == sorted(p.name for p in golden.iterdir())
+    manifest = json.loads((fresh / "manifest.json").read_text())
+    assert manifest["config"].pop("outdir") == str(tmp_path)
+    expected = json.loads((golden / "manifest.json").read_text())
+    assert expected["config"].pop("outdir") is None
+    assert manifest == expected
+    for csv in golden.glob("*.csv"):
+        got, want = (
+            np.genfromtxt(path, delimiter=",", names=True) for path in (fresh / csv.name, csv)
+        )
+        assert got.dtype.names == want.dtype.names == ("t", "median", "q25", "q75")
+        for column in want.dtype.names:
+            assert_allclose(got[column], want[column], rtol=1e-12, atol=0)
 
 
 # -------------------------------------------------------------- invariants

@@ -135,6 +135,16 @@ def test_mrp_rejects_nonstationary_d():
         MarkovRewardProcess(P=P, R=np.zeros((2, 1)), gamma=0.9, d=np.array([0.5, 0.5]))
 
 
+@pytest.mark.parametrize("name", ["P", "R", "d"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_mrp_rejects_non_finite_entries(name, bad):
+    # every other check is a comparison that NaN passes silently
+    arrays = {"P": np.full((2, 2), 0.5), "R": np.zeros((2, 1)), "d": np.array([0.5, 0.5])}
+    arrays[name][0] = bad
+    with pytest.raises(ValueError, match=f"{name} has non-finite entries"):
+        MarkovRewardProcess(gamma=0.9, **arrays)
+
+
 def test_mrp_arrays_frozen(small_mixed):
     with pytest.raises(ValueError):
         small_mixed.P[0, 0] = 2.0
