@@ -299,7 +299,7 @@ def cmd_simulate(parser: _Parser, args: argparse.Namespace, given: set[str]) -> 
         log = dyn.integrate(
             mrp, spec, phi0, config=config.integrator, store_states=args.store_states
         )
-    except (dyn.IntegrationError, met.IllConditionedError) as exc:
+    except (dyn.IntegrationError, *dyn.SOLVE_FAILURES) as exc:
         print(f"integration failed: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

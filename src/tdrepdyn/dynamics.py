@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,9 +27,7 @@ from scipy.integrate import solve_ivp
 
 from . import metrics as _metrics
 from .mdp import MarkovRewardProcess, key_matrix, make_rng, value_function
-from .metrics import COND_LIMIT, IllConditionedError
-
-logger = logging.getLogger(__name__)
+from .metrics import IllConditionedError, _solve_guarded
 
 LINEAR_TD = "linear_td"
 END_TO_END = "end_to_end"
@@ -50,6 +47,14 @@ METRIC_COLUMNS = (
 
 class IntegrationError(RuntimeError):
     """Trajectory integration failed (step-size underflow or a solve broke down)."""
+
+
+class FixedPointResidualError(np.linalg.LinAlgError):
+    """The TD fixed-point solve passed the condition guard but missed its residual bound."""
+
+
+# Failures of the fixed-point solve.
+SOLVE_FAILURES = (IllConditionedError, FixedPointResidualError)
 
 
 @dataclass(frozen=True)
@@ -206,21 +211,23 @@ def _gram_schmidt(cols: np.ndarray) -> np.ndarray:
 def td_fixed_point(mrp: MarkovRewardProcess, phi: np.ndarray) -> np.ndarray:
     """Weights solving phi^T A (phi w - V) = 0, with A the key matrix.
 
-    Equivalently (phi^T A phi) w = phi^T diag(d) R. The k x k system is
-    factorized directly; a condition number beyond 1e12 raises instead of
-    returning an untrustworthy solution.
+    Equivalently (phi^T A phi) w = phi^T diag(d) R, with A and diag(d) R
+    taken from the process's cache. The guard is the 2-norm condition number
+    of the k x k system, s_max / s_min from LAPACK ``gesdd``: beyond 1e12 it
+    raises IllConditionedError instead of returning an untrustworthy
+    solution. A solution whose residual exceeds 1e-10 max(1, max|rhs|)
+    raises FixedPointResidualError.
     """
     A = key_matrix(mrp)
     G = phi.T @ A @ phi
-    cond = np.linalg.cond(G)
-    logger.debug("phi^T A phi condition number: %.3e", cond)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise IllConditionedError("phi^T A phi", float(cond))
-    b = phi.T @ (mrp.d[:, None] * mrp.R)
-    w = np.linalg.solve(G, b)
+    b = phi.T @ mrp.dR
+    w = _solve_guarded(G, b, "phi^T A phi")
     residual = np.abs(G @ w - b).max()
-    if residual > 1e-10:
-        raise IllConditionedError("phi^T A phi", float(cond))
+    bound = 1e-10 * max(1.0, np.abs(b).max())
+    if residual > bound:
+        raise FixedPointResidualError(
+            f"fixed-point residual {residual:.3e} exceeds {bound:.3e}"
+        )
     return w
 
 
@@ -377,7 +384,7 @@ def integrate(
             atol=config.atol,
             max_step=config.max_step,
         )
-    except IllConditionedError as exc:
+    except SOLVE_FAILURES as exc:
         raise IntegrationError(
             f"fixed-point solve broke down at t={last_t:.6g}: {exc}"
         ) from exc

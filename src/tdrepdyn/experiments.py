@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import subprocess
 import sys
 import tempfile
@@ -112,20 +113,32 @@ class UnknownConfigKeyError(ValueError):
 
 
 def config_from_json(doc: dict) -> ExperimentConfig:
-    """Inverse of config_to_json; unknown keys, top-level or in ``integrator``, are rejected."""
+    """Inverse of config_to_json.
+
+    Unknown keys, top-level, in ``integrator`` or in a ``dynamics`` entry, raise
+    UnknownConfigKeyError; a ``dynamics`` entry that is not an object or has no
+    ``kind`` raises ValueError.
+    """
     known = config_to_json(ExperimentConfig())
+    entries = list(doc.get("dynamics", ()))
     unknown = sorted(set(doc) - set(known)) + sorted(
         f"integrator.{key}" for key in set(doc.get("integrator", {})) - set(known["integrator"])
     )
+    for i, entry in enumerate(entries):
+        if isinstance(entry, dict):
+            unknown += [f"dynamics[{i}].{key}" for key in sorted(set(entry) - set(known["dynamics"][0]))]
     if unknown:
         raise UnknownConfigKeyError(f"unknown config keys: {unknown}")
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict) or "kind" not in entry:
+            raise ValueError(f"dynamics[{i}] must be an object with a 'kind', got {entry!r}")
     kwargs = dict(doc)
     if "h_values" in kwargs:
         kwargs["h_values"] = tuple(int(h) for h in kwargs["h_values"])
     if "dynamics" in kwargs:
         kwargs["dynamics"] = tuple(
             dyn.DynamicsSpec(d["kind"], eta_w=d.get("eta_w", 1.0), eta_phi=d.get("eta_phi", 1.0))
-            for d in kwargs["dynamics"]
+            for d in entries
         )
     if "integrator" in kwargs:
         integ = dict(kwargs["integrator"])
@@ -241,7 +254,7 @@ def _trial(experiment: str, config: ExperimentConfig, index: int) -> dict:
         try:
             log = dyn.integrate(mrp, spec, phi0, config=config.integrator, metric_set=(metric,))
             curves[label] = log.metrics[metric]
-        except (dyn.IntegrationError, met.IllConditionedError) as exc:
+        except (dyn.IntegrationError, *dyn.SOLVE_FAILURES) as exc:
             errors[label] = str(exc)
     return {"seed": seed, "curves": curves, "errors": errors}
 
@@ -259,11 +272,17 @@ def _run_one(payload: tuple[str, ExperimentConfig, int]) -> dict:
         return {"seed": trial_seed(config, index), "curves": {}, "errors": {"*": str(exc)}}
 
 
+def _pool_workers(config: ExperimentConfig) -> int:
+    """Worker processes a run starts: ``jobs``, capped by the trial and CPU counts."""
+    return min(config.jobs, config.n_trials, os.cpu_count() or 1)
+
+
 def _map_trials(experiment: str, config: ExperimentConfig) -> list[dict]:
     payloads = [(experiment, config, i) for i in range(config.n_trials)]
-    if config.jobs == 1:
+    workers = _pool_workers(config)
+    if workers == 1:
         return [_run_one(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_one, payloads))
 
 

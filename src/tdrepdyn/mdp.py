@@ -9,6 +9,12 @@ This module provides:
   the key matrix diag(d) (I - gamma P), and a reversibility check.
 - JSON round-trip for generated processes.
 
+Every quantity that depends only on the process (I - gamma P, the key matrix,
+diag(d) R and V) is computed on first use and cached on the instance as a
+read-only array. The instance and its input arrays are frozen, so a cached
+value can never go stale; ``with_rewards`` builds a new instance with an empty
+cache.
+
 All randomness is threaded through a counter-based Philox generator so that
 identical seeds give bit-identical output across platforms.
 """
@@ -17,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -57,7 +64,8 @@ class MarkovRewardProcess:
 
     P is |X| x |X| row-stochastic, R is |X| x h, d is the stationary
     distribution of P. Instances are validated on construction and their
-    arrays are frozen, so they are safe to share across threads.
+    arrays are frozen, so they are safe to share across threads. The derived
+    matrices below are computed once per instance and are read-only too.
     """
 
     P: np.ndarray
@@ -112,6 +120,43 @@ class MarkovRewardProcess:
     def with_rewards(self, R: np.ndarray) -> "MarkovRewardProcess":
         """Same chain, different reward matrix."""
         return MarkovRewardProcess(P=self.P, R=R, gamma=self.gamma, d=self.d)
+
+    def __reduce__(self):
+        # Unpickled arrays are writeable; rebuilding re-validates and re-freezes
+        # them, and the copy starts with an empty cache.
+        return MarkovRewardProcess, (self.P, self.R, self.gamma, self.d)
+
+    @cached_property
+    def system(self) -> np.ndarray:
+        """I - gamma P, the matrix of the Bellman linear system."""
+        return _frozen(np.eye(self.n) - self.gamma * self.P)
+
+    @cached_property
+    def A(self) -> np.ndarray:
+        """The key matrix diag(d) (I - gamma P)."""
+        return _frozen(self.d[:, None] * self.system)
+
+    @cached_property
+    def dR(self) -> np.ndarray:
+        """diag(d) R, the right-hand side of the TD fixed point before projection."""
+        return _frozen(self.d[:, None] * self.R)
+
+    @cached_property
+    def V(self) -> np.ndarray:
+        """Discounted values solving (I - gamma P) V = R, one column per reward."""
+        V = np.linalg.solve(self.system, self.R)
+        residual = np.abs(self.system @ V - self.R).max()
+        bound = 1e-10 * max(1.0, np.abs(self.R).max())
+        if residual > bound:
+            raise np.linalg.LinAlgError(
+                f"value-function solve residual {residual:.3e} exceeds {bound:.3e}"
+            )
+        return _frozen(V)
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -272,21 +317,22 @@ def stationary_distribution(
 
 
 def value_function(mrp: MarkovRewardProcess) -> np.ndarray:
-    """Discounted value V solving (I - gamma P) V = R, one column per reward."""
-    n = mrp.n
-    system = np.eye(n) - mrp.gamma * mrp.P
-    V = np.linalg.solve(system, mrp.R)
-    residual = np.abs(system @ V - mrp.R).max()
-    if residual > 1e-10:
-        raise np.linalg.LinAlgError(
-            f"value-function solve residual {residual:.3e} exceeds 1e-10"
-        )
-    return V
+    """Discounted value V solving (I - gamma P) V = R, one column per reward.
+
+    Solved once per process and cached (``mrp.V``); the returned array is
+    read-only and shared by every caller. The solve is rejected when its
+    residual exceeds 1e-10 max(1, max|R|).
+    """
+    return mrp.V
 
 
 def key_matrix(mrp: MarkovRewardProcess) -> np.ndarray:
-    """The matrix diag(d) (I - gamma P); positive definite for gamma < 1."""
-    return mrp.d[:, None] * (np.eye(mrp.n) - mrp.gamma * mrp.P)
+    """The matrix diag(d) (I - gamma P); positive definite for gamma < 1.
+
+    Built once per process and cached (``mrp.A``); the returned array is
+    read-only and shared by every caller.
+    """
+    return mrp.A
 
 
 def reversibility_residual(mrp: MarkovRewardProcess) -> float:

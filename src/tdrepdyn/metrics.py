@@ -10,11 +10,15 @@ from __future__ import annotations
 
 import csv
 import io
+import logging
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .mdp import MarkovRewardProcess, key_matrix, value_function
+
+logger = logging.getLogger(__name__)
 
 COND_LIMIT = 1e12
 
@@ -32,10 +36,25 @@ class IllConditionedError(np.linalg.LinAlgError):
 
 
 def _solve_guarded(G: np.ndarray, rhs: np.ndarray, name: str) -> np.ndarray:
-    cond = np.linalg.cond(G)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise IllConditionedError(name, float(cond))
-    return np.linalg.solve(G, rhs)
+    """Solve G x = rhs unless G's 2-norm condition number exceeds COND_LIMIT.
+
+    The condition number is s_max / s_min from LAPACK ``gesdd``, the quantity
+    ``np.linalg.cond`` computes, and ``gesv`` does the solve. Both are called
+    directly: for the k x k systems here, ``np.linalg``'s Python wrapper costs
+    more than the factorization. Any LAPACK failure raises IllConditionedError.
+    """
+    _, s, _, info = lapack.dgesdd(G, compute_uv=0)
+    if info != 0:
+        raise IllConditionedError(name, float("nan"))
+    s_max, s_min = float(s[0]), float(s[-1])
+    cond = s_max / s_min if s_min > 0.0 else float("inf")
+    logger.debug("%s condition number: %.3e", name, cond)
+    if not cond <= COND_LIMIT:
+        raise IllConditionedError(name, cond)
+    _, _, x, info = lapack.dgesv(G, rhs)
+    if info != 0:
+        raise IllConditionedError(name, cond)
+    return x
 
 
 @dataclass(frozen=True)
@@ -105,8 +124,7 @@ def weighted_error_gradients(
 
 def trace_objective(mrp: MarkovRewardProcess, phi: np.ndarray) -> float:
     """Trace of phi^T (I - gamma P)^{-1} phi, via a linear solve (no explicit inverse)."""
-    system = np.eye(mrp.n) - mrp.gamma * mrp.P
-    X = np.linalg.solve(system, phi)
+    X = np.linalg.solve(mrp.system, phi)
     return float(np.sum(phi * X))
 
 
@@ -116,8 +134,7 @@ def trace_ceiling(mrp: MarkovRewardProcess, k: int) -> float:
     This is the normalizer for the trace objective; for symmetric P it equals
     the maximum of the objective over orthonormal phi with k columns.
     """
-    system = np.eye(mrp.n) - mrp.gamma * mrp.P
-    resolvent = np.linalg.solve(system, np.eye(mrp.n))
+    resolvent = np.linalg.solve(mrp.system, np.eye(mrp.n))
     eigvals = np.linalg.eigvalsh(0.5 * (resolvent + resolvent.T))
     return float(eigvals[-k:].sum())
 
@@ -171,8 +188,7 @@ def critical_point_residual(mrp: MarkovRewardProcess, phi: np.ndarray) -> float:
     once w sits at its fixed point.
     """
     A = key_matrix(mrp)
-    dR = mrp.d[:, None] * mrp.R
-    target = dR @ (dR.T @ phi)
+    target = mrp.dR @ (mrp.dR.T @ phi)
     G = phi.T @ A @ phi
     projected = (A @ phi) @ _solve_guarded(G, phi.T @ target, "phi^T A phi")
     return float(np.abs(target - projected).max())

@@ -160,6 +160,25 @@ def test_unknown_config_keys_exit_2(command, doc, tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+TINY_FIG3 = ["experiment", "fig3", "--trials", "1", "--n", "6", "--h", "1",
+             "--t-end", "1", "--log-points", "3"]
+
+
+def test_unknown_dynamics_key_exits_2(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"dynamics": [{"kind": "two_time_scale", "eta_ph": 3.0}]}))
+    assert run_cli([*TINY_FIG3, "-c", str(config), "-o", str(tmp_path / "out")]) == 2
+    assert "dynamics[0].eta_ph" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", [{"eta_phi": 3.0}, "two_time_scale"])
+def test_malformed_dynamics_entry_exits_1(entry, tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"dynamics": [entry]}))
+    assert run_cli([*TINY_FIG3, "-c", str(config), "-o", str(tmp_path / "out")]) == 1
+    assert "dynamics[0]" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", [["simulate"], ["experiment", "fig1"]])
 @pytest.mark.parametrize("doc", [{"gamma": 1.5}, {"integrator": {"rtol": -1.0}}, {"k": 0}])
 def test_out_of_range_config_values_exit_1(command, doc, tmp_path, capsys):

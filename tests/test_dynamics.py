@@ -4,8 +4,9 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 from tdrepdyn import dynamics as dyn
+from tdrepdyn import metrics as met
 from tdrepdyn.mdp import key_matrix, make_random_mdp, make_symmetric_mdp, make_rng, value_function
-from tdrepdyn.metrics import IllConditionedError
+from tdrepdyn.metrics import COND_LIMIT, IllConditionedError
 
 
 # ------------------------------------------------------------------- configs
@@ -54,6 +55,86 @@ def test_fixed_point_rejects_ill_conditioned_basis(small_mixed):
     phi[:, 1] += 1e-14
     with pytest.raises(IllConditionedError):
         dyn.td_fixed_point(small_mixed, phi)
+
+
+def _reference_fixed_point(mrp, phi):
+    """The fixed-point solve as np.linalg states it: rebuilt A, cond guard, solve."""
+    A = mrp.d[:, None] * (np.eye(mrp.n) - mrp.gamma * mrp.P)
+    G = phi.T @ A @ phi
+    cond = np.linalg.cond(G)
+    if not np.isfinite(cond) or cond > COND_LIMIT:
+        raise IllConditionedError("phi^T A phi", float(cond))
+    return np.linalg.solve(G, phi.T @ (mrp.d[:, None] * mrp.R))
+
+
+def test_fixed_point_is_bit_identical_to_reference_formula():
+    rng = make_rng(42)
+    for i in range(50):
+        k = (1, 2, 3, 4, 5)[i % 5]
+        n = int(rng.integers(k, 31))
+        h = int(rng.integers(1, 9))
+        mrp = make_random_mdp(n=n, h=h, seed=i)
+        phi = rng.standard_normal((n, k))
+        assert np.array_equal(dyn.td_fixed_point(mrp, phi), _reference_fixed_point(mrp, phi))
+
+
+def _raises(fn, *args):
+    try:
+        fn(*args)
+    except IllConditionedError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("factor", [1 - 1e-9, 1 + 1e-9])
+def test_cond_guard_decides_like_numpy_at_the_limit(factor):
+    rng = make_rng(7)
+    rhs = np.ones((2, 1))
+    mats = [np.diag([1.0, 1.0 / (factor * COND_LIMIT)])]
+    for _ in range(10):
+        Q1, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+        Q2, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+        mats.append(Q1 @ mats[0] @ Q2)
+    for G in mats:
+        cond = np.linalg.cond(G)
+        expected = not np.isfinite(cond) or cond > COND_LIMIT
+        assert _raises(met._solve_guarded, G, rhs, "G") == expected
+    assert _raises(met._solve_guarded, mats[0], rhs, "G") == (factor > 1)
+
+
+def test_singular_and_non_finite_systems_raise_ill_conditioned(small_mixed):
+    u = dyn.orthonormal_init(8, 2, seed=3)[:, 0]
+    for phi in (np.column_stack([u, u]), np.column_stack([u, np.zeros(8)])):
+        with pytest.raises(IllConditionedError):
+            _reference_fixed_point(small_mixed, phi)
+        with pytest.raises(IllConditionedError):
+            dyn.td_fixed_point(small_mixed, phi)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(IllConditionedError):
+            met._solve_guarded(np.array([[bad, 0.0], [0.0, 1.0]]), np.ones(2), "G")
+
+
+def test_fixed_point_residual_bound_scales_with_rewards():
+    # the absolute 1e-10 bound rejected this solve, reported as cond 1.47
+    mrp = make_random_mdp(n=30, h=4, seed=0)
+    phi = dyn.orthonormal_init(30, 2, seed=0)
+    w = dyn.td_fixed_point(mrp.with_rewards(1e8 * mrp.R), phi)
+    assert_allclose(w, 1e8 * dyn.td_fixed_point(mrp, phi), rtol=1e-10)
+
+
+def test_fixed_point_residual_failure_has_its_own_type(small_mixed, monkeypatch):
+    def off_by_a_bit(G, rhs, name):
+        return np.linalg.solve(G, rhs) + 1e-6
+
+    monkeypatch.setattr(dyn, "_solve_guarded", off_by_a_bit)
+    phi0 = dyn.orthonormal_init(8, 2, seed=12)
+    with pytest.raises(dyn.FixedPointResidualError) as info:
+        dyn.td_fixed_point(small_mixed, phi0)
+    assert not isinstance(info.value, IllConditionedError)
+    assert isinstance(info.value, np.linalg.LinAlgError)
+    with pytest.raises(dyn.IntegrationError, match="fixed-point residual"):
+        dyn.integrate(small_mixed, dyn.two_time_scale(), phi0,
+                      config=dyn.IntegratorConfig(t_end=1.0, log_points=2))
 
 
 def test_semi_gradients_match_hand_formula(small_mixed):

@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,15 @@ def test_config_json_round_trip():
     assert back == cfg
     with pytest.raises(ValueError):
         exp.config_from_json({"n_states": 8, "surprise": 1})
+
+
+def test_config_from_json_checks_dynamics_entries():
+    with pytest.raises(exp.UnknownConfigKeyError, match=r"dynamics\[0\]\.eta_ph"):
+        exp.config_from_json({"dynamics": [{"kind": "two_time_scale", "eta_ph": 3.0}]})
+    for entry in ({"eta_phi": 3.0}, "two_time_scale"):
+        with pytest.raises(ValueError, match=r"dynamics\[0\]") as info:
+            exp.config_from_json({"dynamics": [entry]})
+        assert not isinstance(info.value, exp.UnknownConfigKeyError)
 
 
 def test_trial_seeds_offset_from_master():
@@ -188,6 +198,20 @@ def test_bug_in_a_trial_propagates(monkeypatch):
     monkeypatch.setattr(dyn, "integrate", bad_row)
     with pytest.raises(TypeError, match="bad scenario row"):
         exp.run_fig1(tiny_config())
+
+
+def test_pool_size_is_clamped_without_starting_processes(monkeypatch):
+    cpus = os.cpu_count() or 1
+    assert exp._pool_workers(tiny_config(jobs=10_000)) == min(3, cpus)
+    assert exp._pool_workers(tiny_config(jobs=10_000, n_trials=10_000)) == cpus
+    assert exp._pool_workers(tiny_config(jobs=2, n_trials=20)) == min(2, cpus)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-worker run must stay in process")
+
+    monkeypatch.setattr(exp, "ProcessPoolExecutor", no_pool)
+    results = exp._map_trials("fig3", tiny_config(jobs=10_000, n_trials=1, h_values=(1,)))
+    assert len(results) == 1 and set(results[0]["curves"]) == {"h1"}
 
 
 def test_parallel_trials_match_sequential():

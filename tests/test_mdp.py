@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -174,6 +175,39 @@ def test_key_matrix_positive_definite(small_mixed):
     A = key_matrix(small_mixed)
     assert_allclose(A, np.diag(small_mixed.d) @ (np.eye(8) - 0.9 * small_mixed.P))
     assert np.linalg.eigvalsh(0.5 * (A + A.T))[0] > 0
+
+
+def test_value_function_residual_bound_scales_with_rewards():
+    # the absolute 1e-10 bound rejected this solve (residual 2.3e-10)
+    m = make_random_mdp(n=30, h=1, seed=0)
+    big = m.with_rewards(1e5 * m.R)
+    assert_allclose(value_function(big), 1e5 * value_function(m), rtol=1e-12)
+
+
+def test_derived_matrices_are_cached_and_read_only(small_mixed):
+    for get in (key_matrix, value_function, lambda m: m.system, lambda m: m.dR):
+        arr = get(small_mixed)
+        assert get(small_mixed) is arr
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+    assert np.array_equal(small_mixed.dR, small_mixed.d[:, None] * small_mixed.R)
+
+
+def test_with_rewards_gets_a_fresh_value_function(small_mixed):
+    V = value_function(small_mixed)
+    other = small_mixed.with_rewards(2.0 * small_mixed.R)
+    assert value_function(other) is not V
+    assert_allclose(value_function(other), 2.0 * V, rtol=1e-12)
+    assert np.array_equal(key_matrix(other), key_matrix(small_mixed))
+
+
+def test_pickled_process_stays_frozen(small_mixed):
+    A = key_matrix(small_mixed)
+    copy = pickle.loads(pickle.dumps(small_mixed))
+    assert np.array_equal(key_matrix(copy), A)
+    for arr in (copy.P, copy.R, copy.d, key_matrix(copy)):
+        assert not arr.flags.writeable
 
 
 # --------------------------------------------------------------- persistence
