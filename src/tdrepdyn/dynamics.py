@@ -9,9 +9,17 @@ on a fixed Markov reward process:
 - ``two_time_scale``: the weights are pinned to their fixed point for the
   current representation while the representation drifts slowly.
 
-Trajectories are integrated with SciPy's adaptive Dormand-Prince RK45 pair
-(dense output drives the metric log), and a discrete Euler stepper is
-provided as an alternative integrator for the same drift fields.
+Trajectories are integrated by one adaptive Dormand-Prince 5(4) loop
+(Dormand & Prince 1980; step control as in Hairer, Norsett & Wanner, *Solving
+ODEs I*, II.4) that steps a whole batch of trajectories together. Each
+trajectory keeps its own step size, error norm and accept/reject decisions,
+exactly as SciPy's ``RK45`` solver would step it alone, while the drift
+fields evaluate on the stacked states with one numpy call per operation
+(``np.matmul``, ``np.linalg.svd``, ``np.linalg.solve``), each making one BLAS or
+LAPACK call per trajectory. A trajectory's result therefore does not depend on
+which others share its batch. Dense output drives the metric log. A discrete
+Euler stepper is provided as an alternative integrator for the same drift
+fields.
 """
 
 from __future__ import annotations
@@ -19,15 +27,15 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import metrics as _metrics
-from .mdp import MarkovRewardProcess, key_matrix, make_rng, value_function
-from .metrics import IllConditionedError, _solve_guarded
+from .mdp import MarkovRewardProcess, make_rng, value_function
+from .metrics import IllConditionedError, _solve_guarded_stack
 
 LINEAR_TD = "linear_td"
 END_TO_END = "end_to_end"
@@ -55,6 +63,35 @@ class FixedPointResidualError(np.linalg.LinAlgError):
 
 # Failures of the fixed-point solve.
 SOLVE_FAILURES = (IllConditionedError, FixedPointResidualError)
+
+# The Dormand-Prince 5(4) pair with Shampine's quartic dense output, and the
+# step-size controller constants, as in SciPy's RK45.
+_RK_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_RK_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
+])
+_RK_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_RK_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_RK_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875 / 199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
+])
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2  # smallest step-size decrease
+_MAX_FACTOR = 10  # largest step-size increase
+_ERROR_EXPONENT = -1 / 5  # -1 / (order of the embedded error estimate + 1)
+_TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+_H_BLOCK = 8  # two-time-scale rewards are padded to a multiple of this many columns
 
 
 @dataclass(frozen=True)
@@ -111,6 +148,15 @@ class IntegratorConfig:
             raise ValueError("log_points must be >= 2")
 
 
+@dataclass(frozen=True)
+class SolverStats:
+    """Work the integrator did on one trajectory."""
+
+    nfev: int  # drift-field evaluations
+    accepted: int  # accepted steps
+    rejected: int  # rejected step attempts
+
+
 @dataclass
 class TrajectoryLog:
     """Time-indexed metric series, optionally with full state snapshots."""
@@ -118,6 +164,7 @@ class TrajectoryLog:
     times: np.ndarray
     metrics: dict[str, np.ndarray]
     states: list[tuple[np.ndarray, np.ndarray]] | None = None
+    stats: SolverStats | None = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -213,22 +260,39 @@ def td_fixed_point(mrp: MarkovRewardProcess, phi: np.ndarray) -> np.ndarray:
 
     Equivalently (phi^T A phi) w = phi^T diag(d) R, with A and diag(d) R
     taken from the process's cache. The guard is the 2-norm condition number
-    of the k x k system, s_max / s_min from LAPACK ``gesdd``: beyond 1e12 it
+    of the k x k system, s_max / s_min from ``np.linalg.svd``: beyond 1e12 it
     raises IllConditionedError instead of returning an untrustworthy
     solution. A solution whose residual exceeds 1e-10 max(1, max|rhs|)
     raises FixedPointResidualError.
     """
-    A = key_matrix(mrp)
-    G = phi.T @ A @ phi
-    b = phi.T @ mrp.dR
-    w = _solve_guarded(G, b, "phi^T A phi")
-    residual = np.abs(G @ w - b).max()
-    bound = 1e-10 * max(1.0, np.abs(b).max())
-    if residual > bound:
-        raise FixedPointResidualError(
-            f"fixed-point residual {residual:.3e} exceeds {bound:.3e}"
-        )
-    return w
+    w, failures = _fixed_points(mrp.A, mrp.dR, phi[None])
+    if failures:
+        raise failures[0]
+    return w[0]
+
+
+def _fixed_points(
+    A: np.ndarray, dR: np.ndarray, phi: np.ndarray
+) -> tuple[np.ndarray, dict[int, np.linalg.LinAlgError]]:
+    """``td_fixed_point`` for a stack of representations ``phi`` (B x n x k).
+
+    ``A`` and ``dR`` are one process's key matrix and diag(d) R, or stacks of
+    them. Returns the weights (NaN where a slice failed) and, per failed slice
+    index, the error ``td_fixed_point`` raises for that slice.
+    """
+    phi_t = phi.swapaxes(1, 2)
+    G = phi_t @ A @ phi
+    b = phi_t @ dR
+    w, failures = _solve_guarded_stack(G, b, "phi^T A phi")
+    residual = np.abs(G @ w - b).max(axis=(1, 2))
+    bound = 1e-10 * np.maximum(1.0, np.abs(b).max(axis=(1, 2)))
+    missed = residual > bound
+    if missed.any():
+        for i in np.flatnonzero(missed):
+            failures[int(i)] = FixedPointResidualError(
+                f"fixed-point residual {residual[i]:.3e} exceeds {bound[i]:.3e}"
+            )
+    return w, failures
 
 
 def expected_semi_gradients(
@@ -243,10 +307,15 @@ def expected_semi_gradients(
         raise ValueError(f"phi has {phi.shape[0]} rows, expected {mrp.n}")
     if w.shape != (phi.shape[1], mrp.h):
         raise ValueError(f"w has shape {w.shape}, expected {(phi.shape[1], mrp.h)}")
-    pred = phi @ w
-    resid = mrp.R - (pred - mrp.gamma * (mrp.P @ pred))
-    weighted = mrp.d[:, None] * resid
+    weighted = _weighted_residual(mrp.P, mrp.R, mrp.gamma, mrp.d[:, None], phi, w)
     return -phi.T @ weighted, -weighted @ w.T
+
+
+def _weighted_residual(P, R, gamma, d, phi, w):
+    """diag(d) (R - (I - gamma P) phi w), on one process or on stacks (``d`` as a column)."""
+    pred = phi @ w
+    resid = R - (pred - gamma * (P @ pred))
+    return d * resid
 
 
 def rhs_linear_td(
@@ -303,6 +372,18 @@ def discrete_step(
     return phi - step_size * spec.eta_phi * grad_phi, w_star
 
 
+class Problem(NamedTuple):
+    """One trajectory to integrate: a drift field on a process, started at (phi0, w0).
+
+    ``w0`` defaults to zeros and is ignored by the two-time-scale dynamics.
+    """
+
+    mrp: MarkovRewardProcess
+    spec: DynamicsSpec
+    phi0: np.ndarray
+    w0: np.ndarray | None = None
+
+
 def integrate(
     mrp: MarkovRewardProcess,
     spec: DynamicsSpec,
@@ -314,98 +395,331 @@ def integrate(
 ) -> TrajectoryLog:
     """Integrate a trajectory and log metrics at evenly spaced times.
 
-    Uses the adaptive Dormand-Prince 5(4) pair; metric samples come from the
-    solver's dense output at ``log_points`` times so that different dynamics
-    share a comparable time axis. ``w0`` defaults to zeros and is ignored by
-    the two-time-scale dynamics.
+    A batch of one for ``integrate_batch``; raises the trajectory's failure.
+    ``w0`` defaults to zeros and is ignored by the two-time-scale dynamics.
+    """
+    (result,) = integrate_batch([Problem(mrp, spec, phi0, w0)], config, metric_set, store_states)
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def integrate_batch(
+    problems: list[Problem],
+    config: IntegratorConfig | None = None,
+    metric_set: tuple[str, ...] = METRIC_COLUMNS,
+    store_states: bool = False,
+) -> list[TrajectoryLog | IntegrationError | np.linalg.LinAlgError]:
+    """Integrate many trajectories together; one result per problem, in order.
+
+    Uses the adaptive Dormand-Prince 5(4) pair; metric samples come from its
+    dense output at ``log_points`` times so that different dynamics share a
+    comparable time axis. Problems of the same dynamics kind and state shape
+    are stepped as one batch (two-time-scale problems also share one across
+    h, see ``_padded_h``). Each trajectory keeps its own steps, so its result
+    is bitwise the same whichever problems share its batch.
+
+    A trajectory whose integration breaks down gets its IntegrationError
+    instead of a log, and one whose logged metrics need a fixed-point or
+    linear solve that cannot be trusted gets that LinAlgError; the others
+    carry on. Invalid inputs raise ValueError before anything is integrated.
     """
     if config is None:
         config = IntegratorConfig()
     unknown = set(metric_set) - set(METRIC_COLUMNS)
     if unknown:
         raise ValueError(f"unknown metrics {sorted(unknown)}; choose from {METRIC_COLUMNS}")
-    phi0 = validate_representation(phi0)
-    n, k = phi0.shape
-    if w0 is None:
-        w0 = np.zeros((k, mrp.h))
-    w0 = np.asarray(w0, dtype=float)
-    if w0.shape != (k, mrp.h):
-        raise ValueError(f"w0 has shape {w0.shape}, expected {(k, mrp.h)}")
-    if not np.all(np.isfinite(w0)):
-        raise ValueError("w0 has non-finite entries")
-
-    if spec.kind == LINEAR_TD:
-        y0 = w0.ravel()
-
-        def unpack(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            return phi0, y.reshape(k, mrp.h)
-
-        def fun(t: float, y: np.ndarray) -> np.ndarray:
-            return rhs_linear_td(mrp, phi0, y.reshape(k, mrp.h), spec.eta_w).ravel()
-
-    elif spec.kind == END_TO_END:
-        y0 = np.concatenate([w0.ravel(), phi0.ravel()])
-        split = k * mrp.h
-
-        def unpack(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            return y[split:].reshape(n, k), y[:split].reshape(k, mrp.h)
-
-        def fun(t: float, y: np.ndarray) -> np.ndarray:
-            phi, w = y[split:].reshape(n, k), y[:split].reshape(k, mrp.h)
-            dw, dphi = rhs_end_to_end(mrp, phi, w, spec.eta_w, spec.eta_phi)
-            return np.concatenate([dw.ravel(), dphi.ravel()])
-
-    else:  # two_time_scale
-        y0 = phi0.ravel()
-
-        def unpack(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            phi = y.reshape(n, k)
-            return phi, td_fixed_point(mrp, phi)
-
-        def fun(t: float, y: np.ndarray) -> np.ndarray:
-            return rhs_two_time_scale(mrp, y.reshape(n, k), spec.eta_phi).ravel()
+    problems = [_validated(Problem(*p)) for p in problems]
+    groups: dict[tuple, list[int]] = {}
+    for i, p in enumerate(problems):
+        h = _padded_h(p.mrp.h) if p.spec.kind == TWO_TIME_SCALE else p.mrp.h
+        groups.setdefault((p.spec.kind, p.phi0.shape, h), []).append(i)
 
     times = np.linspace(0.0, config.t_end, config.log_points)
-    last_t = 0.0
+    results: list = [None] * len(problems)
+    for (kind, _, _), members in groups.items():
+        rows = [problems[i] for i in members]
+        y0 = np.stack([_initial_state(row) for row in rows])
+        outcomes = _dopri45(_StackedField.build(kind, rows), y0, times, config)
+        for i, row, outcome in zip(members, rows, outcomes):
+            if isinstance(outcome, IntegrationError):
+                results[i] = outcome
+                continue
+            Y, stats = outcome
+            try:
+                results[i] = _log_trajectory(row, times, Y, stats, metric_set, store_states)
+            except np.linalg.LinAlgError as exc:
+                results[i] = exc
+    return results
 
-    def tracked(t: float, y: np.ndarray) -> np.ndarray:
-        nonlocal last_t
-        last_t = t
-        return fun(t, y)
 
-    try:
-        sol = solve_ivp(
-            tracked,
-            (0.0, config.t_end),
-            y0,
-            method="RK45",
-            t_eval=times,
-            rtol=config.rtol,
-            atol=config.atol,
-            max_step=config.max_step,
+def _validated(p: Problem) -> Problem:
+    phi0 = validate_representation(p.phi0)
+    n, k = phi0.shape
+    if n != p.mrp.n:
+        raise ValueError(f"phi has {n} rows, expected {p.mrp.n}")
+    w0 = np.zeros((k, p.mrp.h)) if p.w0 is None else np.asarray(p.w0, dtype=float)
+    if w0.shape != (k, p.mrp.h):
+        raise ValueError(f"w0 has shape {w0.shape}, expected {(k, p.mrp.h)}")
+    if not np.all(np.isfinite(w0)):
+        raise ValueError("w0 has non-finite entries")
+    return Problem(p.mrp, p.spec, phi0, w0)
+
+
+def _initial_state(p: Problem) -> np.ndarray:
+    if p.spec.kind == LINEAR_TD:
+        return p.w0.ravel()
+    if p.spec.kind == END_TO_END:
+        return np.concatenate([p.w0.ravel(), p.phi0.ravel()])
+    return p.phi0.ravel()
+
+
+def _padded_h(h: int) -> int:
+    """Reward columns a two-time-scale trajectory is integrated with.
+
+    h >= 2 is rounded up to a multiple of 8, so rows with h = 2..8 share one
+    batch: zero reward columns give exactly-zero weight columns. BLAS picks
+    its kernels by matrix width, so padding can move the drift by rounding;
+    because the width depends on h alone, a trajectory's bits still do not
+    depend on the other rows of its batch. A single reward column stays
+    unpadded, as numpy takes a matrix-vector (gemv) path for it: the
+    single-reward trajectories of fig1 and fig2 then keep the rounding of the
+    unbatched field, and cost one more batch only where h varies.
+    """
+    return h if h == 1 else -(-h // _H_BLOCK) * _H_BLOCK
+
+
+class _StackedField:
+    """The drift field of one batch: each row's process data stacked on a leading axis."""
+
+    def __init__(self, kind: str, shape: tuple[int, int, int], arrays: dict[str, np.ndarray]):
+        self.kind = kind
+        self.n, self.k, self.h = shape
+        self.arrays = arrays
+
+    @classmethod
+    def build(cls, kind: str, rows: list[Problem]) -> "_StackedField":
+        n, k = rows[0].phi0.shape
+        h = _padded_h(rows[0].mrp.h) if kind == TWO_TIME_SCALE else rows[0].mrp.h
+        mrps = [row.mrp for row in rows]
+
+        def padded(mats):
+            return np.stack([np.pad(m, ((0, 0), (0, h - m.shape[1]))) for m in mats])
+
+        arrays = {
+            "P": np.stack([m.P for m in mrps]),
+            "R": padded([m.R for m in mrps]),
+            "gamma": np.array([m.gamma for m in mrps], dtype=float)[:, None, None],
+            "d": np.stack([m.d for m in mrps])[:, :, None],
+            "eta_w": np.array([row.spec.eta_w for row in rows], dtype=float)[:, None, None],
+            "eta_phi": np.array([row.spec.eta_phi for row in rows], dtype=float)[:, None, None],
+        }
+        if kind == TWO_TIME_SCALE:
+            arrays["A"] = np.stack([m.A for m in mrps])
+            arrays["dR"] = padded([m.dR for m in mrps])
+        elif kind == LINEAR_TD:
+            arrays["phi0"] = np.stack([row.phi0 for row in rows])
+        return cls(kind, (n, k, h), arrays)
+
+    def take(self, keep: np.ndarray) -> "_StackedField":
+        arrays = {name: a[keep] for name, a in self.arrays.items()}
+        return _StackedField(self.kind, (self.n, self.k, self.h), arrays)
+
+    def __call__(self, y: np.ndarray) -> tuple[np.ndarray, dict[int, np.linalg.LinAlgError]]:
+        """Drift at the stacked states ``y``, plus the fixed-point failures by row."""
+        a, rows = self.arrays, len(y)
+        n, k, h = self.n, self.k, self.h
+        failures = {}
+        if self.kind == LINEAR_TD:
+            phi, w = a["phi0"], y.reshape(rows, k, h)
+        elif self.kind == END_TO_END:
+            phi, w = y[:, k * h :].reshape(rows, n, k), y[:, : k * h].reshape(rows, k, h)
+        else:
+            phi = y.reshape(rows, n, k)
+            w, failures = _fixed_points(a["A"], a["dR"], phi)
+        weighted = _weighted_residual(a["P"], a["R"], a["gamma"], a["d"], phi, w)
+        # -eta times the semi-gradient, in the operation order of the rhs_* functions
+        parts = []
+        if self.kind != TWO_TIME_SCALE:
+            parts.append(-a["eta_w"] * (-phi.swapaxes(1, 2) @ weighted))
+        if self.kind != LINEAR_TD:
+            parts.append(-a["eta_phi"] * (-weighted @ w.swapaxes(1, 2)))
+        return np.concatenate([part.reshape(rows, -1) for part in parts], axis=1), failures
+
+
+def _rms(x: np.ndarray) -> np.ndarray:
+    """RMS norm of each row, with the BLAS dot product ``np.linalg.norm`` takes."""
+    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0]) / x.shape[-1] ** 0.5
+
+
+def _dopri45(field: _StackedField, y0: np.ndarray, times: np.ndarray, config: IntegratorConfig) -> list:
+    """Integrate y' = field(y) for every row of ``y0`` from t = 0 to ``config.t_end``.
+
+    Each row takes the steps SciPy's ``RK45`` solver takes for it alone: the
+    same initial step (``select_initial_step``), min_step floor, max_step cap,
+    clipping at t_end, RMS error norm over the row's own state, step-size
+    factors (with no growth right after a rejection) and dense output at the
+    ``times`` in (t_old, t_new]. Rows that finish or fail leave the batch,
+    which is compacted. Returns per row either ``(Y, SolverStats)``, with Y
+    holding the state at each of ``times`` as a column, or its
+    IntegrationError.
+    """
+    n_rows, size = y0.shape
+    t_bound = float(config.t_end)
+    rtol = max(config.rtol, 100 * np.finfo(float).eps)  # SciPy's floor on rtol
+    atol, max_step = config.atol, config.max_step
+    Y = np.empty((n_rows, size, len(times)))
+    results: list = [None] * n_rows
+    accepted = np.zeros(n_rows, dtype=int)
+    rejected = np.zeros(n_rows, dtype=int)
+
+    ids = np.arange(n_rows)  # the row in each slot of the active batch
+    t = np.zeros(n_rows)
+    h = np.zeros(n_rows)  # the attempt's step: stage times are t + c h
+    failed = np.zeros(n_rows, dtype=bool)
+
+    def evaluate(y: np.ndarray, c: float) -> np.ndarray:
+        f, failures = field(y)
+        for slot, exc in failures.items():
+            if not failed[slot]:
+                failed[slot] = True
+                error = IntegrationError(
+                    f"fixed-point solve broke down at t={t[slot] + c * h[slot]:.6g}: {exc}"
+                )
+                error.__cause__ = exc
+                results[ids[slot]] = error
+        return f
+
+    # select_initial_step, per row
+    y = y0
+    f = evaluate(y, 0.0)
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = np.empty(n_rows)
+    for i in range(n_rows):
+        h0[i] = min(1e-6 if d0[i] < 1e-5 or d1[i] < 1e-5 else 0.01 * d0[i] / d1[i], t_bound)
+    h = h0
+    f1 = evaluate(y + h0[:, None] * f, 1.0)
+    d2 = _rms((f1 - f) / scale) / h0
+    h_abs = np.empty(n_rows)
+    for i in range(n_rows):
+        if d1[i] <= 1e-15 and d2[i] <= 1e-15:
+            h1 = max(1e-6, h0[i] * 1e-3)
+        else:
+            h1 = (0.01 / max(d1[i], d2[i])) ** (1 / 5)
+        h_abs[i] = min(100 * h0[i], h1, t_bound, max_step)
+
+    last_t = h0.copy()  # time of each row's latest drift evaluation
+    fresh = np.ones(n_rows, dtype=bool)  # starting a step, not retrying a rejected attempt
+    retry = np.zeros(n_rows, dtype=bool)  # the current step has had a rejected attempt
+    emitted = np.zeros(n_rows, dtype=int)  # entries of ``times`` already written
+    leaving = failed.copy()
+    while True:
+        if leaving.any():
+            keep = ~leaving
+            ids, t, y, f, h, h_abs, last_t, fresh, retry, emitted = (
+                a[keep] for a in (ids, t, y, f, h, h_abs, last_t, fresh, retry, emitted)
+            )
+            field = field.take(keep)
+            failed = np.zeros(ids.size, dtype=bool)
+        if not ids.size:
+            break
+
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = np.where(
+            fresh & (h_abs > max_step), max_step,
+            np.where(fresh & (h_abs < min_step), min_step, h_abs),
         )
-    except SOLVE_FAILURES as exc:
-        raise IntegrationError(
-            f"fixed-point solve broke down at t={last_t:.6g}: {exc}"
-        ) from exc
-    if not sol.success:
-        tail = sol.y[:, -1] if sol.y.size else y0
-        raise IntegrationError(
-            f"integration failed near t={last_t:.6g} ({sol.message}); "
-            f"state norm {np.linalg.norm(tail):.6g}"
+        leaving = h_abs < min_step
+        if leaving.any():
+            for slot in np.flatnonzero(leaving):
+                i = ids[slot]
+                tail = Y[i, :, emitted[slot] - 1] if emitted[slot] else y0[i]
+                results[i] = IntegrationError(
+                    f"integration failed near t={last_t[slot]:.6g} ({_TOO_SMALL_STEP}); "
+                    f"state norm {np.linalg.norm(tail):.6g}"
+                )
+            continue
+
+        t_new = t + h_abs
+        t_new = np.where(t_new - t_bound > 0, t_bound, t_new)
+        h = t_new - t
+        h_abs = np.abs(h)
+        K = np.empty((ids.size, 7, size))
+        K[:, 0] = f
+        for s in range(1, 6):
+            dy = (_RK_A[s, :s] @ K[:, :s]) * h[:, None]
+            K[:, s] = evaluate(y + dy, _RK_C[s])
+        y_new = y + h[:, None] * (_RK_B @ K[:, :6])
+        f_new = K[:, 6] = evaluate(y_new, 1.0)
+        last_t = t + h
+        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+        error_norm = _rms((_RK_E @ K) * h[:, None] / scale)
+
+        # the scalar power keeps SciPy's rounding (numpy's array power may differ by an ulp)
+        growth = np.array(
+            [_SAFETY * e ** _ERROR_EXPONENT if e else np.inf for e in error_norm.tolist()]
         )
+        accept = error_norm < 1
+        factor = np.where(growth < _MAX_FACTOR, growth, _MAX_FACTOR)
+        factor = np.where(retry & ~(factor < 1), 1.0, factor)
+        shrink = np.where(growth > _MIN_FACTOR, growth, _MIN_FACTOR)
+        h_abs = h_abs * np.where(accept, factor, shrink)
 
-    return _log_trajectory(mrp, spec, phi0, sol.t, sol.y, unpack, metric_set, store_states)
+        reached = np.searchsorted(times, t_new, side="right")
+        for slot in np.flatnonzero(accept & (reached > emitted) & ~failed):
+            lo, hi = emitted[slot], reached[slot]
+            Y[ids[slot], :, lo:hi] = _dense_output(K[slot], t[slot], t_new[slot], y[slot], times[lo:hi])
+            emitted[slot] = hi
+        accepted[ids[accept]] += 1
+        rejected[ids[~accept]] += 1
+        done = accept & (t_new - t_bound >= 0) & ~failed
+        for i in ids[done]:
+            steps = int(accepted[i] + rejected[i])
+            results[i] = (Y[i], SolverStats(2 + 6 * steps, int(accepted[i]), int(rejected[i])))
+        if accept.all():
+            t, y, f = t_new, y_new, f_new
+        else:
+            t = np.where(accept, t_new, t)
+            y = np.where(accept[:, None], y_new, y)
+            f = np.where(accept[:, None], f_new, f)
+        fresh, retry = accept, ~accept
+        leaving = done | failed
+    return results
 
 
-def _log_trajectory(mrp, spec, phi0, times, Y, unpack, metric_set, store_states):
+def _dense_output(K, t_old, t_new, y_old, t):
+    """SciPy's RK45 dense output (Shampine's quartic) of one step, at the times ``t``."""
+    Q = K.T.dot(_RK_P)
+    h = t_new - t_old
+    x = (t - t_old) / h
+    p = np.multiply.accumulate(np.repeat(x[None], Q.shape[1], axis=0), axis=0)  # x, x^2, ...
+    y = h * np.dot(Q, p)
+    y += y_old[:, None]
+    return y
+
+
+def _log_trajectory(row: Problem, times, Y, stats, metric_set, store_states) -> TrajectoryLog:
+    """Metrics (and states) at each column of ``Y``, the integrated state at ``times``."""
+    mrp, phi0 = row.mrp, row.phi0
+    n, k = phi0.shape
+    split = k * mrp.h
+    if row.spec.kind == LINEAR_TD:
+        phis = np.broadcast_to(phi0, (len(times), n, k))
+        ws = Y.T.reshape(-1, k, mrp.h)
+    elif row.spec.kind == END_TO_END:
+        phis = Y[split:].T.reshape(-1, n, k)
+        ws = Y[:split].T.reshape(-1, k, mrp.h)
+    else:
+        phis = Y.T.reshape(-1, n, k)
+        ws, failures = _fixed_points(mrp.A, mrp.dR, phis)
+        if failures:
+            raise failures[min(failures)]
     V = value_function(mrp)
-    k = phi0.shape[1]
     ceiling = _metrics.trace_ceiling(mrp, k) if "f_norm" in metric_set else None
     series: dict[str, list[float]] = {name: [] for name in metric_set}
     states: list[tuple[np.ndarray, np.ndarray]] | None = [] if store_states else None
-    for j in range(Y.shape[1]):
-        phi, w = unpack(Y[:, j])
+    for phi, w in zip(phis, ws):
         if states is not None:
             states.append((phi.copy(), w.copy()))
         if "E" in series:
@@ -427,4 +741,4 @@ def _log_trajectory(mrp, spec, phi0, times, Y, unpack, metric_set, store_states)
         if "crit_residual" in series:
             series["crit_residual"].append(_metrics.critical_point_residual(mrp, phi))
     metric_arrays = {name: np.asarray(vals) for name, vals in series.items()}
-    return TrajectoryLog(times=np.asarray(times), metrics=metric_arrays, states=states)
+    return TrajectoryLog(times=times, metrics=metric_arrays, states=states, stats=stats)

@@ -245,31 +245,40 @@ def _scenarios(experiment: str, config: ExperimentConfig, seed: int) -> list[tup
     return [(label, mrp, spec, "f_norm") for label, mrp in chains.items()]
 
 
-def _trial(experiment: str, config: ExperimentConfig, index: int) -> dict:
-    """Integrate every scenario row from the trial's shared ``phi0``."""
-    seed = trial_seed(config, index)
-    phi0 = initial_representation(seed, config.n_states, config.k)
-    curves, errors = {}, {}
-    for label, mrp, spec, metric in _scenarios(experiment, config, seed):
-        try:
-            log = dyn.integrate(mrp, spec, phi0, config=config.integrator, metric_set=(metric,))
-            curves[label] = log.metrics[metric]
-        except (dyn.IntegrationError, *dyn.SOLVE_FAILURES) as exc:
-            errors[label] = str(exc)
-    return {"seed": seed, "curves": curves, "errors": errors}
-
-
 # Numerical failures a trial may end in; they count against the abort
 # threshold. Any other exception is a bug and propagates.
 _TRIAL_FAILURES = (dyn.IntegrationError, np.linalg.LinAlgError, mdp_mod.ConvergenceError)
 
 
-def _run_one(payload: tuple[str, ExperimentConfig, int]) -> dict:
-    experiment, config, index = payload
-    try:
-        return _trial(experiment, config, index)
-    except _TRIAL_FAILURES as exc:  # failures are aggregated, not raised per trial
-        return {"seed": trial_seed(config, index), "curves": {}, "errors": {"*": str(exc)}}
+def _run_one(payload: tuple[str, ExperimentConfig, range]) -> list[dict]:
+    """Run one worker's contiguous chunk of trials, in trial order.
+
+    Every scenario row of every trial in the chunk, each started from its
+    trial's shared ``phi0``, goes into one ``integrate_batch`` call. A trial
+    whose rows cannot be built fails as a whole ("*"); a row whose
+    trajectory fails is recorded under its curve.
+    """
+    experiment, config, indices = payload
+    results, rows = [], []
+    for index in indices:
+        result = {"seed": trial_seed(config, index), "curves": {}, "errors": {}}
+        results.append(result)
+        try:
+            phi0 = initial_representation(result["seed"], config.n_states, config.k)
+            scenarios = _scenarios(experiment, config, result["seed"])
+        except _TRIAL_FAILURES as exc:  # failures are aggregated, not raised per trial
+            result["errors"]["*"] = str(exc)
+            continue
+        rows += [(result, label, metric, dyn.Problem(mrp, spec, phi0))
+                 for label, mrp, spec, metric in scenarios]
+    metric_set = tuple(sorted({metric for _, _, metric, _ in rows}))
+    logs = dyn.integrate_batch([p for *_, p in rows], config.integrator, metric_set=metric_set)
+    for (result, label, metric, _), log in zip(rows, logs):
+        if isinstance(log, Exception):
+            result["errors"][label] = str(log)
+        else:
+            result["curves"][label] = log.metrics[metric]
+    return results
 
 
 def _pool_workers(config: ExperimentConfig) -> int:
@@ -278,12 +287,14 @@ def _pool_workers(config: ExperimentConfig) -> int:
 
 
 def _map_trials(experiment: str, config: ExperimentConfig) -> list[dict]:
-    payloads = [(experiment, config, i) for i in range(config.n_trials)]
-    workers = _pool_workers(config)
+    """Each worker gets one contiguous chunk of trial indices; in process for one worker."""
+    workers, n = _pool_workers(config), config.n_trials
+    payloads = [(experiment, config, range(n * i // workers, n * (i + 1) // workers))
+                for i in range(workers)]
     if workers == 1:
-        return [_run_one(p) for p in payloads]
+        return _run_one(payloads[0])
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_one, payloads))
+        return [result for chunk in pool.map(_run_one, payloads) for result in chunk]
 
 
 def _aggregate(experiment: str, config: ExperimentConfig, curve_names: list[str]) -> dict[str, AggregateSeries]:

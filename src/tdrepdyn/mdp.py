@@ -10,10 +10,10 @@ This module provides:
 - JSON round-trip for generated processes.
 
 Every quantity that depends only on the process (I - gamma P, the key matrix,
-diag(d) R and V) is computed on first use and cached on the instance as a
-read-only array. The instance and its input arrays are frozen, so a cached
-value can never go stale; ``with_rewards`` builds a new instance with an empty
-cache.
+diag(d) R, V, the resolvent and its symmetrized spectrum) is computed on first
+use and cached on the instance as a read-only array. The instance and its
+input arrays are frozen, so a cached value can never go stale; ``with_rewards``
+builds a new instance with an empty cache.
 
 All randomness is threaded through a counter-based Philox generator so that
 identical seeds give bit-identical output across platforms.
@@ -58,7 +58,7 @@ def make_rng(seed: int | np.random.SeedSequence) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarkovRewardProcess:
     """Finite Markov reward process (P, R, gamma, d).
 
@@ -66,6 +66,8 @@ class MarkovRewardProcess:
     distribution of P. Instances are validated on construction and their
     arrays are frozen, so they are safe to share across threads. The derived
     matrices below are computed once per instance and are read-only too.
+    Instances compare and hash by identity, so they can key a dict: each
+    carries its own cache, and arrays have no single-valued equality.
     """
 
     P: np.ndarray
@@ -152,6 +154,16 @@ class MarkovRewardProcess:
                 f"value-function solve residual {residual:.3e} exceeds {bound:.3e}"
             )
         return _frozen(V)
+
+    @cached_property
+    def resolvent(self) -> np.ndarray:
+        """(I - gamma P)^{-1}, the discounted state-occupancy matrix."""
+        return _frozen(np.linalg.solve(self.system, np.eye(self.n)))
+
+    @cached_property
+    def resolvent_eigvals(self) -> np.ndarray:
+        """Eigenvalues of the symmetrized resolvent, in ascending order."""
+        return _frozen(np.linalg.eigvalsh(0.5 * (self.resolvent + self.resolvent.T)))
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

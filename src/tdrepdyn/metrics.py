@@ -57,6 +57,36 @@ def _solve_guarded(G: np.ndarray, rhs: np.ndarray, name: str) -> np.ndarray:
     return x
 
 
+def _solve_guarded_stack(
+    G: np.ndarray, rhs: np.ndarray, name: str
+) -> tuple[np.ndarray, dict[int, IllConditionedError]]:
+    """Solve every G[i] x = rhs[i] of a stack under the guard of ``_solve_guarded``.
+
+    ``np.linalg.svd`` gives each slice's s_max / s_min and ``np.linalg.solve``
+    solves the slices that pass; both make one LAPACK call per slice, so a
+    slice's solution does not depend on the others in the stack. Returns the
+    solutions (NaN for a rejected slice) and an IllConditionedError per
+    rejected slice index: cond is inf for a singular slice and NaN for one
+    with a non-finite entry.
+    """
+    try:
+        s, finite = np.linalg.svd(G, compute_uv=False), None
+    except np.linalg.LinAlgError:  # LAPACK rejects a slice with a non-finite entry
+        finite = np.isfinite(G).all(axis=(1, 2))
+        s = np.full(G.shape[:2], np.nan)
+        s[finite] = np.linalg.svd(G[finite], compute_uv=False)
+    cond = np.divide(s[:, 0], s[:, -1], out=np.full(len(s), np.inf), where=s[:, -1] > 0.0)
+    if finite is not None:
+        cond[~finite] = np.nan
+    ok = cond <= COND_LIMIT
+    if ok.all():
+        return np.linalg.solve(G, rhs), {}
+    x = np.full(rhs.shape, np.nan)
+    if ok.any():
+        x[ok] = np.linalg.solve(G[ok], rhs[ok])
+    return x, {int(i): IllConditionedError(name, float(cond[i])) for i in np.flatnonzero(~ok)}
+
+
 @dataclass(frozen=True)
 class MetricReport:
     """One named check: value observed, tolerance applied, pass/fail."""
@@ -123,20 +153,17 @@ def weighted_error_gradients(
 
 
 def trace_objective(mrp: MarkovRewardProcess, phi: np.ndarray) -> float:
-    """Trace of phi^T (I - gamma P)^{-1} phi, via a linear solve (no explicit inverse)."""
-    X = np.linalg.solve(mrp.system, phi)
-    return float(np.sum(phi * X))
+    """Trace of phi^T (I - gamma P)^{-1} phi, with the process's cached resolvent."""
+    return float(np.sum(phi * (mrp.resolvent @ phi)))
 
 
 def trace_ceiling(mrp: MarkovRewardProcess, k: int) -> float:
-    """Sum of the top-k eigenvalues of the symmetrized resolvent.
+    """Sum of the top-k eigenvalues of the symmetrized resolvent (cached per process).
 
     This is the normalizer for the trace objective; for symmetric P it equals
     the maximum of the objective over orthonormal phi with k columns.
     """
-    resolvent = np.linalg.solve(mrp.system, np.eye(mrp.n))
-    eigvals = np.linalg.eigvalsh(0.5 * (resolvent + resolvent.T))
-    return float(eigvals[-k:].sum())
+    return float(mrp.resolvent_eigvals[-k:].sum())
 
 
 def normalized_trace_objective(

@@ -132,6 +132,7 @@ def test_criterion_3_covariance_constancy(acceptance):
     assert passed
 
 
+@pytest.mark.slow
 def test_criterion_4_spectral_monotonicity(acceptance):
     # With R = I the two-time-scale flow climbs the trace objective and
     # should end (numerically) on an invariant subspace of P.
@@ -140,12 +141,18 @@ def test_criterion_4_spectral_monotonicity(acceptance):
     config = dyn.IntegratorConfig(t_end=4000.0, rtol=1e-10, atol=atol, log_points=201)
     worst_dip = 0.0
     worst_residual = 0.0
-    for seed in range(N_PROBE_MDPS):
-        mrp = make_symmetric_mdp(n=10, h=1, gamma=0.9, seed=seed).with_rewards(np.eye(10))
-        phi0 = dyn.orthonormal_init(10, 2, seed=seed)
-        log = dyn.integrate(
-            mrp, spec, phi0, config=config, metric_set=("f",), store_states=True
+    problems = [
+        dyn.Problem(
+            make_symmetric_mdp(n=10, h=1, gamma=0.9, seed=seed).with_rewards(np.eye(10)),
+            spec,
+            dyn.orthonormal_init(10, 2, seed=seed),
         )
+        for seed in range(N_PROBE_MDPS)
+    ]
+    logs = dyn.integrate_batch(problems, config, metric_set=("f",), store_states=True)
+    for (mrp, _, _, _), log in zip(problems, logs):
+        if isinstance(log, Exception):
+            raise log
         worst_dip = max(worst_dip, float(-np.diff(log.metrics["f"]).min()))
         phi_end, _ = log.states[-1]
         worst_residual = max(worst_residual, met.invariant_subspace_residual(mrp.P, phi_end))
@@ -158,6 +165,7 @@ def test_criterion_4_spectral_monotonicity(acceptance):
     assert passed
 
 
+@pytest.mark.slow
 def test_criterion_5_fig1_reproduction(acceptance):
     config = exp.ExperimentConfig(
         n_states=30, k=2, n_trials=100, seed=0,
@@ -177,6 +185,7 @@ def test_criterion_5_fig1_reproduction(acceptance):
     assert passed
 
 
+@pytest.mark.slow
 def test_criterion_6_fig3_reproduction(acceptance):
     config = exp.ExperimentConfig(
         n_states=30, k=2, n_trials=100, seed=0, h_values=(1, 2, 4, 8),

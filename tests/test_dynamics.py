@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -100,6 +102,10 @@ def test_cond_guard_decides_like_numpy_at_the_limit(factor):
         expected = not np.isfinite(cond) or cond > COND_LIMIT
         assert _raises(met._solve_guarded, G, rhs, "G") == expected
     assert _raises(met._solve_guarded, mats[0], rhs, "G") == (factor > 1)
+    _, rejected = met._solve_guarded_stack(np.array(mats), np.array([rhs] * len(mats)), "G")
+    assert sorted(rejected) == [
+        i for i, G in enumerate(mats) if not np.linalg.cond(G) <= COND_LIMIT
+    ]
 
 
 def test_singular_and_non_finite_systems_raise_ill_conditioned(small_mixed):
@@ -112,6 +118,11 @@ def test_singular_and_non_finite_systems_raise_ill_conditioned(small_mixed):
     for bad in (np.nan, np.inf):
         with pytest.raises(IllConditionedError):
             met._solve_guarded(np.array([[bad, 0.0], [0.0, 1.0]]), np.ones(2), "G")
+    # in a stack, the bad slices are reported and the good one is still solved
+    stack = np.array([[[np.nan, 0.0], [0.0, 1.0]], [[2.0, 0.0], [0.0, 4.0]], [[1.0, 0.0], [0.0, 0.0]]])
+    x, rejected = met._solve_guarded_stack(stack, np.ones((3, 2, 1)), "G")
+    assert sorted(rejected) == [0, 2] and np.array_equal(x[1], [[0.5], [0.25]])
+    assert np.isnan(rejected[0].cond) and rejected[2].cond == np.inf
 
 
 def test_fixed_point_residual_bound_scales_with_rewards():
@@ -124,9 +135,9 @@ def test_fixed_point_residual_bound_scales_with_rewards():
 
 def test_fixed_point_residual_failure_has_its_own_type(small_mixed, monkeypatch):
     def off_by_a_bit(G, rhs, name):
-        return np.linalg.solve(G, rhs) + 1e-6
+        return np.linalg.solve(G, rhs) + 1e-6, {}
 
-    monkeypatch.setattr(dyn, "_solve_guarded", off_by_a_bit)
+    monkeypatch.setattr(dyn, "_solve_guarded_stack", off_by_a_bit)
     phi0 = dyn.orthonormal_init(8, 2, seed=12)
     with pytest.raises(dyn.FixedPointResidualError) as info:
         dyn.td_fixed_point(small_mixed, phi0)
@@ -286,6 +297,133 @@ def test_integrate_wraps_fixed_point_breakdown(small_mixed):
     with pytest.raises(dyn.IntegrationError):
         dyn.integrate(small_mixed, dyn.two_time_scale(), phi0,
                       config=dyn.IntegratorConfig(t_end=1.0, log_points=2))
+
+
+# -------------------------------------------------------- batched integrator
+
+
+def _rk45_reference(mrp, spec, phi0, config):
+    """The integrator this package used before: SciPy's solve_ivp(RK45) over the public drifts."""
+    from scipy.integrate import solve_ivp
+
+    n, k = phi0.shape
+    split = k * mrp.h
+    if spec.kind == dyn.LINEAR_TD:
+        y0 = np.zeros(split)
+
+        def fun(t, y):
+            return dyn.rhs_linear_td(mrp, phi0, y.reshape(k, mrp.h), spec.eta_w).ravel()
+
+    elif spec.kind == dyn.END_TO_END:
+        y0 = np.concatenate([np.zeros(split), phi0.ravel()])
+
+        def fun(t, y):
+            phi, w = y[split:].reshape(n, k), y[:split].reshape(k, mrp.h)
+            dw, dphi = dyn.rhs_end_to_end(mrp, phi, w, spec.eta_w, spec.eta_phi)
+            return np.concatenate([dw.ravel(), dphi.ravel()])
+
+    else:
+        y0 = phi0.ravel()
+
+        def fun(t, y):
+            return dyn.rhs_two_time_scale(mrp, y.reshape(n, k), spec.eta_phi).ravel()
+
+    times = np.linspace(0.0, config.t_end, config.log_points)
+    return solve_ivp(fun, (0.0, config.t_end), y0, method="RK45", t_eval=times,
+                     rtol=config.rtol, atol=config.atol, dense_output=True)
+
+
+def test_rk45_tableau_is_scipys():
+    from scipy.integrate._ivp.rk import RK45
+
+    for name in "ABCEP":
+        assert np.array_equal(getattr(dyn, f"_RK_{name}"), getattr(RK45, name)), name
+
+
+@pytest.mark.parametrize(
+    "spec", [dyn.linear_td(2.0), dyn.end_to_end(10.0, 1.0), dyn.two_time_scale(0.5)],
+    ids=lambda spec: spec.kind,
+)
+def test_integrator_agrees_with_scipy_rk45(spec):
+    mrp = make_random_mdp(n=12, h=3, seed=4)
+    phi0 = dyn.orthonormal_init(12, 2, seed=5)
+    config = dyn.IntegratorConfig(t_end=20.0, rtol=1e-8, atol=1e-10, log_points=41)
+    log = dyn.integrate(mrp, spec, phi0, config=config, store_states=True)
+    sol = _rk45_reference(mrp, spec, phi0, config)
+    if spec.kind == dyn.LINEAR_TD:
+        got, want = np.array([w for _, w in log.states]), sol.y.T.reshape(-1, 2, mrp.h)
+    elif spec.kind == dyn.END_TO_END:
+        got = np.array([np.concatenate([w.ravel(), phi.ravel()]) for phi, w in log.states])
+        want = sol.y.T
+    else:
+        got, want = np.array([phi for phi, _ in log.states]), sol.y.T.reshape(-1, 12, 2)
+    assert np.abs(got - want).max() <= 1e-12
+    steps = len(sol.sol.ts) - 1
+    assert log.stats == dyn.SolverStats(sol.nfev, steps, (sol.nfev - 2) // 6 - steps)
+
+
+def test_batch_member_is_bitwise_its_solo_run():
+    config = dyn.IntegratorConfig(t_end=5.0, rtol=1e-8, atol=1e-10, log_points=11)
+    spec = dyn.two_time_scale()
+
+    def problem(h, phi0):
+        return dyn.Problem(make_random_mdp(n=8, h=h, seed=h), spec, phi0)
+
+    target = problem(4, dyn.orthonormal_init(8, 2, seed=2))
+    u = dyn.orthonormal_init(8, 2, seed=12)
+    doomed = problem(3, np.column_stack([u[:, 0], u[:, 0] + 1e-7 * u[:, 1]]))  # cond > 1e12
+    peers = [problem(h, dyn.orthonormal_init(8, 2, seed=h)) for h in (2, 8, 5)]
+    batch = dyn.integrate_batch([peers[0], doomed, target, *peers[1:]], config, store_states=True)
+    solo = dyn.integrate(*target, config=config, store_states=True)
+    got = batch[2]
+    assert got.stats == solo.stats
+    for name in dyn.METRIC_COLUMNS:
+        assert np.array_equal(got.metrics[name], solo.metrics[name]), name
+    for (phi, w), (solo_phi, solo_w) in zip(got.states, solo.states):
+        assert np.array_equal(phi, solo_phi) and np.array_equal(w, solo_w)
+    with pytest.raises(dyn.IntegrationError) as info:
+        dyn.integrate(*doomed, config=config)
+    assert isinstance(batch[1], dyn.IntegrationError) and str(batch[1]) == str(info.value)
+    assert all(isinstance(log, dyn.TrajectoryLog) for log in batch[:1] + batch[2:])
+
+
+class _ToyField:
+    """y' = -rate y per row, or y' = y^2 for a ``blowup`` row; a ``doomed`` row
+    reports a breakdown once its first component falls below 1/2."""
+
+    def __init__(self, rates, doomed, blowup):
+        self.rates, self.doomed, self.blowup = rates, doomed, blowup
+
+    def take(self, keep):
+        return _ToyField(self.rates[keep], self.doomed[keep], self.blowup[keep])
+
+    def __call__(self, y):
+        broken = np.flatnonzero(self.doomed & (y[:, 0] < 0.5))
+        failures = {int(i): np.linalg.LinAlgError("toy breakdown") for i in broken}
+        return np.where(self.blowup[:, None], y * y, -self.rates[:, None] * y), failures
+
+
+def test_rows_leave_the_batch_as_they_fail_or_finish():
+    times = np.linspace(0.0, 3.0, 7)
+    config = dyn.IntegratorConfig(t_end=3.0, rtol=1e-8, atol=1e-10)
+    rates = np.array([1.0, 2.0, 1.0, 0.5])
+    doomed = np.array([False, True, False, False])
+    blowup = np.array([False, False, True, False])
+    y0 = np.ones((4, 2))
+    batch = dyn._dopri45(_ToyField(rates, doomed, blowup), y0, times, config)
+    for i in (0, 3):
+        (Y, stats), = dyn._dopri45(
+            _ToyField(rates[i:i + 1], doomed[i:i + 1], blowup[i:i + 1]), y0[i:i + 1], times, config
+        )
+        assert np.array_equal(batch[i][0], Y) and batch[i][1] == stats
+        assert_allclose(Y[0], np.exp(-rates[i] * times), rtol=1e-6)
+    assert str(batch[1]).startswith("fixed-point solve broke down at t=0.3")
+    assert str(batch[1]).endswith("toy breakdown")
+    # y' = y^2 from 1 blows up at t = 1: the step size underflows just before
+    assert re.fullmatch(
+        r"integration failed near t=(0\.9+\d*|1) \(Required step size is less than spacing "
+        r"between numbers\.\); state norm \S+", str(batch[2])
+    )
 
 
 # --------------------------------------------------------------------- logs

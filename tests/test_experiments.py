@@ -160,27 +160,27 @@ def test_single_reversible_trajectory_is_monotone():
 # ------------------------------------------------------------ failure policy
 
 
-_trial = exp._trial
+_scenarios = exp._scenarios
 
 
-def _always_boom(experiment, config, index):
+def _always_boom(experiment, config, seed):
     raise dyn.IntegrationError("synthetic trial failure")
 
 
-def _boom_on_last(experiment, config, index):
-    if index == config.n_trials - 1:
+def _boom_on_last(experiment, config, seed):
+    if seed == exp.trial_seed(config, config.n_trials - 1):
         raise dyn.IntegrationError("synthetic trial failure")
-    return _trial(experiment, config, index)
+    return _scenarios(experiment, config, seed)
 
 
 def test_failure_threshold_aborts(monkeypatch):
-    monkeypatch.setattr(exp, "_trial", _always_boom)
+    monkeypatch.setattr(exp, "_scenarios", _always_boom)
     with pytest.raises(RuntimeError, match="trials failed"):
         exp.run_fig1(tiny_config())
 
 
 def test_failures_below_threshold_are_recorded(monkeypatch):
-    monkeypatch.setattr(exp, "_trial", _boom_on_last)
+    monkeypatch.setattr(exp, "_scenarios", _boom_on_last)
     cfg = tiny_config(n_trials=12, max_failure_fraction=0.2)
     series = exp.run_fig1(cfg)
     for agg in series.values():
@@ -195,7 +195,7 @@ def test_bug_in_a_trial_propagates(monkeypatch):
     def bad_row(*args, **kwargs):
         raise TypeError("bad scenario row")
 
-    monkeypatch.setattr(dyn, "integrate", bad_row)
+    monkeypatch.setattr(dyn, "integrate_batch", bad_row)
     with pytest.raises(TypeError, match="bad scenario row"):
         exp.run_fig1(tiny_config())
 
@@ -218,6 +218,14 @@ def test_parallel_trials_match_sequential():
     seq = exp.run_fig3(tiny_config(h_values=(1,), jobs=1))
     par = exp.run_fig3(tiny_config(h_values=(1,), jobs=2))
     assert np.array_equal(seq["h1"].values, par["h1"].values)
+
+
+def test_chunked_batches_match_across_job_counts():
+    # each worker integrates its chunk of trials as batches that mix trials and h
+    seq = exp.run_fig3(tiny_config(h_values=(1, 2, 8), n_trials=5, jobs=1))
+    par = exp.run_fig3(tiny_config(h_values=(1, 2, 8), n_trials=5, jobs=2))
+    for name in seq:
+        assert np.array_equal(seq[name].values, par[name].values)
 
 
 @pytest.mark.parametrize("experiment", ["fig1", "fig2", "fig3"])

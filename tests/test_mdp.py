@@ -202,6 +202,14 @@ def test_with_rewards_gets_a_fresh_value_function(small_mixed):
     assert np.array_equal(key_matrix(other), key_matrix(small_mixed))
 
 
+def test_processes_compare_and_hash_by_identity():
+    # value equality over ndarray fields raised (ambiguous truth value, unhashable)
+    a, b = make_random_mdp(n=4, seed=0), make_random_mdp(n=4, seed=0)
+    assert a == a and a != b
+    curves = {a: "first", b: "second"}
+    assert curves[a] == "first" and curves[b] == "second"
+
+
 def test_pickled_process_stays_frozen(small_mixed):
     A = key_matrix(small_mixed)
     copy = pickle.loads(pickle.dumps(small_mixed))

@@ -73,6 +73,23 @@ def test_trace_objective_matches_explicit_inverse(small_mixed):
     )
 
 
+def test_trace_objective_and_ceiling_match_the_solve_formula():
+    # both now read the process's cached resolvent instead of solving per call
+    for seed in range(10):
+        mrp = make_random_mdp(n=30, h=2, seed=seed)
+        system = np.eye(30) - mrp.gamma * mrp.P
+        phi = make_rng(seed).standard_normal((30, 2))
+        direct = np.sum(phi * np.linalg.solve(system, phi))
+        assert_allclose(met.trace_objective(mrp, phi), direct, rtol=1e-12)
+        resolvent = np.linalg.solve(system, np.eye(30))
+        eigs = np.linalg.eigvalsh(0.5 * (resolvent + resolvent.T))
+        for k in (1, 2, 5):
+            assert_allclose(met.trace_ceiling(mrp, k), eigs[-k:].sum(), rtol=1e-12)
+    for cached in (mrp.resolvent, mrp.resolvent_eigvals):
+        assert not cached.flags.writeable
+    assert mrp.resolvent is mrp.resolvent
+
+
 def test_trace_ceiling_is_topk_eigenvalue_sum(small_symmetric):
     resolvent = np.linalg.inv(np.eye(8) - small_symmetric.gamma * small_symmetric.P)
     eigs = np.linalg.eigvalsh(0.5 * (resolvent + resolvent.T))
