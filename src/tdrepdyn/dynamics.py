@@ -17,15 +17,13 @@ exactly as SciPy's ``RK45`` solver would step it alone, while the drift
 fields evaluate on the stacked states with one numpy call per operation
 (``np.matmul``, ``np.linalg.svd``, ``np.linalg.solve``), each making one BLAS or
 LAPACK call per trajectory. A trajectory's result therefore does not depend on
-which others share its batch. Dense output drives the metric log. A discrete
-Euler stepper is provided as an alternative integrator for the same drift
-fields.
+which others share its batch. Dense output gives the state at every log time,
+and each logged metric is evaluated once over the trajectory's whole stack of
+snapshots.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -177,15 +175,7 @@ class TrajectoryLog:
     def to_csv(self, path: str | Path | None = None) -> str:
         """CSV with header ``t`` plus the logged metric columns (canonical order)."""
         columns = [c for c in METRIC_COLUMNS if c in self.metrics]
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["t"] + columns)
-        for i, t in enumerate(self.times):
-            writer.writerow([repr(float(t))] + [repr(float(self.metrics[c][i])) for c in columns])
-        text = buf.getvalue()
-        if path is not None:
-            Path(path).write_text(text)
-        return text
+        return _csv_text(["t"] + columns, [self.times] + [self.metrics[c] for c in columns], path)
 
     def states_to_json(self, path: str | Path | None = None) -> str:
         """Sidecar JSON with the (phi, w) snapshots, if they were stored."""
@@ -200,6 +190,18 @@ class TrajectoryLog:
         if path is not None:
             Path(path).write_text(text)
         return text
+
+
+def _csv_text(header: list[str], columns: list[np.ndarray], path: str | Path | None) -> str:
+    """CSV with the given header and one row per entry of the columns, floats as ``repr``.
+
+    ``repr`` round-trips a float exactly. Written to ``path`` if given.
+    """
+    rows = np.column_stack(columns).tolist()
+    text = "".join([",".join(header) + "\n"] + [",".join(map(repr, row)) + "\n" for row in rows])
+    if path is not None:
+        Path(path).write_text(text)
+    return text
 
 
 def validate_representation(phi: np.ndarray, min_sv: float = 1e-10) -> np.ndarray:
@@ -302,13 +304,18 @@ def expected_semi_gradients(
 
     With the residual Z = R - (I - gamma P) phi w, returns
     (-phi^T diag(d) Z, -diag(d) Z w^T) for the weight and representation slots.
+    ``phi`` and ``w`` may carry leading batch axes, such as a trajectory's
+    (T, n, k) and (T, k, h) stacks; the gradients then carry them too.
     """
-    if phi.shape[0] != mrp.n:
-        raise ValueError(f"phi has {phi.shape[0]} rows, expected {mrp.n}")
-    if w.shape != (phi.shape[1], mrp.h):
-        raise ValueError(f"w has shape {w.shape}, expected {(phi.shape[1], mrp.h)}")
+    if phi.shape[-2] != mrp.n:
+        raise ValueError(f"phi has {phi.shape[-2]} rows, expected {mrp.n}")
+    if w.shape[-2:] != (phi.shape[-1], mrp.h):
+        raise ValueError(f"w has shape {w.shape}, expected (..., {phi.shape[-1]}, {mrp.h})")
     weighted = _weighted_residual(mrp.P, mrp.R, mrp.gamma, mrp.d[:, None], phi, w)
-    return -phi.T @ weighted, -weighted @ w.T
+    # -phi^T as a view of a C-ordered -phi: each snapshot of a strided stack
+    # then takes the BLAS product one C-ordered 2-D snapshot takes, bit for bit
+    neg_phi_t = np.negative(phi, order="C").swapaxes(-1, -2)
+    return neg_phi_t @ weighted, -weighted @ w.swapaxes(-1, -2)
 
 
 def _weighted_residual(P, R, gamma, d, phi, w):
@@ -345,31 +352,6 @@ def rhs_two_time_scale(
     w_star = td_fixed_point(mrp, phi)
     _, grad_phi = expected_semi_gradients(mrp, phi, w_star)
     return -eta_phi * grad_phi
-
-
-def discrete_step(
-    mrp: MarkovRewardProcess,
-    spec: DynamicsSpec,
-    phi: np.ndarray,
-    w: np.ndarray,
-    step_size: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One explicit Euler step of the chosen dynamics.
-
-    For ``two_time_scale`` the weights are reset to the fixed point before
-    the representation moves, and that fixed point is what gets returned.
-    """
-    if not step_size > 0:
-        raise ValueError(f"step_size must be > 0, got {step_size}")
-    if spec.kind == LINEAR_TD:
-        dw = rhs_linear_td(mrp, phi, w, spec.eta_w)
-        return phi, w + step_size * dw
-    if spec.kind == END_TO_END:
-        dw, dphi = rhs_end_to_end(mrp, phi, w, spec.eta_w, spec.eta_phi)
-        return phi + step_size * dphi, w + step_size * dw
-    w_star = td_fixed_point(mrp, phi)
-    _, grad_phi = expected_semi_gradients(mrp, phi, w_star)
-    return phi - step_size * spec.eta_phi * grad_phi, w_star
 
 
 class Problem(NamedTuple):
@@ -547,9 +529,14 @@ class _StackedField:
         return np.concatenate([part.reshape(rows, -1) for part in parts], axis=1), failures
 
 
+def _norms(x: np.ndarray) -> np.ndarray:
+    """2-norm of each row, with the BLAS dot product ``np.linalg.norm`` takes."""
+    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
+
+
 def _rms(x: np.ndarray) -> np.ndarray:
-    """RMS norm of each row, with the BLAS dot product ``np.linalg.norm`` takes."""
-    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0]) / x.shape[-1] ** 0.5
+    """RMS norm of each row."""
+    return _norms(x) / x.shape[-1] ** 0.5
 
 
 def _dopri45(field: _StackedField, y0: np.ndarray, times: np.ndarray, config: IntegratorConfig) -> list:
@@ -700,7 +687,11 @@ def _dense_output(K, t_old, t_new, y_old, t):
 
 
 def _log_trajectory(row: Problem, times, Y, stats, metric_set, store_states) -> TrajectoryLog:
-    """Metrics (and states) at each column of ``Y``, the integrated state at ``times``."""
+    """Metrics (and states) at each column of ``Y``, the integrated state at ``times``.
+
+    Each requested metric is evaluated once, on the trajectory's stacked
+    snapshots: (T, n, k) representations and (T, k, h) weights.
+    """
     mrp, phi0 = row.mrp, row.phi0
     n, k = phi0.shape
     split = k * mrp.h
@@ -715,30 +706,22 @@ def _log_trajectory(row: Problem, times, Y, stats, metric_set, store_states) -> 
         ws, failures = _fixed_points(mrp.A, mrp.dR, phis)
         if failures:
             raise failures[min(failures)]
-    V = value_function(mrp)
-    ceiling = _metrics.trace_ceiling(mrp, k) if "f_norm" in metric_set else None
-    series: dict[str, list[float]] = {name: [] for name in metric_set}
-    states: list[tuple[np.ndarray, np.ndarray]] | None = [] if store_states else None
-    for phi, w in zip(phis, ws):
-        if states is not None:
-            states.append((phi.copy(), w.copy()))
-        if "E" in series:
-            series["E"].append(_metrics.weighted_value_error(mrp, phi, w, V=V))
-        if "f" in series or "f_norm" in series:
-            f = _metrics.trace_objective(mrp, phi)
-            if "f" in series:
-                series["f"].append(f)
-            if "f_norm" in series:
-                series["f_norm"].append(f / ceiling)
-        if "cov_drift" in series:
-            series["cov_drift"].append(_metrics.covariance_drift(phi, phi0))
-        if "grad_norm_w" in series or "grad_norm_phi" in series:
-            grad_w, grad_phi = expected_semi_gradients(mrp, phi, w)
-            if "grad_norm_w" in series:
-                series["grad_norm_w"].append(float(np.linalg.norm(grad_w)))
-            if "grad_norm_phi" in series:
-                series["grad_norm_phi"].append(float(np.linalg.norm(grad_phi)))
-        if "crit_residual" in series:
-            series["crit_residual"].append(_metrics.critical_point_residual(mrp, phi))
-    metric_arrays = {name: np.asarray(vals) for name, vals in series.items()}
-    return TrajectoryLog(times=times, metrics=metric_arrays, states=states, stats=stats)
+    wanted = set(metric_set)
+    logged = {}
+    if "E" in wanted:
+        logged["E"] = _metrics.weighted_value_error(mrp, phis, ws, V=value_function(mrp))
+    if wanted & {"f", "f_norm"}:
+        logged["f"] = _metrics.trace_objective(mrp, phis)
+        if "f_norm" in wanted:
+            logged["f_norm"] = logged["f"] / _metrics.trace_ceiling(mrp, k)
+    if "cov_drift" in wanted:
+        logged["cov_drift"] = _metrics.covariance_drift(phis, phi0)
+    if wanted & {"grad_norm_w", "grad_norm_phi"}:
+        grad_w, grad_phi = expected_semi_gradients(mrp, phis, ws)
+        logged["grad_norm_w"] = _norms(grad_w.reshape(len(times), -1))
+        logged["grad_norm_phi"] = _norms(grad_phi.reshape(len(times), -1))
+    if "crit_residual" in wanted:
+        logged["crit_residual"] = _metrics.critical_point_residual(mrp, phis)
+    states = [(phi.copy(), w.copy()) for phi, w in zip(phis, ws)] if store_states else None
+    metrics = {name: logged[name] for name in metric_set}
+    return TrajectoryLog(times=times, metrics=metrics, states=states, stats=stats)

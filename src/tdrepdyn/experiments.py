@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from . import dynamics as dyn
 from . import metrics as met
@@ -179,19 +178,9 @@ class AggregateSeries:
         return np.quantile(self.values, 0.75, axis=0)
 
     def to_csv(self, path: str | Path | None = None) -> str:
-        import csv
-        import io
-
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["t", "median", "q25", "q75"])
-        med, lo, hi = self.median, self.q25, self.q75
-        for i, t in enumerate(self.times):
-            writer.writerow([repr(float(t)), repr(float(med[i])), repr(float(lo[i])), repr(float(hi[i]))])
-        text = buf.getvalue()
-        if path is not None:
-            Path(path).write_text(text)
-        return text
+        return dyn._csv_text(
+            ["t", "median", "q25", "q75"], [self.times, self.median, self.q25, self.q75], path
+        )
 
 
 def trial_seed(config: ExperimentConfig, index: int) -> int:
@@ -578,6 +567,8 @@ def _check_fixed_point_orthogonality(config: ExperimentConfig) -> met.MetricRepo
 
 
 def _check_integrator_order(config: ExperimentConfig) -> met.MetricReport:
+    import scipy.linalg  # deferred: the only scipy use in the package
+
     mrp = mdp_mod.make_random_mdp(n=10, h=1, gamma=0.9, alpha=config.alpha, seed=5)
     phi = dyn.orthonormal_init(10, 3, seed=6)
     w0 = np.zeros((3, 1))

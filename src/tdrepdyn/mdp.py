@@ -5,8 +5,8 @@ This module provides:
   transition matrices (all strictly positive after mixing, hence irreducible).
 - Random multi-column reward sampling with per-entry variance sigma^2 / h,
   so that R R^T concentrates around sigma^2 I as h grows.
-- Stationary distributions (power iteration), discounted value functions,
-  the key matrix diag(d) (I - gamma P), and a reversibility check.
+- Discounted value functions, the key matrix diag(d) (I - gamma P), and a
+  reversibility check.
 - JSON round-trip for generated processes.
 
 Every quantity that depends only on the process (I - gamma P, the key matrix,
@@ -32,7 +32,6 @@ ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-10
 
 SINKHORN_MAX_ITER = 10_000
-POWER_ITER_MAX = 100_000
 
 
 class ConvergenceError(RuntimeError):
@@ -302,30 +301,6 @@ def make_symmetric_mdp(
         R = sample_random_rewards(n, reward_spec, reward_seed)
     d = np.full(n, 1.0 / n)
     return MarkovRewardProcess(P=P, R=R, gamma=gamma, d=d)
-
-
-def stationary_distribution(
-    P: np.ndarray, tol: float = 1e-12, max_iter: int = POWER_ITER_MAX
-) -> np.ndarray:
-    """Stationary distribution of a row-stochastic P by power iteration.
-
-    Converges for irreducible aperiodic chains (all generated matrices are
-    strictly positive, hence both). For reducible chains the result is a
-    valid fixed point but need not be the unique stationary distribution;
-    periodic chains raise ConvergenceError instead.
-    """
-    P = np.asarray(P, dtype=float)
-    n = P.shape[0]
-    d = np.full(n, 1.0 / n)
-    residual = np.inf
-    for _ in range(max_iter):
-        d_next = d @ P
-        d_next /= d_next.sum()
-        residual = np.abs(d_next - d).max()
-        d = d_next
-        if residual <= tol:
-            return d
-    raise ConvergenceError("stationary power iteration", max_iter, residual)
 
 
 def value_function(mrp: MarkovRewardProcess) -> np.ndarray:

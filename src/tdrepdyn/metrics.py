@@ -1,24 +1,25 @@
 """Scalar diagnostics for representation/weight pairs on a Markov reward process.
 
-Everything here is a pure function of (mrp, phi, w) snapshots, so metrics can
-be evaluated concurrently over trajectory logs. Span membership is always
-tested through weighted projection residuals with explicit tolerances rather
-than rank computations; matrix drift norms are max absolute entry throughout.
+Everything here is a pure function of (mrp, phi, w) snapshots. The trajectory
+metrics (value error, trace objective and its normalized form, covariance
+drift, critical-point residual) also take phi and w with leading batch axes,
+such as a whole trajectory's (T, n, k) and (T, k, h) stacks, and return one
+value per snapshot; a single 2-D snapshot gives a scalar ``np.float64``. Span
+membership is always tested through weighted projection residuals with
+explicit tolerances rather than rank computations; matrix drift norms are max
+absolute entry throughout. Every linear solve goes through one guard,
+``_solve_guarded_stack``.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .mdp import MarkovRewardProcess, key_matrix, value_function
-
-logger = logging.getLogger(__name__)
 
 COND_LIMIT = 1e12
 
@@ -35,39 +36,18 @@ class IllConditionedError(np.linalg.LinAlgError):
         self.cond = cond
 
 
-def _solve_guarded(G: np.ndarray, rhs: np.ndarray, name: str) -> np.ndarray:
-    """Solve G x = rhs unless G's 2-norm condition number exceeds COND_LIMIT.
-
-    The condition number is s_max / s_min from LAPACK ``gesdd``, the quantity
-    ``np.linalg.cond`` computes, and ``gesv`` does the solve. Both are called
-    directly: for the k x k systems here, ``np.linalg``'s Python wrapper costs
-    more than the factorization. Any LAPACK failure raises IllConditionedError.
-    """
-    _, s, _, info = lapack.dgesdd(G, compute_uv=0)
-    if info != 0:
-        raise IllConditionedError(name, float("nan"))
-    s_max, s_min = float(s[0]), float(s[-1])
-    cond = s_max / s_min if s_min > 0.0 else float("inf")
-    logger.debug("%s condition number: %.3e", name, cond)
-    if not cond <= COND_LIMIT:
-        raise IllConditionedError(name, cond)
-    _, _, x, info = lapack.dgesv(G, rhs)
-    if info != 0:
-        raise IllConditionedError(name, cond)
-    return x
-
-
 def _solve_guarded_stack(
     G: np.ndarray, rhs: np.ndarray, name: str
 ) -> tuple[np.ndarray, dict[int, IllConditionedError]]:
-    """Solve every G[i] x = rhs[i] of a stack under the guard of ``_solve_guarded``.
+    """Solve every G[i] x = rhs[i] of a stack unless G[i] is too ill-conditioned.
 
-    ``np.linalg.svd`` gives each slice's s_max / s_min and ``np.linalg.solve``
-    solves the slices that pass; both make one LAPACK call per slice, so a
-    slice's solution does not depend on the others in the stack. Returns the
-    solutions (NaN for a rejected slice) and an IllConditionedError per
-    rejected slice index: cond is inf for a singular slice and NaN for one
-    with a non-finite entry.
+    ``np.linalg.svd`` gives each slice's 2-norm condition number s_max / s_min,
+    the quantity ``np.linalg.cond`` computes, and ``np.linalg.solve`` solves
+    the slices whose condition number is at most COND_LIMIT; both make one
+    LAPACK call per slice, so a slice's solution does not depend on the others
+    in the stack. Returns the solutions (NaN for a rejected slice) and an
+    IllConditionedError per rejected slice index: cond is inf for a singular
+    slice and NaN for one with a non-finite entry.
     """
     try:
         s, finite = np.linalg.svd(G, compute_uv=False), None
@@ -85,6 +65,16 @@ def _solve_guarded_stack(
     if ok.any():
         x[ok] = np.linalg.solve(G[ok], rhs[ok])
     return x, {int(i): IllConditionedError(name, float(cond[i])) for i in np.flatnonzero(~ok)}
+
+
+def _solve_or_raise(G: np.ndarray, rhs: np.ndarray, name: str) -> np.ndarray:
+    """``_solve_guarded_stack`` over any leading axes; raises the first rejected slice's error."""
+    x, rejected = _solve_guarded_stack(
+        G.reshape(-1, *G.shape[-2:]), rhs.reshape(-1, *rhs.shape[-2:]), name
+    )
+    if rejected:
+        raise rejected[min(rejected)]
+    return x.reshape(rhs.shape)
 
 
 @dataclass(frozen=True)
@@ -119,7 +109,7 @@ def weighted_value_error(
     phi: np.ndarray,
     w: np.ndarray,
     V: np.ndarray | None = None,
-) -> float:
+) -> float | np.ndarray:
     """Value approximation error 0.5 Tr((phi w - V)^T diag(d)(I - gamma P)(phi w - V)).
 
     Non-negative because the weighting matrix is positive definite, and zero
@@ -130,7 +120,7 @@ def weighted_value_error(
         V = value_function(mrp)
     err = phi @ w - V
     weighted = mrp.d[:, None] * (err - mrp.gamma * (mrp.P @ err))
-    return 0.5 * float(np.sum(err * weighted))
+    return 0.5 * np.sum(err * weighted, axis=(-2, -1))
 
 
 def weighted_error_gradients(
@@ -152,9 +142,9 @@ def weighted_error_gradients(
     return phi.T @ sym_err, sym_err @ w.T
 
 
-def trace_objective(mrp: MarkovRewardProcess, phi: np.ndarray) -> float:
+def trace_objective(mrp: MarkovRewardProcess, phi: np.ndarray) -> float | np.ndarray:
     """Trace of phi^T (I - gamma P)^{-1} phi, with the process's cached resolvent."""
-    return float(np.sum(phi * (mrp.resolvent @ phi)))
+    return np.sum(phi * (mrp.resolvent @ phi), axis=(-2, -1))
 
 
 def trace_ceiling(mrp: MarkovRewardProcess, k: int) -> float:
@@ -171,54 +161,45 @@ def normalized_trace_objective(
     phi: np.ndarray,
     k: int | None = None,
     ceiling: float | None = None,
-) -> float:
+) -> float | np.ndarray:
     """Trace objective divided by the top-k symmetrized-resolvent eigenvalue sum.
 
     Upper bounded by 1 for orthonormal phi when P is symmetric; reported
     unclamped, so asymmetric P may exceed 1.
     """
     if k is None:
-        k = phi.shape[1]
-    elif k != phi.shape[1]:
-        raise ValueError(f"k={k} does not match phi column count {phi.shape[1]}")
+        k = phi.shape[-1]
+    elif k != phi.shape[-1]:
+        raise ValueError(f"k={k} does not match phi column count {phi.shape[-1]}")
     if ceiling is None:
         ceiling = trace_ceiling(mrp, k)
     return trace_objective(mrp, phi) / ceiling
 
 
-def covariance_drift(phi: np.ndarray, phi0: np.ndarray) -> float:
-    """Max-abs-entry of phi^T phi - phi0^T phi0."""
-    if phi.shape != phi0.shape:
+def covariance_drift(phi: np.ndarray, phi0: np.ndarray) -> float | np.ndarray:
+    """Max-abs-entry of phi^T phi - phi0^T phi0 (``phi`` may be a stack, ``phi0`` is n x k)."""
+    if phi.shape[-2:] != phi0.shape:
         raise ValueError(f"shape mismatch: {phi.shape} vs {phi0.shape}")
-    return float(np.abs(phi.T @ phi - phi0.T @ phi0).max())
+    drift = phi.swapaxes(-1, -2) @ phi - phi0.T @ phi0
+    return np.abs(drift).max(axis=(-2, -1))
 
 
-def projection_onto_span(
-    basis: np.ndarray, weight: np.ndarray, v: np.ndarray
-) -> np.ndarray:
-    """Weighted projection of v onto span(basis): basis (basis^T W basis)^{-1} basis^T W v.
-
-    Idempotent, and fixes v exactly when v already lies in the span. ``v`` may
-    be a vector or a matrix of column vectors.
-    """
-    G = basis.T @ weight @ basis
-    return basis @ _solve_guarded(G, basis.T @ (weight @ v), "basis^T W basis")
-
-
-def critical_point_residual(mrp: MarkovRewardProcess, phi: np.ndarray) -> float:
+def critical_point_residual(mrp: MarkovRewardProcess, phi: np.ndarray) -> float | np.ndarray:
     """How far phi is from the stationarity condition of the joint dynamics.
 
     Projects diag(d) R R^T diag(d) phi onto span(A phi) in the (A^T)^{-1}
     geometry, where A is the key matrix; the projector reduces to
     A phi (phi^T A phi)^{-1} phi^T. Returns the max-abs-entry of the part
     left outside the span; zero (up to tolerance) iff phi is stationary
-    once w sits at its fixed point.
+    once w sits at its fixed point. On a stack, the first snapshot whose
+    phi^T A phi fails the guard raises its IllConditionedError.
     """
     A = key_matrix(mrp)
+    phi_t = phi.swapaxes(-1, -2)
     target = mrp.dR @ (mrp.dR.T @ phi)
-    G = phi.T @ A @ phi
-    projected = (A @ phi) @ _solve_guarded(G, phi.T @ target, "phi^T A phi")
-    return float(np.abs(target - projected).max())
+    G = phi_t @ A @ phi
+    projected = (A @ phi) @ _solve_or_raise(G, phi_t @ target, "phi^T A phi")
+    return np.abs(target - projected).max(axis=(-2, -1))
 
 
 def invariant_subspace_residual(P: np.ndarray, phi: np.ndarray) -> float:
@@ -232,7 +213,7 @@ def invariant_subspace_residual(P: np.ndarray, phi: np.ndarray) -> float:
             f"phi is rank deficient (min singular value {sv[-1]:.3e})"
         )
     target = P @ phi
-    projected = phi @ _solve_guarded(phi.T @ phi, phi.T @ target, "phi^T phi")
+    projected = phi @ _solve_or_raise(phi.T @ phi, phi.T @ target, "phi^T phi")
     return float(np.abs(target - projected).max())
 
 

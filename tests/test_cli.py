@@ -264,6 +264,31 @@ def test_simulate_store_states_writes_sidecar(tmp_path):
     assert np.asarray(doc["w"]).shape == (3, 2, 1)
 
 
+def test_simulate_matches_golden(tmp_path):
+    # tests/data/golden/simulate holds this run's CSV and states sidecar
+    golden = DATA / "golden" / "simulate"
+    out = tmp_path / "end_to_end.csv"
+    assert run_cli([
+        "simulate", "--dynamics", "end-to-end", "--n", "8", "--k", "2", "--h", "3",
+        "--seed", "4", "--t-end", "10", "--log-points", "11", "--store-states", "-o", str(out),
+    ]) == 0
+    got, want = (np.genfromtxt(path, delimiter=",", names=True) for path in (out, golden / out.name))
+    assert got.dtype.names == want.dtype.names
+    assert want.dtype.names == ("t", "E", "f", "f_norm", "cov_drift", "grad_norm_w",
+                                "grad_norm_phi", "crit_residual")
+    for column in want.dtype.names:
+        np.testing.assert_allclose(got[column], want[column], rtol=1e-12, atol=0, err_msg=column)
+    sidecar = "end_to_end.states.json"
+    assert (tmp_path / sidecar).read_bytes() == (golden / sidecar).read_bytes()
+
+
+def test_importing_the_cli_does_not_load_scipy():
+    probe = "import sys, tdrepdyn.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_simulate_config_file_supplies_defaults_and_flags_win(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({

@@ -80,14 +80,6 @@ def test_fixed_point_is_bit_identical_to_reference_formula():
         assert np.array_equal(dyn.td_fixed_point(mrp, phi), _reference_fixed_point(mrp, phi))
 
 
-def _raises(fn, *args):
-    try:
-        fn(*args)
-    except IllConditionedError:
-        return True
-    return False
-
-
 @pytest.mark.parametrize("factor", [1 - 1e-9, 1 + 1e-9])
 def test_cond_guard_decides_like_numpy_at_the_limit(factor):
     rng = make_rng(7)
@@ -97,15 +89,11 @@ def test_cond_guard_decides_like_numpy_at_the_limit(factor):
         Q1, _ = np.linalg.qr(rng.standard_normal((2, 2)))
         Q2, _ = np.linalg.qr(rng.standard_normal((2, 2)))
         mats.append(Q1 @ mats[0] @ Q2)
-    for G in mats:
-        cond = np.linalg.cond(G)
-        expected = not np.isfinite(cond) or cond > COND_LIMIT
-        assert _raises(met._solve_guarded, G, rhs, "G") == expected
-    assert _raises(met._solve_guarded, mats[0], rhs, "G") == (factor > 1)
     _, rejected = met._solve_guarded_stack(np.array(mats), np.array([rhs] * len(mats)), "G")
     assert sorted(rejected) == [
         i for i, G in enumerate(mats) if not np.linalg.cond(G) <= COND_LIMIT
     ]
+    assert (0 in rejected) == (factor > 1)
 
 
 def test_singular_and_non_finite_systems_raise_ill_conditioned(small_mixed):
@@ -117,7 +105,7 @@ def test_singular_and_non_finite_systems_raise_ill_conditioned(small_mixed):
             dyn.td_fixed_point(small_mixed, phi)
     for bad in (np.nan, np.inf):
         with pytest.raises(IllConditionedError):
-            met._solve_guarded(np.array([[bad, 0.0], [0.0, 1.0]]), np.ones(2), "G")
+            met._solve_or_raise(np.array([[bad, 0.0], [0.0, 1.0]]), np.ones((2, 1)), "G")
     # in a stack, the bad slices are reported and the good one is still solved
     stack = np.array([[[np.nan, 0.0], [0.0, 1.0]], [[2.0, 0.0], [0.0, 4.0]], [[1.0, 0.0], [0.0, 0.0]]])
     x, rejected = met._solve_guarded_stack(stack, np.ones((3, 2, 1)), "G")
@@ -197,36 +185,14 @@ def test_orthonormal_init_rejects_bad_k():
 # ------------------------------------------------------------------ stepping
 
 
-def test_discrete_step_is_explicit_euler(small_mixed):
-    rng = make_rng(4)
-    phi = rng.standard_normal((8, 2))
-    w = rng.standard_normal((2, 1))
-    spec = dyn.end_to_end(1.5, 0.5)
-    dw, dphi = dyn.rhs_end_to_end(small_mixed, phi, w, 1.5, 0.5)
-    phi1, w1 = dyn.discrete_step(small_mixed, spec, phi, w, step_size=0.01)
-    assert_allclose(phi1, phi + 0.01 * dphi)
-    assert_allclose(w1, w + 0.01 * dw)
-
-
-def test_discrete_step_two_time_scale_pins_weights(small_mixed):
-    phi = dyn.orthonormal_init(8, 2, seed=5)
-    w_star = dyn.td_fixed_point(small_mixed, phi)
-    _, w1 = dyn.discrete_step(small_mixed, dyn.two_time_scale(), phi, np.zeros((2, 1)), 0.01)
-    assert_allclose(w1, w_star)
-
-
-def test_discrete_step_rejects_nonpositive_step(small_mixed):
-    with pytest.raises(ValueError):
-        dyn.discrete_step(small_mixed, dyn.linear_td(), np.eye(8), np.zeros((8, 1)), 0.0)
-
-
 def test_small_step_euler_tracks_ode(small_mixed):
     # crude consistency: many Euler steps land near the adaptive solution
     phi0 = dyn.orthonormal_init(8, 2, seed=6)
     spec = dyn.end_to_end(1.0, 1.0)
     phi, w = phi0, np.zeros((2, 1))
     for _ in range(2000):
-        phi, w = dyn.discrete_step(small_mixed, spec, phi, w, 0.005)
+        dw, dphi = dyn.rhs_end_to_end(small_mixed, phi, w, spec.eta_w, spec.eta_phi)
+        phi, w = phi + 0.005 * dphi, w + 0.005 * dw
     log = dyn.integrate(
         small_mixed, spec, phi0,
         config=dyn.IntegratorConfig(t_end=10.0, log_points=2), store_states=True
@@ -385,6 +351,29 @@ def test_batch_member_is_bitwise_its_solo_run():
         dyn.integrate(*doomed, config=config)
     assert isinstance(batch[1], dyn.IntegrationError) and str(batch[1]) == str(info.value)
     assert all(isinstance(log, dyn.TrajectoryLog) for log in batch[:1] + batch[2:])
+
+
+def test_rejected_metric_solve_is_the_rows_result(monkeypatch):
+    # the critical-point residual of the first row's log hits one rejected snapshot
+    real = met._solve_guarded_stack
+    injected = IllConditionedError("phi^T A phi", np.inf)
+    calls = []
+
+    def reject_once(G, rhs, name):
+        x, rejected = real(G, rhs, name)
+        calls.append(len(G))
+        if len(calls) == 1:
+            rejected[4] = injected
+        return x, rejected
+
+    monkeypatch.setattr(met, "_solve_guarded_stack", reject_once)
+    mrp = make_random_mdp(n=8, h=2, seed=1)
+    problems = [dyn.Problem(mrp, dyn.end_to_end(), dyn.orthonormal_init(8, 2, seed=s)) for s in (1, 2)]
+    config = dyn.IntegratorConfig(t_end=2.0, log_points=9)
+    first, second = dyn.integrate_batch(problems, config)
+    assert first is injected
+    assert isinstance(second, dyn.TrajectoryLog)
+    assert calls == [9, 9]  # one stacked solve per trajectory log
 
 
 class _ToyField:

@@ -18,7 +18,6 @@ from tdrepdyn.mdp import (
     sample_doubly_stochastic,
     sample_permutation,
     sample_random_rewards,
-    stationary_distribution,
     value_function,
 )
 
@@ -152,13 +151,6 @@ def test_mrp_arrays_frozen(small_mixed):
 
 
 # ------------------------------------------------------------------- queries
-
-
-def test_stationary_distribution_two_state_oracle():
-    # d P = d for P=[[.9,.1],[.2,.8]] solves to (2/3, 1/3)
-    P = np.array([[0.9, 0.1], [0.2, 0.8]])
-    d = stationary_distribution(P)
-    assert_allclose(d, [2 / 3, 1 / 3], atol=1e-10)
 
 
 def test_value_function_worked_example(two_state):

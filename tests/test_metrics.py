@@ -126,24 +126,6 @@ def test_covariance_drift_rotation_invariant_for_orthonormal():
     assert met.covariance_drift(phi0 @ q, phi0) < 1e-12
 
 
-def test_projection_recovers_span_members(small_mixed):
-    rng = make_rng(8)
-    basis = rng.standard_normal((8, 3))
-    weight = np.diag(small_mixed.d)
-    inside = basis @ rng.standard_normal(3)
-    assert_allclose(met.projection_onto_span(basis, weight, inside), inside, atol=1e-10)
-    # residual of an arbitrary vector is weight-orthogonal to the span
-    v = rng.standard_normal(8)
-    proj = met.projection_onto_span(basis, weight, v)
-    assert np.abs(basis.T @ weight @ (v - proj)).max() < 1e-10
-
-
-def test_projection_rejects_degenerate_basis(small_mixed):
-    basis = np.ones((8, 2))  # rank one
-    with pytest.raises(met.IllConditionedError):
-        met.projection_onto_span(basis, np.diag(small_mixed.d), np.ones(8))
-
-
 def test_critical_point_residual_zero_on_eigenvector_subsets():
     base = make_symmetric_mdp(n=10, h=1, gamma=0.9, seed=9)
     mrp = base.with_rewards(np.eye(10))
@@ -162,6 +144,64 @@ def test_invariant_subspace_residual_rank_guard():
     phi = np.ones((4, 2))  # rank deficient
     with pytest.raises(np.linalg.LinAlgError):
         met.invariant_subspace_residual(P, phi)
+
+
+def _snapshot_stacks(mrp, T, k, seed):
+    """(T, n, k) and (T, k, h) stacks laid out like a trajectory log's views of its states."""
+    rng = make_rng(seed)
+    n, h = mrp.n, mrp.h
+    Y = rng.standard_normal((k * h + n * k, T))  # one column per log time
+    return Y[k * h:].T.reshape(T, n, k), Y[:k * h].T.reshape(T, k, h)
+
+
+@pytest.mark.parametrize("h", [1, 3])
+def test_stacked_metrics_equal_their_2d_calls_slice_by_slice(h):
+    from tdrepdyn.dynamics import expected_semi_gradients
+
+    mrp = make_random_mdp(n=9, h=h, seed=11)
+    phi0 = orthonormal_init(9, 2, seed=12)
+    phis, ws = _snapshot_stacks(mrp, 7, 2, seed=13)
+    stacked = {
+        "E": lambda p, w: met.weighted_value_error(mrp, p, w),
+        "f": lambda p, w: met.trace_objective(mrp, p),
+        "f_norm": lambda p, w: met.normalized_trace_objective(mrp, p),
+        "cov_drift": lambda p, w: met.covariance_drift(p, phi0),
+        "crit_residual": lambda p, w: met.critical_point_residual(mrp, p),
+        "grad_w": lambda p, w: expected_semi_gradients(mrp, p, w)[0],
+        "grad_phi": lambda p, w: expected_semi_gradients(mrp, p, w)[1],
+    }
+    for name, metric in stacked.items():
+        got = metric(phis, ws)
+        want = [metric(p, w) for p, w in zip(phis, ws)]
+        assert np.array_equal(got, np.array(want)), name
+        if got.ndim == 1:  # a scalar metric: a 2-D call gives an np.float64
+            assert all(type(v) is np.float64 for v in want), name
+        # any number of leading axes
+        assert np.array_equal(metric(phis[:6].reshape(2, 3, 9, 2), ws[:6].reshape(2, 3, 2, h)),
+                              got[:6].reshape(2, 3, *got.shape[1:])), name
+
+
+def test_critical_point_residual_raises_for_an_ill_conditioned_snapshot():
+    mrp = make_random_mdp(n=8, h=2, seed=14)
+    phis, _ = _snapshot_stacks(mrp, 4, 2, seed=15)
+    phis = phis.copy()
+    phis[2, :, 1] = phis[2, :, 0]  # phi^T A phi is singular for this snapshot only
+    with pytest.raises(met.IllConditionedError) as info:
+        met.critical_point_residual(mrp, phis)
+    assert info.value.matrix_name == "phi^T A phi"
+    assert np.isfinite(met.critical_point_residual(mrp, phis[[0, 1, 3]])).all()
+
+
+def test_stacked_solve_raises_the_first_rejected_slice(monkeypatch):
+    first, second = met.IllConditionedError("G", 1e13), met.IllConditionedError("G", 1e14)
+
+    def rejecting(G, rhs, name):
+        return np.linalg.solve(G, rhs), {5: second, 3: first}
+
+    monkeypatch.setattr(met, "_solve_guarded_stack", rejecting)
+    with pytest.raises(met.IllConditionedError) as info:
+        met._solve_or_raise(np.tile(np.eye(2), (6, 1, 1)), np.ones((6, 2, 1)), "G")
+    assert info.value is first
 
 
 def test_metric_report_coercion_and_csv():
