@@ -17,6 +17,7 @@ import numpy as np
 
 from . import dynamics as dyn
 from . import experiments as exp
+from . import invariants as inv
 from . import mdp as mdp_mod
 from . import metrics as met
 
@@ -334,7 +335,7 @@ def cmd_experiment(parser: _Parser, args: argparse.Namespace, given: set[str]) -
         return EXIT_IO
 
     if args.name == "invariants":
-        reports = exp.run_invariant_suite(config)
+        reports = inv.run_invariant_suite(config)
         print(met.reports_to_csv(reports), end="")
         failed = [r for r in reports if not r.passed]
         if failed:

@@ -9,6 +9,10 @@ on a fixed Markov reward process:
 - ``two_time_scale``: the weights are pinned to their fixed point for the
   current representation while the representation drifts slowly.
 
+Each drift is formed by one semi-gradient kernel, which the public
+``expected_semi_gradients`` and ``rhs_*`` functions call on one process and
+the batched integrator calls on stacks of processes.
+
 Trajectories are integrated by one adaptive Dormand-Prince 5(4) loop
 (Dormand & Prince 1980; step control as in Hairer, Norsett & Wanner, *Solving
 ODEs I*, II.4) that steps a whole batch of trajectories together. Each
@@ -311,18 +315,25 @@ def expected_semi_gradients(
         raise ValueError(f"phi has {phi.shape[-2]} rows, expected {mrp.n}")
     if w.shape[-2:] != (phi.shape[-1], mrp.h):
         raise ValueError(f"w has shape {w.shape}, expected (..., {phi.shape[-1]}, {mrp.h})")
-    weighted = _weighted_residual(mrp.P, mrp.R, mrp.gamma, mrp.d[:, None], phi, w)
-    # -phi^T as a view of a C-ordered -phi: each snapshot of a strided stack
-    # then takes the BLAS product one C-ordered 2-D snapshot takes, bit for bit
-    neg_phi_t = np.negative(phi, order="C").swapaxes(-1, -2)
-    return neg_phi_t @ weighted, -weighted @ w.swapaxes(-1, -2)
+    return _semi_gradients(mrp.P, mrp.R, mrp.gamma, mrp.d[:, None], phi, w)
 
 
-def _weighted_residual(P, R, gamma, d, phi, w):
-    """diag(d) (R - (I - gamma P) phi w), on one process or on stacks (``d`` as a column)."""
+def _semi_gradients(P, R, gamma, d, phi, w, slots=(True, True)):
+    """``expected_semi_gradients`` on one process or on stacks of them (``d`` as a column).
+
+    ``slots`` says which of (grad_w, grad_phi) to form, so a drift that moves
+    only w or only phi pays for one product; a skipped one is None.
+    """
     pred = phi @ w
-    resid = R - (pred - gamma * (P @ pred))
-    return d * resid
+    weighted = d * (R - (pred - gamma * (P @ pred)))
+    grad_w = grad_phi = None
+    if slots[0]:
+        # -phi^T as a view of a C-ordered -phi: each snapshot of a strided stack
+        # then takes the BLAS product one C-ordered 2-D snapshot takes, bit for bit
+        grad_w = np.negative(phi, order="C").swapaxes(-1, -2) @ weighted
+    if slots[1]:
+        grad_phi = -weighted @ w.swapaxes(-1, -2)
+    return grad_w, grad_phi
 
 
 def rhs_linear_td(
@@ -478,6 +489,7 @@ class _StackedField:
         self.kind = kind
         self.n, self.k, self.h = shape
         self.arrays = arrays
+        self.slots = (kind != TWO_TIME_SCALE, kind != LINEAR_TD)
 
     @classmethod
     def build(cls, kind: str, rows: list[Problem]) -> "_StackedField":
@@ -519,13 +531,12 @@ class _StackedField:
         else:
             phi = y.reshape(rows, n, k)
             w, failures = _fixed_points(a["A"], a["dR"], phi)
-        weighted = _weighted_residual(a["P"], a["R"], a["gamma"], a["d"], phi, w)
-        # -eta times the semi-gradient, in the operation order of the rhs_* functions
+        grad_w, grad_phi = _semi_gradients(a["P"], a["R"], a["gamma"], a["d"], phi, w, self.slots)
         parts = []
-        if self.kind != TWO_TIME_SCALE:
-            parts.append(-a["eta_w"] * (-phi.swapaxes(1, 2) @ weighted))
-        if self.kind != LINEAR_TD:
-            parts.append(-a["eta_phi"] * (-weighted @ w.swapaxes(1, 2)))
+        if grad_w is not None:
+            parts.append(-a["eta_w"] * grad_w)
+        if grad_phi is not None:
+            parts.append(-a["eta_phi"] * grad_phi)
         return np.concatenate([part.reshape(rows, -1) for part in parts], axis=1), failures
 
 

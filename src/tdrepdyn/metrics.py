@@ -236,19 +236,16 @@ def gradient_check(
     grad_w, grad_phi = expected_semi_gradients(mrp, phi, w)
     V = value_function(mrp)
 
-    def error_at(p: np.ndarray, q: np.ndarray) -> float:
-        return weighted_value_error(mrp, p, q, V=V)
+    def central_difference(x: np.ndarray, error_at) -> np.ndarray:
+        fd = np.zeros_like(x)
+        for idx in np.ndindex(*x.shape):
+            step = np.zeros_like(x)
+            step[idx] = eps
+            fd[idx] = (error_at(x + step) - error_at(x - step)) / (2 * eps)
+        return fd
 
-    fd_w = np.zeros_like(w)
-    for idx in np.ndindex(*w.shape):
-        dw = np.zeros_like(w)
-        dw[idx] = eps
-        fd_w[idx] = (error_at(phi, w + dw) - error_at(phi, w - dw)) / (2 * eps)
-    fd_phi = np.zeros_like(phi)
-    for idx in np.ndindex(*phi.shape):
-        dphi = np.zeros_like(phi)
-        dphi[idx] = eps
-        fd_phi[idx] = (error_at(phi + dphi, w) - error_at(phi - dphi, w)) / (2 * eps)
+    fd_w = central_difference(w, lambda q: weighted_value_error(mrp, phi, q, V=V))
+    fd_phi = central_difference(phi, lambda p: weighted_value_error(mrp, p, w, V=V))
 
     scale = max(np.abs(grad_w).max(), np.abs(grad_phi).max(), 1e-12)
     err = max(np.abs(grad_w - fd_w).max(), np.abs(grad_phi - fd_phi).max())

@@ -14,59 +14,20 @@ import pytest
 
 from tdrepdyn import dynamics as dyn
 from tdrepdyn import experiments as exp
+from tdrepdyn import invariants as inv
 from tdrepdyn import metrics as met
-from tdrepdyn.mdp import (
-    MarkovRewardProcess,
-    RewardSpec,
-    key_matrix,
-    make_random_mdp,
-    make_symmetric_mdp,
-    sample_random_rewards,
-    value_function,
-)
+from tdrepdyn.mdp import make_symmetric_mdp, value_function
 
 N_PROBE_MDPS = 20
-
-
-def _probe_arrays(rng, n, k, h):
-    phi = rng.standard_normal((n, k))
-    w = rng.standard_normal((k, h))
-    return phi, w
 
 
 def test_criterion_1_gradient_flow_identity(acceptance):
     # On reversible chains the end-to-end drift is exactly -eta * grad E,
     # so a central finite difference of E must reproduce it.
-    eps = 1e-6
-    eta_w, eta_phi = 1.3, 0.7
-    worst = 0.0
-    for seed in range(N_PROBE_MDPS):
-        mrp = make_symmetric_mdp(n=10, h=2, gamma=0.9, seed=seed)
-        rng = np.random.default_rng(1000 + seed)
-        phi, w = _probe_arrays(rng, 10, 3, 2)
-        dw, dphi = dyn.rhs_end_to_end(mrp, phi, w, eta_w, eta_phi)
-
-        def fd_grad(arr, setter):
-            grad = np.zeros_like(arr)
-            flat = grad.ravel()
-            base = arr.copy()
-            for i in range(arr.size):
-                for sign in (1.0, -1.0):
-                    bumped = base.copy()
-                    bumped.ravel()[i] += sign * eps
-                    flat[i] += sign * met.weighted_value_error(mrp, *setter(bumped))
-                flat[i] /= 2 * eps
-            return grad
-
-        fd_w = fd_grad(w, lambda b: (phi, b))
-        fd_phi = fd_grad(phi, lambda b: (b, w))
-        scale = max(np.abs(fd_w).max(), np.abs(fd_phi).max(), 1.0)
-        err_w = np.abs(dw + eta_w * fd_w).max() / scale
-        err_phi = np.abs(dphi + eta_phi * fd_phi).max() / scale
-        worst = max(worst, err_w, err_phi)
-    passed = worst < 1e-5
-    acceptance(1, "gradient flow identity", passed, f"max rel err {worst:.3e} < 1e-5")
-    assert passed
+    report = inv._check_gradient_flow_identity(exp.ExperimentConfig())
+    acceptance(1, "gradient flow identity", report.passed,
+               f"max rel err {report.value:.3e} < {report.tolerance_used:.0e}")
+    assert report.passed
 
 
 def test_criterion_2_energy_dissipation(acceptance):
@@ -119,17 +80,13 @@ def test_criterion_2_energy_dissipation(acceptance):
 def test_criterion_3_covariance_constancy(acceptance):
     # No reversibility needed: phi^T phi is conserved by the two-time-scale
     # flow on any chain, so mixed-generator MDPs are the harder test.
-    spec = dyn.two_time_scale(eta_phi=1.0)
-    config = dyn.IntegratorConfig(t_end=500.0, rtol=1e-10, atol=1e-12, log_points=26)
-    worst = 0.0
-    for seed in range(N_PROBE_MDPS):
-        mrp = make_random_mdp(n=30, h=1, gamma=0.9, alpha=0.95, seed=seed)
-        phi0 = dyn.orthonormal_init(30, 2, seed=seed)
-        log = dyn.integrate(mrp, spec, phi0, config=config, metric_set=("cov_drift",))
-        worst = max(worst, float(log.metrics["cov_drift"].max()))
-    passed = worst < 1e-6
-    acceptance(3, "covariance constancy", passed, f"max |phi^T phi - I| {worst:.3e} < 1e-6")
-    assert passed
+    config = exp.ExperimentConfig(
+        integrator=dyn.IntegratorConfig(t_end=500.0, rtol=1e-10, atol=1e-12, log_points=26)
+    )
+    report = inv._check_covariance_constancy(config)
+    acceptance(3, "covariance constancy", report.passed,
+               f"max |phi^T phi - I| {report.value:.3e} < {report.tolerance_used:.0e}")
+    assert report.passed
 
 
 @pytest.mark.slow
@@ -201,32 +158,17 @@ def test_criterion_6_fig3_reproduction(acceptance):
 
 
 def test_criterion_7_reward_concentration(acceptance):
-    h_values = (100, 1000, 10000)
-    medians = []
-    for h in h_values:
-        devs = []
-        for seed in range(20):
-            R = sample_random_rewards(10, RewardSpec(h=h, sigma=1.0), seed)
-            devs.append(np.abs(R @ R.T - np.eye(10)).max())
-        medians.append(float(np.median(devs)))
-    passed = medians[0] > medians[1] > medians[2] and medians[2] < 0.15
-    detail = " > ".join(f"{m:.3f}" for m in medians) + ", final < 0.15"
-    acceptance(7, "reward concentration", passed, detail)
-    assert passed
+    report = inv._check_reward_concentration(exp.ExperimentConfig())
+    acceptance(7, "reward concentration", report.passed,
+               f"median max |R R^T - I| falls with h, {report.value:.3f} < "
+               f"{report.tolerance_used:g} at h=10000")
+    assert report.passed
 
 
 def test_criterion_8_key_matrix_positive_definite(acceptance):
-    lam_min = np.inf
-    for seed in range(100):
-        for mrp in (
-            make_random_mdp(n=10, h=1, gamma=0.9, alpha=0.95, seed=seed),
-            make_symmetric_mdp(n=10, h=1, gamma=0.9, seed=seed),
-        ):
-            A = key_matrix(mrp)
-            lam_min = min(lam_min, float(np.linalg.eigvalsh(0.5 * (A + A.T))[0]))
-    passed = lam_min > 0
-    acceptance(8, "key matrix PD", passed, f"min eigenvalue {lam_min:.3e} > 0")
-    assert passed
+    report = inv._check_key_matrix_pd(exp.ExperimentConfig())
+    acceptance(8, "key matrix PD", report.passed, f"min eigenvalue {report.value:.3e} > 0")
+    assert report.passed
 
 
 def test_criterion_9_oracle_equivalences(acceptance, small_mixed, two_state):

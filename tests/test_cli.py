@@ -8,6 +8,7 @@ import pytest
 
 from tdrepdyn import cli
 from tdrepdyn import experiments as exp
+from tdrepdyn import invariants as inv
 from tdrepdyn import mdp
 from tdrepdyn.metrics import MetricReport
 
@@ -404,13 +405,13 @@ def test_experiment_invariants_reports_and_exit_codes(tmp_path, monkeypatch, cap
         MetricReport("mdp.example", 1e-12, 1e-6, True),
         MetricReport("dynamics.example", 2e-9, 1e-6, True),
     ]
-    monkeypatch.setattr(exp, "run_invariant_suite", lambda config: green)
+    monkeypatch.setattr(inv, "run_invariant_suite", lambda config: green)
     assert run_cli(["experiment", "invariants", "-o", str(tmp_path)]) == 0
     captured = capsys.readouterr()
     assert captured.out.startswith("name,value,tolerance,pass\n")
     assert "all 2 invariant checks passed" in captured.out
 
     red = green + [MetricReport("metrics.example", 5.0, 1e-6, False)]
-    monkeypatch.setattr(exp, "run_invariant_suite", lambda config: red)
+    monkeypatch.setattr(inv, "run_invariant_suite", lambda config: red)
     assert run_cli(["experiment", "invariants", "-o", str(tmp_path)]) == 4
     assert "1 of 3 invariant checks failed" in capsys.readouterr().err

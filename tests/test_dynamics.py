@@ -3,6 +3,8 @@ import re
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from tdrepdyn import dynamics as dyn
@@ -37,11 +39,6 @@ def test_integrator_config_validation():
 
 
 # ------------------------------------------------------------------ algebra
-
-
-def test_fixed_point_with_identity_features_is_value_function(small_mixed):
-    w = dyn.td_fixed_point(small_mixed, np.eye(8))
-    assert np.abs(w - value_function(small_mixed)).max() < 1e-10
 
 
 def test_fixed_point_matches_normal_equations(small_mixed):
@@ -351,6 +348,50 @@ def test_batch_member_is_bitwise_its_solo_run():
         dyn.integrate(*doomed, config=config)
     assert isinstance(batch[1], dyn.IntegrationError) and str(batch[1]) == str(info.value)
     assert all(isinstance(log, dyn.TrajectoryLog) for log in batch[:1] + batch[2:])
+
+
+_SPECS = {
+    dyn.LINEAR_TD: lambda eta: dyn.linear_td(eta_w=eta),
+    dyn.END_TO_END: lambda eta: dyn.end_to_end(eta_w=eta, eta_phi=1 / eta),
+    dyn.TWO_TIME_SCALE: lambda eta: dyn.two_time_scale(eta_phi=eta),
+}
+_ROWS = st.tuples(
+    st.sampled_from(dyn.KINDS),
+    st.integers(1, 10),  # h
+    st.sampled_from((5, 8)),  # n
+    st.integers(1, 3),  # k
+    st.sampled_from((0.5, 1.0, 2.0)),  # learning rate
+    st.integers(0, 99),  # seed of the chain and of phi0
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(rows=st.lists(_ROWS, min_size=1, max_size=6),
+       doomed=st.none() | st.tuples(st.integers(0, 6), st.integers(1, 10)))
+def test_batch_rows_are_bitwise_their_solo_runs(rows, doomed):
+    config = dyn.IntegratorConfig(t_end=0.5, rtol=1e-6, atol=1e-8, log_points=5)
+    problems = [
+        dyn.Problem(make_random_mdp(n=n, h=h, seed=seed), _SPECS[kind](eta),
+                    dyn.orthonormal_init(n, k, seed=seed))
+        for kind, h, n, k, eta, seed in rows
+    ]
+    if doomed is not None:  # a two-time-scale peer whose first fixed-point solve is rejected
+        at, h = doomed
+        u = dyn.orthonormal_init(8, 2, seed=h)
+        phi0 = np.column_stack([u[:, 0], u[:, 0] + 1e-7 * u[:, 1]])
+        problems.insert(at, dyn.Problem(make_random_mdp(n=8, h=h, seed=h), dyn.two_time_scale(), phi0))
+    batch = dyn.integrate_batch(problems, config, store_states=True)
+    for problem, got in zip(problems, batch, strict=True):
+        try:
+            solo = dyn.integrate(*problem, config=config, store_states=True)
+        except (dyn.IntegrationError, np.linalg.LinAlgError) as exc:
+            assert type(got) is type(exc) and str(got) == str(exc)
+            continue
+        assert got.stats == solo.stats
+        for name in dyn.METRIC_COLUMNS:
+            assert np.array_equal(got.metrics[name], solo.metrics[name]), name
+        for (phi, w), (solo_phi, solo_w) in zip(got.states, solo.states, strict=True):
+            assert np.array_equal(phi, solo_phi) and np.array_equal(w, solo_w)
 
 
 def test_rejected_metric_solve_is_the_rows_result(monkeypatch):

@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from tdrepdyn import cli
 from tdrepdyn import dynamics as dyn
 from tdrepdyn import experiments as exp
+from tdrepdyn import invariants as inv
 from tdrepdyn.mdp import make_symmetric_mdp
+from tdrepdyn.metrics import MetricReport
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -257,7 +260,7 @@ def test_invariant_suite_all_green(tmp_path):
         outdir=tmp_path,
         integrator=dyn.IntegratorConfig(t_end=300.0, rtol=1e-10, atol=1e-12, log_points=151),
     )
-    reports = exp.run_invariant_suite(cfg)
+    reports = inv.run_invariant_suite(cfg)
     assert len(reports) == 22
     failed = [r.name for r in reports if not r.passed]
     assert failed == []
@@ -271,9 +274,58 @@ def test_invariant_suite_negative_control():
     cfg = exp.ExperimentConfig(
         integrator=dyn.IntegratorConfig(t_end=50.0, rtol=1.0, atol=1e-2, log_points=26)
     )
-    reports = {r.name: r for r in exp.run_invariant_suite(cfg)}
+    reports = {r.name: r for r in inv.run_invariant_suite(cfg)}
     assert not reports["dynamics.covariance_constancy"].passed
     assert reports["mdp.determinism"].passed  # seed logic is tolerance-blind
+
+
+def _suite_with_one_check(monkeypatch, check):
+    """Stub every check of the suite with a passing one, then ``check`` in the first slot."""
+    names = [name for name in vars(inv) if name.startswith("_check_")]
+    for name in names:
+        monkeypatch.setattr(inv, name, lambda config, name=name: MetricReport(name, 0.0, 0.0, True))
+    monkeypatch.setattr(inv, names[0], check)
+    return names[0].removeprefix("_check_")
+
+
+def test_numerical_failure_in_an_invariant_check_is_a_failed_report(monkeypatch):
+    def breaks_down(config):
+        raise np.linalg.LinAlgError("singular")
+
+    name = _suite_with_one_check(monkeypatch, breaks_down)
+    reports = inv.run_invariant_suite(exp.ExperimentConfig())
+    assert len(reports) == 22
+    assert reports[0] == MetricReport(name, float("inf"), 0.0, False)
+    assert all(r.passed for r in reports[1:])
+
+
+def test_bug_in_an_invariant_check_propagates(monkeypatch):
+    def buggy(config):
+        raise TypeError("bug in a check")
+
+    _suite_with_one_check(monkeypatch, buggy)
+    with pytest.raises(TypeError, match="bug in a check"):
+        inv.run_invariant_suite(exp.ExperimentConfig())
+
+
+def test_help_flag_check_sees_a_dropped_flag(monkeypatch):
+    # "--h" must be matched as a whole token, not inside "--help"
+    build_parser = cli.build_parser
+
+    def without_h():
+        parser = build_parser()
+        sub = parser.subcommands["experiment"]
+        action = next(a for a in sub._actions if "--h" in a.option_strings)
+        sub._remove_action(action)
+        for group in sub._action_groups:
+            if action in group._group_actions:
+                group._group_actions.remove(action)
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", without_h)
+    assert "--h " not in cli.build_parser().subcommands["experiment"].format_help()
+    report = inv._check_cli_help_flags(exp.ExperimentConfig())
+    assert report.value == 1.0 and not report.passed
 
 
 if __name__ == "__main__":
