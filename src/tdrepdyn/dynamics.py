@@ -28,7 +28,6 @@ snapshots.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -111,8 +110,11 @@ class DynamicsSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown dynamics kind {self.kind!r}; choose from {KINDS}")
-        if self.eta_w < 0 or self.eta_phi < 0:
-            raise ValueError("learning rates must be non-negative")
+        if not (0 <= self.eta_w < np.inf and 0 <= self.eta_phi < np.inf):
+            raise ValueError(
+                f"learning rates must be finite and non-negative, got eta_w={self.eta_w}, "
+                f"eta_phi={self.eta_phi}"
+            )
         if self.kind == LINEAR_TD and self.eta_phi != 0.0:
             raise ValueError("linear_td keeps the representation fixed; eta_phi must be 0")
 
@@ -140,10 +142,10 @@ class IntegratorConfig:
     log_points: int = 201
 
     def __post_init__(self):
-        if not self.t_end > 0:
-            raise ValueError(f"t_end must be > 0, got {self.t_end}")
-        if not (self.rtol > 0 and self.atol > 0):
-            raise ValueError("rtol and atol must be > 0")
+        if not 0 < self.t_end < np.inf:
+            raise ValueError(f"t_end must be finite and > 0, got {self.t_end}")
+        if not (0 < self.rtol < np.inf and 0 < self.atol < np.inf):
+            raise ValueError(f"rtol and atol must be finite and > 0, got {self.rtol}, {self.atol}")
         if not self.max_step > 0:
             raise ValueError("max_step must be > 0")
         if self.log_points < 2:
@@ -182,18 +184,44 @@ class TrajectoryLog:
         return _csv_text(["t"] + columns, [self.times] + [self.metrics[c] for c in columns], path)
 
     def states_to_json(self, path: str | Path | None = None) -> str:
-        """Sidecar JSON with the (phi, w) snapshots, if they were stored."""
+        """Sidecar JSON with the (phi, w) snapshots, if they were stored.
+
+        The text is byte for byte ``json.dumps`` of the document
+        ``{"times": [...], "phi": [...], "w": [...]}`` of nested lists.
+        """
         if self.states is None:
             raise ValueError("trajectory was integrated without store_states=True")
-        doc = {
-            "times": self.times.tolist(),
-            "phi": [p.tolist() for p, _ in self.states],
-            "w": [w.tolist() for _, w in self.states],
-        }
-        text = json.dumps(doc)
+        phis = np.array([phi for phi, _ in self.states], dtype=float)
+        ws = np.array([w for _, w in self.states], dtype=float)
+        text = (
+            f'{{"times": {_json_array(self.times)}, "phi": {_json_array(phis)}, '
+            f'"w": {_json_array(ws)}}}'
+        )
         if path is not None:
             Path(path).write_text(text)
         return text
+
+
+def _json_array(a: np.ndarray) -> str:
+    """``json.dumps(a.tolist())`` for a float array, in one ``%`` format.
+
+    json writes a float as ``float.__repr__``, which ``%r`` also calls, and
+    spells the non-finite ones NaN, Infinity and -Infinity. The ``repr`` of a
+    finite float holds none of the letters of ``nan`` and ``inf``, so mapping
+    those two words on the formatted text, where there are any, is exact.
+    """
+    text = _json_template(a.shape) % tuple(a.ravel().tolist())
+    if not np.isfinite(a).all():
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    return text
+
+
+def _json_template(shape: tuple[int, ...]) -> str:
+    """The nested ``[%r, %r, ...]`` text of an array of ``shape``, as json spaces it."""
+    template = "%r"
+    for size in reversed(shape):
+        template = "[" + ", ".join([template] * size) + "]"
+    return template
 
 
 def _csv_text(header: list[str], columns: list[np.ndarray], path: str | Path | None) -> str:
@@ -628,7 +656,7 @@ def _dopri45(field: _StackedField, y0: np.ndarray, times: np.ndarray, config: In
             fresh & (h_abs > max_step), max_step,
             np.where(fresh & (h_abs < min_step), min_step, h_abs),
         )
-        leaving = h_abs < min_step
+        leaving = ~(h_abs >= min_step)  # a NaN step fails here too
         if leaving.any():
             for slot in np.flatnonzero(leaving):
                 i = ids[slot]
@@ -733,6 +761,7 @@ def _log_trajectory(row: Problem, times, Y, stats, metric_set, store_states) -> 
         logged["grad_norm_phi"] = _norms(grad_phi.reshape(len(times), -1))
     if "crit_residual" in wanted:
         logged["crit_residual"] = _metrics.critical_point_residual(mrp, phis)
-    states = [(phi.copy(), w.copy()) for phi, w in zip(phis, ws)] if store_states else None
+    # one contiguous copy per stack; each snapshot is a row view of it
+    states = list(zip(phis.copy(), ws.copy())) if store_states else None
     metrics = {name: logged[name] for name in metric_set}
     return TrajectoryLog(times=times, metrics=metrics, states=states, stats=stats)

@@ -113,11 +113,30 @@ def test_gen_mdp_generation_failure_exits_3(tmp_path, monkeypatch, capsys):
         ["experiment", "fig9"],
         ["experiment", "fig1", "--eta-phi", "2"],
         ["experiment", "invariants", "--rtol", "-1"],
+        ["simulate", "--dynamics", "end-to-end", "--eta-w", "nan", "--t-end", "1"],
+        ["simulate", "--dynamics", "end-to-end", "--eta-phi", "inf", "--t-end", "1"],
+        ["simulate", "--t-end", "inf"],
+        ["simulate", "--rtol", "inf"],
+        ["simulate", "--atol", "nan"],
     ],
 )
 def test_usage_errors_exit_1(argv, capsys, tmp_path):
     assert run_cli(argv) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"dynamics": [{"kind": "end_to_end", "eta_w": float("nan")}]},
+        {"integrator": {"t_end": float("inf")}},
+    ],
+)
+def test_non_finite_config_values_exit_1(doc, tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(doc))  # json writes NaN and Infinity, and reads them back
+    assert run_cli(["experiment", "fig1", "-c", str(config), "--trials", "1"]) == 1
+    assert "finite" in capsys.readouterr().err
 
 
 def test_io_errors_exit_2(tmp_path, capsys):

@@ -1,10 +1,16 @@
+import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from tdrepdyn import dynamics as dyn
@@ -36,6 +42,21 @@ def test_integrator_config_validation():
         dyn.IntegratorConfig(log_points=1)
     with pytest.raises(ValueError):
         dyn.IntegratorConfig(max_step=0.0)
+    assert dyn.IntegratorConfig(max_step=np.inf).max_step == np.inf  # no step cap
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("rate", ["eta_w", "eta_phi"])
+def test_dynamics_spec_rejects_non_finite_rates(rate, bad):
+    with pytest.raises(ValueError, match="finite"):
+        dyn.DynamicsSpec(dyn.END_TO_END, **{rate: bad})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["t_end", "rtol", "atol"])
+def test_integrator_config_rejects_non_finite_horizon_and_tolerances(name, bad):
+    with pytest.raises(ValueError, match="finite"):
+        dyn.IntegratorConfig(**{name: bad})
 
 
 # ------------------------------------------------------------------ algebra
@@ -456,6 +477,33 @@ def test_rows_leave_the_batch_as_they_fail_or_finish():
     )
 
 
+_NAN_FIELD_RUN = """
+import numpy as np
+from tdrepdyn import dynamics as dyn
+
+class NaNField:  # a drift that is NaN from t = 0, so every step size is NaN
+    def __call__(self, y):
+        return np.full_like(y, np.nan), {}
+
+    def take(self, keep):
+        return self
+
+times = np.linspace(0.0, 1.0, 3)
+(result,) = dyn._dopri45(NaNField(), np.ones((1, 2)), times, dyn.IntegratorConfig(t_end=1.0))
+print(type(result).__name__, result)
+"""
+
+
+def test_nan_step_fails_instead_of_spinning():
+    src = str(Path(dyn.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _NAN_FIELD_RUN], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("IntegrationError integration failed near t=")
+    assert "Required step size is less than spacing between numbers." in proc.stdout
+
+
 # --------------------------------------------------------------------- logs
 
 
@@ -500,12 +548,42 @@ def test_states_json_sidecar(tmp_path, small_mixed):
     log = dyn.integrate(small_mixed, dyn.end_to_end(), phi0, config=cfg, store_states=True)
     path = tmp_path / "states.json"
     log.states_to_json(path)
-    import json
-
     doc = json.loads(path.read_text())
     assert len(doc["times"]) == 3
     assert np.asarray(doc["phi"][0]).shape == (8, 2)
     assert_allclose(np.asarray(doc["phi"][0]), phi0, atol=1e-12)
+
+
+_JSON_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.floats(min_value=1e300, max_value=np.finfo(float).max),
+    st.floats(min_value=-np.finfo(float).max, max_value=-1e300),
+    st.floats(min_value=-1e-300, max_value=1e-300),
+    st.integers(-(2**60), 2**60).map(float),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(a=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=6),
+                    elements=_JSON_FLOATS))
+@example(a=np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.2250738585072014e-308,
+                     1.7976931348623157e308, 1e16, 123.0]))
+@example(a=np.zeros((3, 0, 2)))
+def test_json_array_is_json_dumps_of_tolist(a):
+    assert dyn._json_array(a) == json.dumps(a.tolist())
+
+
+def test_states_json_is_json_dumps_of_the_snapshots():
+    mrp = make_random_mdp(n=12, h=3, seed=5)
+    phi0 = dyn.orthonormal_init(12, 3, seed=5)
+    cfg = dyn.IntegratorConfig(t_end=20.0, log_points=501)
+    log = dyn.integrate(mrp, dyn.end_to_end(), phi0, config=cfg, store_states=True)
+    doc = {
+        "times": log.times.tolist(),
+        "phi": [phi.tolist() for phi, _ in log.states],
+        "w": [w.tolist() for _, w in log.states],
+    }
+    assert log.states_to_json() == json.dumps(doc)
 
 
 if __name__ == "__main__":

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from tdrepdyn import cli
@@ -54,6 +56,48 @@ def test_config_json_round_trip():
     assert back == cfg
     with pytest.raises(ValueError):
         exp.config_from_json({"n_states": 8, "surprise": 1})
+
+
+_POSITIVE = st.floats(min_value=1e-300, max_value=1e300)
+_RATE = st.floats(min_value=0.0, max_value=1e6)
+
+
+@st.composite
+def _configs(draw):
+    n = draw(st.integers(1, 50))
+    specs = st.one_of(
+        _RATE.map(dyn.linear_td),
+        st.tuples(_RATE, _RATE).map(lambda rates: dyn.end_to_end(*rates)),
+        _RATE.map(dyn.two_time_scale),
+    )
+    integrator = dyn.IntegratorConfig(
+        t_end=draw(_POSITIVE),
+        rtol=draw(_POSITIVE),
+        atol=draw(_POSITIVE),
+        max_step=draw(st.just(np.inf) | _POSITIVE),
+        log_points=draw(st.integers(2, 10_000)),
+    )
+    return exp.ExperimentConfig(
+        n_states=n,
+        k=draw(st.integers(1, n)),
+        gamma=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        alpha=draw(st.floats(0.0, 1.0)),
+        n_trials=draw(st.integers(1, 1000)),
+        h_values=tuple(draw(st.lists(st.integers(1, 16), min_size=1, max_size=5))),
+        dynamics=tuple(draw(st.lists(specs, min_size=1, max_size=4))),
+        integrator=integrator,
+        seed=draw(st.integers(0, 2**63)),
+        outdir=draw(st.none() | st.text(min_size=1, max_size=20)),
+        jobs=draw(st.integers(1, 64)),
+        max_failure_fraction=draw(st.floats(0.0, 1.0, exclude_max=True)),
+    )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(config=_configs())
+def test_config_json_round_trip_property(config):
+    text = json.dumps(exp.config_to_json(config))
+    assert exp.config_from_json(json.loads(text)) == config
 
 
 def test_config_from_json_checks_dynamics_entries():

@@ -3,6 +3,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from tdrepdyn import mdp as mdp_mod
@@ -223,6 +225,27 @@ def test_json_round_trip(tmp_path, small_symmetric):
     doc = json.loads(path.read_text())
     assert doc["generator"] == "symmetric" and doc["seed"] == 3
     assert doc["n"] == 8 and doc["h"] == 2
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(
+    symmetric=st.booleans(),
+    n=st.integers(1, 12),
+    h=st.integers(1, 4),
+    gamma=st.floats(0.0, 0.999),
+    alpha=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_json_round_trip_is_bit_exact(symmetric, n, h, gamma, alpha, seed):
+    if symmetric:
+        mrp = make_symmetric_mdp(n=n, h=h, gamma=gamma, seed=seed)
+    else:
+        mrp = make_random_mdp(n=n, h=h, gamma=gamma, alpha=alpha, seed=seed)
+    back = mdp_mod.mdp_from_json(json.loads(json.dumps(mdp_mod.mdp_to_json(mrp, seed=seed))))
+    for name in ("P", "R", "d"):
+        got, want = getattr(back, name), getattr(mrp, name)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+    assert back.gamma == mrp.gamma and type(back.gamma) is float
 
 
 def test_mdp_from_json_rejects_garbage():
