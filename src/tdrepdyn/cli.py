@@ -200,6 +200,8 @@ def cmd_gen_mdp(parser: _Parser, args: argparse.Namespace, given: set[str]) -> i
         sub.error(f"--gamma must be in [0, 1), got {args.gamma}")
     if args.n < 1:
         sub.error(f"--n must be >= 1, got {args.n}")
+    if args.h < 1:
+        sub.error(f"--h must be >= 1, got {args.h}")
     out = args.out if args.out is not None else default_out_root() / "mdp.json"
     try:
         mrp = _generate_mdp(args.symmetric, args.n, args.h, args.gamma, args.alpha, args.seed)
@@ -213,7 +215,7 @@ def cmd_gen_mdp(parser: _Parser, args: argparse.Namespace, given: set[str]) -> i
     except OSError as exc:
         print(f"cannot write {out}: {exc}", file=sys.stderr)
         return EXIT_IO
-    A = mdp_mod.key_matrix(mrp)
+    A = mrp.A
     lam_min = float(np.linalg.eigvalsh(0.5 * (A + A.T))[0])
     print(f"wrote {out}")
     print(f"reversibility residual: {mdp_mod.reversibility_residual(mrp):.6e}")

@@ -23,7 +23,8 @@ fields evaluate on the stacked states with one numpy call per operation
 LAPACK call per trajectory. A trajectory's result therefore does not depend on
 which others share its batch. Dense output gives the state at every log time,
 and each logged metric is evaluated once over the trajectory's whole stack of
-snapshots.
+snapshots. With ``store_states=True`` a ``TrajectoryLog`` keeps those stacks
+as ``phis`` (T, n, k) and ``ws`` (T, k, h).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import metrics as _metrics
-from .mdp import MarkovRewardProcess, make_rng, value_function
+from .mdp import MarkovRewardProcess, make_rng
 from .metrics import IllConditionedError, _solve_guarded_stack
 
 LINEAR_TD = "linear_td"
@@ -93,6 +94,14 @@ _MAX_FACTOR = 10  # largest step-size increase
 _ERROR_EXPONENT = -1 / 5  # -1 / (order of the embedded error estimate + 1)
 _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 _H_BLOCK = 8  # two-time-scale rewards are padded to a multiple of this many columns
+_MIN_SV = 1e-10  # smallest singular value a representation may have
+_INIT_ATTEMPTS = 5  # Gaussian draws orthonormal_init tries before giving up
+
+
+def _check_int(name: str, value) -> None:
+    """Reject a value that is not an integer (a bool or a float such as 2.0 included)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -142,6 +151,7 @@ class IntegratorConfig:
     log_points: int = 201
 
     def __post_init__(self):
+        _check_int("log_points", self.log_points)
         if not 0 < self.t_end < np.inf:
             raise ValueError(f"t_end must be finite and > 0, got {self.t_end}")
         if not (0 < self.rtol < np.inf and 0 < self.atol < np.inf):
@@ -163,11 +173,17 @@ class SolverStats:
 
 @dataclass
 class TrajectoryLog:
-    """Time-indexed metric series, optionally with full state snapshots."""
+    """Time-indexed metric series, optionally with the state snapshots.
+
+    ``phis`` (T, n, k) and ``ws`` (T, k, h) stack the representation and the
+    weights at each of the T ``times``; both are None unless the trajectory
+    was integrated with ``store_states=True``.
+    """
 
     times: np.ndarray
     metrics: dict[str, np.ndarray]
-    states: list[tuple[np.ndarray, np.ndarray]] | None = None
+    phis: np.ndarray | None = None
+    ws: np.ndarray | None = None
     stats: SolverStats | None = None
 
     def __post_init__(self):
@@ -189,13 +205,11 @@ class TrajectoryLog:
         The text is byte for byte ``json.dumps`` of the document
         ``{"times": [...], "phi": [...], "w": [...]}`` of nested lists.
         """
-        if self.states is None:
+        if self.phis is None:
             raise ValueError("trajectory was integrated without store_states=True")
-        phis = np.array([phi for phi, _ in self.states], dtype=float)
-        ws = np.array([w for _, w in self.states], dtype=float)
         text = (
-            f'{{"times": {_json_array(self.times)}, "phi": {_json_array(phis)}, '
-            f'"w": {_json_array(ws)}}}'
+            f'{{"times": {_json_array(self.times)}, "phi": {_json_array(self.phis)}, '
+            f'"w": {_json_array(self.ws)}}}'
         )
         if path is not None:
             Path(path).write_text(text)
@@ -236,40 +250,38 @@ def _csv_text(header: list[str], columns: list[np.ndarray], path: str | Path | N
     return text
 
 
-def validate_representation(phi: np.ndarray, min_sv: float = 1e-10) -> np.ndarray:
-    """Check full column rank (minimum singular value above ``min_sv``)."""
+def validate_representation(phi: np.ndarray) -> np.ndarray:
+    """Check full column rank (minimum singular value above 1e-10)."""
     phi = np.asarray(phi, dtype=float)
     if phi.ndim != 2:
         raise ValueError(f"representation must be a 2-d matrix, got ndim={phi.ndim}")
     if phi.shape[1] > phi.shape[0]:
         raise ValueError(f"need k <= n, got shape {phi.shape}")
     sv = np.linalg.svd(phi, compute_uv=False)
-    if sv[-1] <= min_sv:
+    if sv[-1] <= _MIN_SV:
         raise ValueError(f"representation is rank deficient (min singular value {sv[-1]:.3e})")
     return phi
 
 
-def orthonormal_init(
-    n: int, k: int, seed: int | np.random.SeedSequence, max_attempts: int = 5
-) -> np.ndarray:
+def orthonormal_init(n: int, k: int, seed: int | np.random.SeedSequence) -> np.ndarray:
     """Orthonormal n x k representation: Gram-Schmidt on standard-normal columns.
 
     Columns are re-orthogonalized with a second pass so that phi^T phi = I
     holds to machine precision. A near-zero pivot (astronomically unlikely
-    for Gaussian draws) triggers a fresh draw, and after ``max_attempts``
-    failures an error is raised.
+    for Gaussian draws) triggers a fresh draw, and after five failed draws
+    an error is raised.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     rng = make_rng(seed)
-    for _ in range(max_attempts):
+    for _ in range(_INIT_ATTEMPTS):
         cols = rng.standard_normal((n, k))
         try:
             return _gram_schmidt(cols)
         except np.linalg.LinAlgError:
             continue
     raise np.linalg.LinAlgError(
-        f"orthonormal init failed: rank-deficient draws in {max_attempts} attempts"
+        f"orthonormal init failed: rank-deficient draws in {_INIT_ATTEMPTS} attempts"
     )
 
 
@@ -748,7 +760,7 @@ def _log_trajectory(row: Problem, times, Y, stats, metric_set, store_states) -> 
     wanted = set(metric_set)
     logged = {}
     if "E" in wanted:
-        logged["E"] = _metrics.weighted_value_error(mrp, phis, ws, V=value_function(mrp))
+        logged["E"] = _metrics.weighted_value_error(mrp, phis, ws)
     if wanted & {"f", "f_norm"}:
         logged["f"] = _metrics.trace_objective(mrp, phis)
         if "f_norm" in wanted:
@@ -761,7 +773,6 @@ def _log_trajectory(row: Problem, times, Y, stats, metric_set, store_states) -> 
         logged["grad_norm_phi"] = _norms(grad_phi.reshape(len(times), -1))
     if "crit_residual" in wanted:
         logged["crit_residual"] = _metrics.critical_point_residual(mrp, phis)
-    # one contiguous copy per stack; each snapshot is a row view of it
-    states = list(zip(phis.copy(), ws.copy())) if store_states else None
     metrics = {name: logged[name] for name in metric_set}
-    return TrajectoryLog(times=times, metrics=metrics, states=states, stats=stats)
+    stacks = (phis.copy(), ws.copy()) if store_states else (None, None)
+    return TrajectoryLog(times, metrics, *stacks, stats=stats)

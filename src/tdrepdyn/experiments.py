@@ -55,6 +55,10 @@ class ExperimentConfig:
     max_failure_fraction: float = 0.1
 
     def __post_init__(self):
+        for name in ("n_states", "k", "n_trials", "seed", "jobs"):
+            dyn._check_int(name, getattr(self, name))
+        for h in self.h_values:
+            dyn._check_int("h_values entries", h)
         if self.n_trials < 1:
             raise ValueError("n_trials must be >= 1")
         if not 1 <= self.k <= self.n_states:
@@ -129,7 +133,7 @@ def config_from_json(doc: dict) -> ExperimentConfig:
             raise ValueError(f"dynamics[{i}] must be an object with a 'kind', got {entry!r}")
     kwargs = dict(doc)
     if "h_values" in kwargs:
-        kwargs["h_values"] = tuple(int(h) for h in kwargs["h_values"])
+        kwargs["h_values"] = tuple(kwargs["h_values"])
     if "dynamics" in kwargs:
         kwargs["dynamics"] = tuple(
             dyn.DynamicsSpec(d["kind"], eta_w=d.get("eta_w", 1.0), eta_phi=d.get("eta_phi", 1.0))

@@ -97,7 +97,7 @@ def _check_key_matrix_pd(config: ExperimentConfig) -> met.MetricReport:
                 mdp_mod.make_random_mdp(n=n, h=1, gamma=0.9, alpha=config.alpha, seed=seed),
                 mdp_mod.make_symmetric_mdp(n=n, h=1, gamma=0.9, seed=seed),
             ):
-                A = mdp_mod.key_matrix(mrp)
+                A = mrp.A
                 smallest = min(smallest, float(np.linalg.eigvalsh(0.5 * (A + A.T))[0]))
     return met.MetricReport("mdp.key_matrix_pd", smallest, 0.0, smallest > 0.0)
 
@@ -106,7 +106,7 @@ def _check_value_function_residual(config: ExperimentConfig) -> met.MetricReport
     worst = 0.0
     for seed in range(20):
         mrp = mdp_mod.make_random_mdp(n=20, h=3, gamma=config.gamma, alpha=config.alpha, seed=seed)
-        V = mdp_mod.value_function(mrp)
+        V = mrp.V
         resid = np.abs(V - mrp.gamma * (mrp.P @ V) - mrp.R).max()
         worst = max(worst, resid)
     return met.MetricReport("mdp.value_function_residual", worst, 1e-10, worst <= 1e-10)
@@ -149,19 +149,17 @@ def _check_energy_dissipation(config: ExperimentConfig) -> met.MetricReport:
     logs = _integrated(config, mrps, spec, range(1, 6), ("E",), store_states=True)
     worst = 0.0
     for mrp, log in zip(mrps, logs):
-        pairs = []
-        for phi, w in log.states[:: max(1, len(log.states) // 20)]:
-            grad_w, grad_phi = met.weighted_error_gradients(mrp, phi, w)
-            dw, dphi = dyn.rhs_end_to_end(mrp, phi, w, spec.eta_w, spec.eta_phi)
-            lhs = float(np.sum(grad_w * dw) + np.sum(grad_phi * dphi))
-            rhs = float(-(np.sum(dphi * dphi) / spec.eta_phi + np.sum(dw * dw) / spec.eta_w))
-            pairs.append((lhs, rhs))
+        stride = max(1, len(log.times) // 20)
+        phis, ws = log.phis[::stride], log.ws[::stride]
+        grad_w, grad_phi = met.weighted_error_gradients(mrp, phis, ws)
+        dw, dphi = dyn.rhs_end_to_end(mrp, phis, ws, spec.eta_w, spec.eta_phi)
+        lhs = np.sum(grad_w * dw, axis=(1, 2)) + np.sum(grad_phi * dphi, axis=(1, 2))
+        rhs = -(np.sum(dphi * dphi, axis=(1, 2)) / spec.eta_phi
+                + np.sum(dw * dw, axis=(1, 2)) / spec.eta_w)
         # Skip states within rounding distance of a critical point: there both
         # sides vanish and a relative comparison only amplifies noise.
-        floor = 1e-10 * abs(pairs[0][1])
-        for lhs, rhs in pairs:
-            if abs(rhs) >= floor:
-                worst = max(worst, abs(lhs - rhs) / abs(rhs))
+        kept = np.abs(rhs) >= 1e-10 * np.abs(rhs[0])
+        worst = max(worst, float((np.abs(lhs - rhs)[kept] / np.abs(rhs[kept])).max(initial=0.0)))
     return met.MetricReport("dynamics.energy_dissipation", worst, 1e-8, worst < 1e-8)
 
 
@@ -187,13 +185,10 @@ def _check_fixed_point_orthogonality(config: ExperimentConfig) -> met.MetricRepo
     mrps = [mdp_mod.make_random_mdp(n=10, h=2, gamma=0.9, alpha=config.alpha, seed=seed)
             for seed in range(3)]
     logs = _integrated(config, mrps, dyn.two_time_scale(), range(1, 4), ("E",), store_states=True)
-    worst = 0.0
-    for mrp, log in zip(mrps, logs):
-        A = mdp_mod.key_matrix(mrp)
-        V = mdp_mod.value_function(mrp)
-        for phi, w_star in log.states:
-            resid = np.abs(phi.T @ A @ (phi @ w_star - V)).max()
-            worst = max(worst, float(resid))
+    worst = max(
+        float(np.abs(log.phis.swapaxes(1, 2) @ mrp.A @ (log.phis @ log.ws - mrp.V)).max())
+        for mrp, log in zip(mrps, logs)
+    )
     return met.MetricReport("dynamics.fixed_point_orthogonality", worst, 1e-8, worst <= 1e-8)
 
 
@@ -204,15 +199,14 @@ def _check_integrator_order(config: ExperimentConfig) -> met.MetricReport:
     phi = dyn.orthonormal_init(10, 3, seed=6)
     w0 = np.zeros((3, 1))
     t_end = 50.0
-    A = mdp_mod.key_matrix(mrp)
-    G = phi.T @ A @ phi
+    G = phi.T @ mrp.A @ phi
     w_star = dyn.td_fixed_point(mrp, phi)
     exact = w_star + scipy.linalg.expm(-t_end * G) @ (w0 - w_star)
     errors = []
     for rtol in (1e-5, 1e-9):
         cfg = dyn.IntegratorConfig(t_end=t_end, rtol=rtol, atol=rtol * 1e-2, log_points=2)
         log = dyn.integrate(mrp, dyn.linear_td(), phi, w0=w0, config=cfg, metric_set=("E",), store_states=True)
-        errors.append(float(np.abs(log.states[-1][1] - exact).max()))
+        errors.append(float(np.abs(log.ws[-1] - exact).max()))
     ok = errors[0] > errors[1] and errors[1] <= 1e-7
     return met.MetricReport("dynamics.integrator_order", errors[1], 1e-7, ok)
 
@@ -230,7 +224,7 @@ def _check_error_nonnegativity(config: ExperimentConfig) -> met.MetricReport:
         w = rng.standard_normal((k, h))
         lowest = min(lowest, met.weighted_value_error(mrp, phi, w))
     mrp = mdp_mod.make_random_mdp(n=8, h=2, gamma=0.9, alpha=config.alpha, seed=1)
-    at_value = met.weighted_value_error(mrp, mdp_mod.value_function(mrp), np.eye(2))
+    at_value = met.weighted_value_error(mrp, mrp.V, np.eye(2))
     ok = lowest >= 0.0 and at_value < 1e-12
     return met.MetricReport("metrics.error_nonnegativity", min(lowest, at_value), 0.0, ok)
 
@@ -241,12 +235,12 @@ def _check_trace_kpca_consistency(config: ExperimentConfig) -> met.MetricReport:
     resolvent = np.linalg.inv(np.eye(10) - mrp.gamma * mrp.P)
     eigvals, eigvecs = np.linalg.eigh(0.5 * (resolvent + resolvent.T))
     top = eigvecs[:, -k:]
-    gap = abs(met.normalized_trace_objective(mrp, top, k=k) - 1.0)
+    gap = abs(met.normalized_trace_objective(mrp, top) - 1.0)
     worst_probe = 0.0
     rng = make_rng(9)
     for _ in range(50):
         probe, _ = np.linalg.qr(rng.standard_normal((10, k)))
-        worst_probe = max(worst_probe, met.normalized_trace_objective(mrp, probe, k=k))
+        worst_probe = max(worst_probe, met.normalized_trace_objective(mrp, probe))
     ok = gap <= 1e-10 and worst_probe <= 1.0 + 1e-10
     return met.MetricReport("metrics.trace_kpca_consistency", gap, 1e-10, ok)
 
@@ -256,7 +250,7 @@ def _check_projection_idempotence(config: ExperimentConfig) -> met.MetricReport:
     worst = 0.0
     for seed in range(10):
         mrp = mdp_mod.make_random_mdp(n=8, h=1, gamma=0.9, alpha=config.alpha, seed=seed)
-        A = mdp_mod.key_matrix(mrp)
+        A = mrp.A
         phi = rng.standard_normal((8, 3))
         M = (A @ phi) @ np.linalg.solve(phi.T @ A @ phi, phi.T)
         worst = max(worst, np.abs(M @ M - M).max())

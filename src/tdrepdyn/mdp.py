@@ -3,17 +3,16 @@
 This module provides:
 - Seeded generators for doubly-stochastic, permutation-mixed, and symmetric
   transition matrices (all strictly positive after mixing, hence irreducible).
-- Random multi-column reward sampling with per-entry variance sigma^2 / h,
-  so that R R^T concentrates around sigma^2 I as h grows.
-- Discounted value functions, the key matrix diag(d) (I - gamma P), and a
-  reversibility check.
-- JSON round-trip for generated processes.
+- Random multi-column normal reward sampling with per-entry variance
+  sigma^2 / h, so that R R^T concentrates around sigma^2 I as h grows.
+- A reversibility residual and JSON round-trip for generated processes.
 
-Every quantity that depends only on the process (I - gamma P, the key matrix,
-diag(d) R, V, the resolvent and its symmetrized spectrum) is computed on first
-use and cached on the instance as a read-only array. The instance and its
-input arrays are frozen, so a cached value can never go stale; ``with_rewards``
-builds a new instance with an empty cache.
+Every quantity that depends only on the process (I - gamma P, the key matrix
+``A`` = diag(d) (I - gamma P), ``dR`` = diag(d) R, the value function ``V``,
+the resolvent and its symmetrized spectrum) is a cached read-only attribute of
+the instance, computed on first use; callers read it there. The instance and
+its input arrays are frozen, so a cached value can never go stale;
+``with_rewards`` builds a new instance with an empty cache.
 
 All randomness is threaded through a counter-based Philox generator so that
 identical seeds give bit-identical output across platforms.
@@ -85,6 +84,8 @@ class MarkovRewardProcess:
             raise ValueError(f"P must be square, got shape {P.shape}")
         if R.shape[0] != n:
             raise ValueError(f"R must have {n} rows, got shape {R.shape}")
+        if R.shape[1] < 1:
+            raise ValueError("R must have at least one reward column")
         if d.shape != (n,):
             raise ValueError(f"d must have length {n}, got shape {d.shape}")
         if not 0.0 <= self.gamma < 1.0:
@@ -134,7 +135,7 @@ class MarkovRewardProcess:
 
     @cached_property
     def A(self) -> np.ndarray:
-        """The key matrix diag(d) (I - gamma P)."""
+        """The key matrix diag(d) (I - gamma P); positive definite for gamma < 1."""
         return _frozen(self.d[:, None] * self.system)
 
     @cached_property
@@ -144,7 +145,10 @@ class MarkovRewardProcess:
 
     @cached_property
     def V(self) -> np.ndarray:
-        """Discounted values solving (I - gamma P) V = R, one column per reward."""
+        """Discounted values solving (I - gamma P) V = R, one column per reward.
+
+        The solve is rejected when its residual exceeds 1e-10 max(1, max|R|).
+        """
         V = np.linalg.solve(self.system, self.R)
         residual = np.abs(self.system @ V - self.R).max()
         bound = 1e-10 * max(1.0, np.abs(self.R).max())
@@ -174,26 +178,18 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 class RewardSpec:
     """How to sample an |X| x h random reward matrix.
 
-    Entries are i.i.d. zero-mean with per-entry variance sigma^2 / h, which
-    makes R R^T concentrate around sigma^2 I at rate O(1/sqrt(h)).
+    Entries are i.i.d. zero-mean normal with per-entry variance sigma^2 / h,
+    which makes R R^T concentrate around sigma^2 I at rate O(1/sqrt(h)).
     """
 
     h: int
     sigma: float = 1.0
-    distribution: str = "normal"
-
-    _SAMPLERS = ("normal", "uniform", "rademacher")
 
     def __post_init__(self):
         if self.h < 1:
             raise ValueError(f"h must be >= 1, got {self.h}")
         if not self.sigma > 0:
             raise ValueError(f"sigma must be > 0, got {self.sigma}")
-        if self.distribution not in self._SAMPLERS:
-            raise ValueError(
-                f"unknown distribution {self.distribution!r}; "
-                f"choose one of {self._SAMPLERS}"
-            )
 
 
 def sample_doubly_stochastic(
@@ -238,16 +234,9 @@ def sample_permutation(n: int, seed: int | np.random.SeedSequence) -> np.ndarray
 def sample_random_rewards(
     n: int, spec: RewardSpec, seed: int | np.random.SeedSequence
 ) -> np.ndarray:
-    """Sample an n x h reward matrix per ``spec`` (entry variance sigma^2 / h)."""
-    rng = make_rng(seed)
+    """Sample an n x h normal reward matrix per ``spec`` (entry variance sigma^2 / h)."""
     scale = spec.sigma / np.sqrt(spec.h)
-    if spec.distribution == "normal":
-        return scale * rng.standard_normal((n, spec.h))
-    if spec.distribution == "uniform":
-        half_width = scale * np.sqrt(3.0)  # variance of U(-a, a) is a^2 / 3
-        return rng.uniform(-half_width, half_width, size=(n, spec.h))
-    # rademacher
-    return scale * rng.choice([-1.0, 1.0], size=(n, spec.h))
+    return scale * make_rng(seed).standard_normal((n, spec.h))
 
 
 def make_random_mdp(
@@ -256,15 +245,13 @@ def make_random_mdp(
     gamma: float = 0.9,
     alpha: float = 0.95,
     seed: int | np.random.SeedSequence = 0,
-    reward_spec: RewardSpec | None = None,
 ) -> MarkovRewardProcess:
     """Random MDP with P = alpha * P_perm + (1 - alpha) * P_ds.
 
     Both components are doubly stochastic, so P is doubly stochastic and the
     stationary distribution is exactly uniform. A large alpha (default 0.95)
-    makes the chain very likely to violate reversibility. Rewards default to
-    i.i.d. standard normal entries; pass ``reward_spec`` for the variance
-    sigma^2 / h convention instead.
+    makes the chain very likely to violate reversibility. Rewards are i.i.d.
+    standard normal entries.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
@@ -274,10 +261,7 @@ def make_random_mdp(
     P_ds = sample_doubly_stochastic(n, ds_seed)
     P_perm = sample_permutation(n, perm_seed)
     P = alpha * P_perm + (1.0 - alpha) * P_ds
-    if reward_spec is None:
-        R = make_rng(reward_seed).standard_normal((n, h))
-    else:
-        R = sample_random_rewards(n, reward_spec, reward_seed)
+    R = make_rng(reward_seed).standard_normal((n, h))
     d = np.full(n, 1.0 / n)
     return MarkovRewardProcess(P=P, R=R, gamma=gamma, d=d)
 
@@ -287,7 +271,6 @@ def make_symmetric_mdp(
     h: int = 1,
     gamma: float = 0.9,
     seed: int | np.random.SeedSequence = 0,
-    reward_spec: RewardSpec | None = None,
 ) -> MarkovRewardProcess:
     """Random MDP with symmetric P = (P_ds + P_ds^T) / 2, hence reversible."""
     if not isinstance(seed, np.random.SeedSequence):
@@ -295,42 +278,15 @@ def make_symmetric_mdp(
     ds_seed, _, reward_seed = seed.spawn(3)
     P_ds = sample_doubly_stochastic(n, ds_seed)
     P = (P_ds + P_ds.T) / 2.0
-    if reward_spec is None:
-        R = make_rng(reward_seed).standard_normal((n, h))
-    else:
-        R = sample_random_rewards(n, reward_spec, reward_seed)
+    R = make_rng(reward_seed).standard_normal((n, h))
     d = np.full(n, 1.0 / n)
     return MarkovRewardProcess(P=P, R=R, gamma=gamma, d=d)
-
-
-def value_function(mrp: MarkovRewardProcess) -> np.ndarray:
-    """Discounted value V solving (I - gamma P) V = R, one column per reward.
-
-    Solved once per process and cached (``mrp.V``); the returned array is
-    read-only and shared by every caller. The solve is rejected when its
-    residual exceeds 1e-10 max(1, max|R|).
-    """
-    return mrp.V
-
-
-def key_matrix(mrp: MarkovRewardProcess) -> np.ndarray:
-    """The matrix diag(d) (I - gamma P); positive definite for gamma < 1.
-
-    Built once per process and cached (``mrp.A``); the returned array is
-    read-only and shared by every caller.
-    """
-    return mrp.A
 
 
 def reversibility_residual(mrp: MarkovRewardProcess) -> float:
     """Max-abs-entry of diag(d) P - P^T diag(d); zero iff the chain is reversible."""
     DP = mrp.d[:, None] * mrp.P
     return float(np.abs(DP - DP.T).max())
-
-
-def is_reversible(mrp: MarkovRewardProcess, tol: float = 1e-10) -> bool:
-    """Whether detailed balance d_i P_ij = d_j P_ji holds within ``tol``."""
-    return reversibility_residual(mrp) <= tol
 
 
 def mdp_to_json(

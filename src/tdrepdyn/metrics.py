@@ -1,10 +1,12 @@
 """Scalar diagnostics for representation/weight pairs on a Markov reward process.
 
-Everything here is a pure function of (mrp, phi, w) snapshots. The trajectory
-metrics (value error, trace objective and its normalized form, covariance
-drift, critical-point residual) also take phi and w with leading batch axes,
-such as a whole trajectory's (T, n, k) and (T, k, h) stacks, and return one
-value per snapshot; a single 2-D snapshot gives a scalar ``np.float64``. Span
+Everything here is a pure function of (mrp, phi, w) snapshots, reading the
+process's derived matrices (``mrp.A``, ``mrp.V``, ``mrp.resolvent``, ...) from
+its cache. The trajectory metrics (value error and its gradients, trace
+objective and its normalized form, covariance drift, critical-point residual)
+also take phi and w with leading batch axes, such as a whole trajectory's
+(T, n, k) and (T, k, h) stacks, and return one value (or gradient pair) per
+snapshot; a single 2-D snapshot gives a scalar ``np.float64``. Span
 membership is always tested through weighted projection residuals with
 explicit tolerances rather than rank computations; matrix drift norms are max
 absolute entry throughout. Every linear solve goes through one guard,
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import MarkovRewardProcess, key_matrix, value_function
+from .mdp import MarkovRewardProcess
 
 COND_LIMIT = 1e12
 
@@ -105,41 +107,30 @@ def reports_to_csv(reports: list[MetricReport]) -> str:
 
 
 def weighted_value_error(
-    mrp: MarkovRewardProcess,
-    phi: np.ndarray,
-    w: np.ndarray,
-    V: np.ndarray | None = None,
+    mrp: MarkovRewardProcess, phi: np.ndarray, w: np.ndarray
 ) -> float | np.ndarray:
     """Value approximation error 0.5 Tr((phi w - V)^T diag(d)(I - gamma P)(phi w - V)).
 
     Non-negative because the weighting matrix is positive definite, and zero
-    exactly when phi w reproduces the value function. Pass a precomputed V to
-    skip the linear solve.
+    exactly when phi w reproduces the value function.
     """
-    if V is None:
-        V = value_function(mrp)
-    err = phi @ w - V
+    err = phi @ w - mrp.V
     weighted = mrp.d[:, None] * (err - mrp.gamma * (mrp.P @ err))
     return 0.5 * np.sum(err * weighted, axis=(-2, -1))
 
 
 def weighted_error_gradients(
-    mrp: MarkovRewardProcess,
-    phi: np.ndarray,
-    w: np.ndarray,
-    V: np.ndarray | None = None,
+    mrp: MarkovRewardProcess, phi: np.ndarray, w: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """True gradients of the weighted value error with respect to w and phi.
 
     Uses the symmetrized weighting 0.5 (A + A^T); for reversible chains this
     coincides with the expected semi-gradients of the bootstrapped loss.
     """
-    if V is None:
-        V = value_function(mrp)
-    A = key_matrix(mrp)
-    err = phi @ w - V
+    A = mrp.A
+    err = phi @ w - mrp.V
     sym_err = 0.5 * (A @ err + A.T @ err)
-    return phi.T @ sym_err, sym_err @ w.T
+    return phi.swapaxes(-1, -2) @ sym_err, sym_err @ w.swapaxes(-1, -2)
 
 
 def trace_objective(mrp: MarkovRewardProcess, phi: np.ndarray) -> float | np.ndarray:
@@ -156,24 +147,13 @@ def trace_ceiling(mrp: MarkovRewardProcess, k: int) -> float:
     return float(mrp.resolvent_eigvals[-k:].sum())
 
 
-def normalized_trace_objective(
-    mrp: MarkovRewardProcess,
-    phi: np.ndarray,
-    k: int | None = None,
-    ceiling: float | None = None,
-) -> float | np.ndarray:
-    """Trace objective divided by the top-k symmetrized-resolvent eigenvalue sum.
+def normalized_trace_objective(mrp: MarkovRewardProcess, phi: np.ndarray) -> float | np.ndarray:
+    """Trace objective divided by the top-k symmetrized-resolvent eigenvalue sum, k = phi's width.
 
     Upper bounded by 1 for orthonormal phi when P is symmetric; reported
     unclamped, so asymmetric P may exceed 1.
     """
-    if k is None:
-        k = phi.shape[-1]
-    elif k != phi.shape[-1]:
-        raise ValueError(f"k={k} does not match phi column count {phi.shape[-1]}")
-    if ceiling is None:
-        ceiling = trace_ceiling(mrp, k)
-    return trace_objective(mrp, phi) / ceiling
+    return trace_objective(mrp, phi) / trace_ceiling(mrp, phi.shape[-1])
 
 
 def covariance_drift(phi: np.ndarray, phi0: np.ndarray) -> float | np.ndarray:
@@ -194,7 +174,7 @@ def critical_point_residual(mrp: MarkovRewardProcess, phi: np.ndarray) -> float 
     once w sits at its fixed point. On a stack, the first snapshot whose
     phi^T A phi fails the guard raises its IllConditionedError.
     """
-    A = key_matrix(mrp)
+    A = mrp.A
     phi_t = phi.swapaxes(-1, -2)
     target = mrp.dR @ (mrp.dR.T @ phi)
     G = phi_t @ A @ phi
@@ -217,24 +197,19 @@ def invariant_subspace_residual(P: np.ndarray, phi: np.ndarray) -> float:
     return float(np.abs(target - projected).max())
 
 
-def gradient_check(
-    mrp: MarkovRewardProcess,
-    phi: np.ndarray,
-    w: np.ndarray,
-    eps: float = 1e-6,
-) -> float:
+def gradient_check(mrp: MarkovRewardProcess, phi: np.ndarray, w: np.ndarray) -> float:
     """Max relative error between semi-gradient directions and finite differences.
 
     The analytic side is the negated, rate-normalized drift of the joint
     dynamics; the numeric side is a central finite difference of the weighted
-    value error with step ``eps``. For reversible chains the two agree to
+    value error with step eps = 1e-6. For reversible chains the two agree to
     O(eps^2); otherwise the returned discrepancy quantifies how far the
     dynamics is from a true gradient flow (a diagnostic, not a failure).
     """
     from .dynamics import expected_semi_gradients
 
     grad_w, grad_phi = expected_semi_gradients(mrp, phi, w)
-    V = value_function(mrp)
+    eps = 1e-6
 
     def central_difference(x: np.ndarray, error_at) -> np.ndarray:
         fd = np.zeros_like(x)
@@ -244,8 +219,8 @@ def gradient_check(
             fd[idx] = (error_at(x + step) - error_at(x - step)) / (2 * eps)
         return fd
 
-    fd_w = central_difference(w, lambda q: weighted_value_error(mrp, phi, q, V=V))
-    fd_phi = central_difference(phi, lambda p: weighted_value_error(mrp, p, w, V=V))
+    fd_w = central_difference(w, lambda q: weighted_value_error(mrp, phi, q))
+    fd_phi = central_difference(phi, lambda p: weighted_value_error(mrp, p, w))
 
     scale = max(np.abs(grad_w).max(), np.abs(grad_phi).max(), 1e-12)
     err = max(np.abs(grad_w - fd_w).max(), np.abs(grad_phi - fd_phi).max())

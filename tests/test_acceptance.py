@@ -16,7 +16,7 @@ from tdrepdyn import dynamics as dyn
 from tdrepdyn import experiments as exp
 from tdrepdyn import invariants as inv
 from tdrepdyn import metrics as met
-from tdrepdyn.mdp import make_symmetric_mdp, value_function
+from tdrepdyn.mdp import make_symmetric_mdp
 
 N_PROBE_MDPS = 20
 
@@ -111,8 +111,7 @@ def test_criterion_4_spectral_monotonicity(acceptance):
         if isinstance(log, Exception):
             raise log
         worst_dip = max(worst_dip, float(-np.diff(log.metrics["f"]).min()))
-        phi_end, _ = log.states[-1]
-        worst_residual = max(worst_residual, met.invariant_subspace_residual(mrp.P, phi_end))
+        worst_residual = max(worst_residual, met.invariant_subspace_residual(mrp.P, log.phis[-1]))
     passed = worst_dip <= 10 * atol and worst_residual < 1e-4
     acceptance(
         4, "spectral monotonicity", passed,
@@ -173,8 +172,8 @@ def test_criterion_8_key_matrix_positive_definite(acceptance):
 
 def test_criterion_9_oracle_equivalences(acceptance, small_mixed, two_state):
     w_full = dyn.td_fixed_point(small_mixed, np.eye(small_mixed.n))
-    gap = np.abs(w_full - value_function(small_mixed)).max()
-    hand = np.abs(value_function(two_state) - np.array([[5.5], [4.5]])).max()
+    gap = np.abs(w_full - small_mixed.V).max()
+    hand = np.abs(two_state.V - np.array([[5.5], [4.5]])).max()
     passed = gap < 1e-10 and hand < 1e-10
     acceptance(
         9, "oracle equivalences", passed,

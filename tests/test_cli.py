@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from tdrepdyn import cli
 from tdrepdyn import experiments as exp
@@ -107,6 +112,8 @@ def test_gen_mdp_generation_failure_exits_3(tmp_path, monkeypatch, capsys):
         ["gen-mdp", "--alpha", "1.5"],
         ["gen-mdp", "--gamma", "1.0"],
         ["gen-mdp", "--n", "0"],
+        ["gen-mdp", "--n", "5", "--h", "0"],
+        ["gen-mdp", "--h", "-1"],
         ["simulate", "--t-end", "0"],
         ["simulate", "--n", "5", "--k", "9", "--t-end", "1"],
         ["simulate", "--dynamics", "linear-td", "--eta-phi", "0.5"],
@@ -168,6 +175,17 @@ def test_non_finite_mdp_file_exits_2(tmp_path, capsys):
         assert "cannot load MDP" in capsys.readouterr().err
 
 
+def test_mdp_file_without_reward_columns_exits_2(tmp_path, capsys):
+    # such a file loaded, and simulate then died in a zero-size reduction
+    path = tmp_path / "m.json"
+    assert run_cli(["gen-mdp", "--n", "5", "-o", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    doc["h"], doc["R"] = 0, []
+    path.write_text(json.dumps(doc))
+    assert run_cli(["simulate", "--mdp", str(path), "--t-end", "1"]) == 2
+    assert "at least one reward column" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------- config
 
 
@@ -178,6 +196,41 @@ def test_unknown_config_keys_exit_2(command, doc, tmp_path, capsys):
     config.write_text(json.dumps(doc))
     assert run_cli([*command, "-c", str(config), "-o", str(tmp_path / "out")]) == 2
     assert "unknown config keys" in capsys.readouterr().err
+
+
+_KNOWN_KEYS = exp.config_to_json(exp.ExperimentConfig())
+_ENTRY = {"kind": "two_time_scale", "eta_w": 0.0, "eta_phi": 1.0}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    command=st.sampled_from([("simulate",), ("experiment", "fig1"), ("experiment", "fig2"),
+                             ("experiment", "fig3"), ("experiment", "invariants")]),
+    level=st.sampled_from(("top", "integrator", "dynamics")),
+    key=st.text(min_size=1, max_size=12),
+    n_entries=st.integers(1, 3),
+    at=st.integers(0, 2),
+)
+@example(command=("experiment", "fig3"), level="dynamics", key="eta_ph", n_entries=2, at=1)
+def test_unknown_config_key_at_any_level_exits_2(command, level, key, n_entries, at):
+    doc = {"n_states": 6, "n_trials": 1, "integrator": {"t_end": 1.0, "log_points": 3},
+           "dynamics": [dict(_ENTRY) for _ in range(n_entries)]}
+    if level == "top":
+        assume(key not in _KNOWN_KEYS)
+        doc[key] = 1
+    elif level == "integrator":
+        assume(key not in _KNOWN_KEYS["integrator"])
+        doc["integrator"][key] = 1
+    else:
+        assume(key not in _ENTRY)
+        doc["dynamics"][at % n_entries][key] = 1
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        config = Path(tmp) / "cfg.json"
+        config.write_text(json.dumps(doc))
+        code = run_cli([*command, "-c", str(config), "-o", str(Path(tmp) / "out")])
+    assert code == 2
+    assert "unknown config keys" in err.getvalue()
 
 
 TINY_FIG3 = ["experiment", "fig3", "--trials", "1", "--n", "6", "--h", "1",
@@ -200,7 +253,12 @@ def test_malformed_dynamics_entry_exits_1(entry, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", [["simulate"], ["experiment", "fig1"]])
-@pytest.mark.parametrize("doc", [{"gamma": 1.5}, {"integrator": {"rtol": -1.0}}, {"k": 0}])
+@pytest.mark.parametrize("doc", [
+    {"gamma": 1.5}, {"integrator": {"rtol": -1.0}}, {"k": 0},
+    # non-integer counts died in numpy with a TypeError traceback, and h_values truncated
+    {"integrator": {"log_points": 2.5}}, {"k": 2.5}, {"n_trials": 2.5}, {"h_values": [1.5]},
+    {"seed": True},
+])
 def test_out_of_range_config_values_exit_1(command, doc, tmp_path, capsys):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps(doc))

@@ -15,7 +15,7 @@ from numpy.testing import assert_allclose
 
 from tdrepdyn import dynamics as dyn
 from tdrepdyn import metrics as met
-from tdrepdyn.mdp import key_matrix, make_random_mdp, make_symmetric_mdp, make_rng, value_function
+from tdrepdyn.mdp import make_random_mdp, make_symmetric_mdp, make_rng
 from tdrepdyn.metrics import COND_LIMIT, IllConditionedError
 
 
@@ -45,6 +45,14 @@ def test_integrator_config_validation():
     assert dyn.IntegratorConfig(max_step=np.inf).max_step == np.inf  # no step cap
 
 
+@pytest.mark.parametrize("bad", [2.5, 3.0, True, "5"])
+def test_integrator_config_rejects_non_integer_log_points(bad):
+    # 2.5 passed and then failed in np.linspace with an uncaught TypeError
+    with pytest.raises(TypeError, match="log_points must be an integer"):
+        dyn.IntegratorConfig(log_points=bad)
+    assert dyn.IntegratorConfig(log_points=np.int64(5)).log_points == 5
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("rate", ["eta_w", "eta_phi"])
 def test_dynamics_spec_rejects_non_finite_rates(rate, bad):
@@ -65,7 +73,7 @@ def test_integrator_config_rejects_non_finite_horizon_and_tolerances(name, bad):
 def test_fixed_point_matches_normal_equations(small_mixed):
     phi = make_rng(0).standard_normal((8, 3))
     w = dyn.td_fixed_point(small_mixed, phi)
-    A = key_matrix(small_mixed)
+    A = small_mixed.A
     rhs = phi.T @ np.diag(small_mixed.d) @ small_mixed.R
     assert_allclose(phi.T @ A @ phi @ w, rhs, atol=1e-12)
 
@@ -215,9 +223,8 @@ def test_small_step_euler_tracks_ode(small_mixed):
         small_mixed, spec, phi0,
         config=dyn.IntegratorConfig(t_end=10.0, log_points=2), store_states=True
     )
-    phi_ode, w_ode = log.states[-1]
-    assert np.abs(phi - phi_ode).max() < 1e-2
-    assert np.abs(w - w_ode).max() < 1e-2
+    assert np.abs(phi - log.phis[-1]).max() < 1e-2
+    assert np.abs(w - log.ws[-1]).max() < 1e-2
 
 
 # ---------------------------------------------------------------- integration
@@ -232,10 +239,10 @@ def test_linear_td_matches_matrix_exponential(small_mixed):
         config=dyn.IntegratorConfig(t_end=t_end, rtol=1e-11, atol=1e-13, log_points=2),
         store_states=True,
     )
-    G = phi.T @ key_matrix(small_mixed) @ phi
+    G = phi.T @ small_mixed.A @ phi
     w_star = dyn.td_fixed_point(small_mixed, phi)
     exact = w_star + scipy.linalg.expm(-t_end * G) @ (w0 - w_star)
-    assert np.abs(log.states[-1][1] - exact).max() < 1e-9
+    assert np.abs(log.ws[-1] - exact).max() < 1e-9
 
 
 def test_end_to_end_descends_on_reversible(small_symmetric):
@@ -257,10 +264,8 @@ def test_two_time_scale_keeps_covariance(small_mixed):
         store_states=True,
     )
     assert log.metrics["cov_drift"].max() < 1e-8
-    A = key_matrix(small_mixed)
-    V = value_function(small_mixed)
-    for phi, w_star in log.states:
-        assert np.abs(phi.T @ A @ (phi @ w_star - V)).max() < 1e-10
+    orthogonality = log.phis.swapaxes(1, 2) @ small_mixed.A @ (log.phis @ log.ws - small_mixed.V)
+    assert np.abs(orthogonality).max() < 1e-10
 
 
 def test_integrate_validates_inputs(small_mixed):
@@ -335,12 +340,12 @@ def test_integrator_agrees_with_scipy_rk45(spec):
     log = dyn.integrate(mrp, spec, phi0, config=config, store_states=True)
     sol = _rk45_reference(mrp, spec, phi0, config)
     if spec.kind == dyn.LINEAR_TD:
-        got, want = np.array([w for _, w in log.states]), sol.y.T.reshape(-1, 2, mrp.h)
+        got, want = log.ws, sol.y.T.reshape(-1, 2, mrp.h)
     elif spec.kind == dyn.END_TO_END:
-        got = np.array([np.concatenate([w.ravel(), phi.ravel()]) for phi, w in log.states])
+        got = np.concatenate([log.ws.reshape(41, -1), log.phis.reshape(41, -1)], axis=1)
         want = sol.y.T
     else:
-        got, want = np.array([phi for phi, _ in log.states]), sol.y.T.reshape(-1, 12, 2)
+        got, want = log.phis, sol.y.T.reshape(-1, 12, 2)
     assert np.abs(got - want).max() <= 1e-12
     steps = len(sol.sol.ts) - 1
     assert log.stats == dyn.SolverStats(sol.nfev, steps, (sol.nfev - 2) // 6 - steps)
@@ -363,8 +368,7 @@ def test_batch_member_is_bitwise_its_solo_run():
     assert got.stats == solo.stats
     for name in dyn.METRIC_COLUMNS:
         assert np.array_equal(got.metrics[name], solo.metrics[name]), name
-    for (phi, w), (solo_phi, solo_w) in zip(got.states, solo.states):
-        assert np.array_equal(phi, solo_phi) and np.array_equal(w, solo_w)
+    assert np.array_equal(got.phis, solo.phis) and np.array_equal(got.ws, solo.ws)
     with pytest.raises(dyn.IntegrationError) as info:
         dyn.integrate(*doomed, config=config)
     assert isinstance(batch[1], dyn.IntegrationError) and str(batch[1]) == str(info.value)
@@ -411,8 +415,7 @@ def test_batch_rows_are_bitwise_their_solo_runs(rows, doomed):
         assert got.stats == solo.stats
         for name in dyn.METRIC_COLUMNS:
             assert np.array_equal(got.metrics[name], solo.metrics[name]), name
-        for (phi, w), (solo_phi, solo_w) in zip(got.states, solo.states, strict=True):
-            assert np.array_equal(phi, solo_phi) and np.array_equal(w, solo_w)
+        assert np.array_equal(got.phis, solo.phis) and np.array_equal(got.ws, solo.ws)
 
 
 def test_rejected_metric_solve_is_the_rows_result(monkeypatch):
@@ -580,8 +583,8 @@ def test_states_json_is_json_dumps_of_the_snapshots():
     log = dyn.integrate(mrp, dyn.end_to_end(), phi0, config=cfg, store_states=True)
     doc = {
         "times": log.times.tolist(),
-        "phi": [phi.tolist() for phi, _ in log.states],
-        "w": [w.tolist() for _, w in log.states],
+        "phi": [phi.tolist() for phi in log.phis],
+        "w": [w.tolist() for w in log.ws],
     }
     assert log.states_to_json() == json.dumps(doc)
 

@@ -48,6 +48,21 @@ def test_config_validation():
         exp.ExperimentConfig(dynamics=("end_to_end",))
 
 
+@pytest.mark.parametrize("value", [2.5, 2.0, True, "2"])
+@pytest.mark.parametrize("name", ["n_states", "k", "n_trials", "seed", "jobs", "h_values"])
+def test_config_rejects_non_integer_counts(name, value):
+    # k = 2.5 was accepted and a run then died in numpy with an uncaught TypeError
+    with pytest.raises(TypeError, match="must be an integer"):
+        exp.ExperimentConfig(**{name: (1, value) if name == "h_values" else value})
+
+
+def test_config_from_json_keeps_h_values_as_given():
+    # h_values entries were truncated with int(), so 2.5 ran as h = 2
+    with pytest.raises(TypeError, match="h_values entries must be an integer"):
+        exp.config_from_json({"h_values": [1, 2.5]})
+    assert exp.config_from_json({"h_values": [3, 1]}).h_values == (3, 1)
+
+
 def test_config_json_round_trip():
     cfg = tiny_config(outdir="/tmp/somewhere", jobs=2, h_values=(1, 4))
     doc = exp.config_to_json(cfg)

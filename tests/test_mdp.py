@@ -3,7 +3,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -12,15 +12,12 @@ from tdrepdyn.mdp import (
     ConvergenceError,
     MarkovRewardProcess,
     RewardSpec,
-    is_reversible,
-    key_matrix,
     make_random_mdp,
     make_symmetric_mdp,
     reversibility_residual,
     sample_doubly_stochastic,
     sample_permutation,
     sample_random_rewards,
-    value_function,
 )
 
 
@@ -80,13 +77,12 @@ def test_make_random_mdp_uniform_stationary_and_nonreversible():
     m = make_random_mdp(n=30, h=1, gamma=0.9, alpha=0.95, seed=0)
     assert_allclose(m.d, np.full(30, 1 / 30))  # doubly stochastic => uniform
     assert reversibility_residual(m) > 1e-3
-    assert not is_reversible(m)
 
 
 def test_make_symmetric_mdp_reversible_real_spectrum():
     m = make_symmetric_mdp(n=30, h=1, gamma=0.9, seed=0)
     assert np.array_equal(m.P, m.P.T)
-    assert is_reversible(m, tol=1e-10)
+    assert reversibility_residual(m) <= 1e-10
     eigs = np.linalg.eigvalsh(m.P)
     assert abs(eigs.max() - 1.0) < 1e-10  # stochastic: top eigenvalue 1
 
@@ -102,14 +98,11 @@ def test_reward_spec_validation():
         RewardSpec(h=0)
     with pytest.raises(ValueError):
         RewardSpec(h=1, sigma=-1.0)
-    with pytest.raises(ValueError):
-        RewardSpec(h=1, distribution="cauchy")
 
 
-@pytest.mark.parametrize("distribution", ["normal", "uniform", "rademacher"])
-def test_random_rewards_variance_scaling(distribution):
+def test_random_rewards_variance_scaling():
     # per-entry variance sigma^2 / h
-    spec = RewardSpec(h=400, sigma=2.0, distribution=distribution)
+    spec = RewardSpec(h=400, sigma=2.0)
     R = sample_random_rewards(50, spec, seed=8)
     assert R.shape == (50, 400)
     observed = R.var()
@@ -147,6 +140,70 @@ def test_mrp_rejects_non_finite_entries(name, bad):
         MarkovRewardProcess(gamma=0.9, **arrays)
 
 
+_CORRUPTIONS = ("none", "non_finite_P", "non_finite_R", "non_finite_d", "negative_P", "row_sum",
+                "negative_d", "d_sum", "non_stationary", "gamma", "zero_columns")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    symmetric=st.booleans(),
+    n=st.integers(1, 8),
+    h=st.integers(1, 3),
+    gamma=st.floats(0.0, 1.0, exclude_max=True),
+    seed=st.integers(0, 2**32 - 1),
+    corruption=st.sampled_from(_CORRUPTIONS),
+    index=st.integers(0, 63),
+    size=st.floats(1e-4, 1e-2),
+    bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+    bad_gamma=st.one_of(st.floats(max_value=-1e-300), st.floats(min_value=1.0),
+                        st.just(np.nan)),
+)
+# an h = 0 process was accepted, and integrating it died in a zero-size reduction
+@example(symmetric=False, n=3, h=1, gamma=0.9, seed=0, corruption="zero_columns", index=0,
+         size=1e-3, bad=np.nan, bad_gamma=1.0)
+def test_mrp_boundary_rejects_every_invalid_input_and_accepts_valid_ones(
+    symmetric, n, h, gamma, seed, corruption, index, size, bad, bad_gamma
+):
+    if symmetric:
+        valid = make_symmetric_mdp(n=n, h=h, gamma=gamma, seed=seed)
+    else:
+        valid = make_random_mdp(n=n, h=h, gamma=gamma, seed=seed)
+    P, R, d = valid.P.copy(), valid.R.copy(), valid.d.copy()
+    i, j = divmod(index, 8)
+    i, j = i % n, j % n
+    if corruption == "none":
+        mrp = MarkovRewardProcess(P=P, R=R, gamma=gamma, d=d)
+        assert np.array_equal(mrp.P, P) and np.array_equal(mrp.R, R) and mrp.gamma == gamma
+        return
+    if corruption == "non_finite_P":
+        P[i, j] = bad
+    elif corruption == "non_finite_R":
+        R[i, j % h] = bad
+    elif corruption == "non_finite_d":
+        d[i] = bad
+    elif corruption == "negative_P":
+        P[i, j] = -size
+    elif corruption == "row_sum":
+        P[i] *= 1.0 + size
+    elif corruption == "negative_d":
+        d[i] = -size
+    elif corruption == "d_sum":
+        d *= 1.0 + size
+    elif corruption == "non_stationary":
+        if n == 1:
+            return  # the one distribution on one state is stationary
+        # moves mass between two states: still a distribution, but P's unique
+        # stationary distribution is uniform
+        d[i] += size
+        d[(i + 1) % n] -= size
+    elif corruption == "gamma":
+        gamma = bad_gamma
+    else:
+        R = np.zeros((n, 0))
+    with pytest.raises(ValueError):
+        MarkovRewardProcess(P=P, R=R, gamma=gamma, d=d)
+
+
 def test_mrp_arrays_frozen(small_mixed):
     with pytest.raises(ValueError):
         small_mixed.P[0, 0] = 2.0
@@ -156,17 +213,17 @@ def test_mrp_arrays_frozen(small_mixed):
 
 
 def test_value_function_worked_example(two_state):
-    assert_allclose(value_function(two_state), [[5.5], [4.5]], atol=1e-10)
+    assert_allclose(two_state.V, [[5.5], [4.5]], atol=1e-10)
 
 
 def test_value_function_residual(small_mixed):
-    V = value_function(small_mixed)
+    V = small_mixed.V
     resid = V - small_mixed.gamma * small_mixed.P @ V - small_mixed.R
     assert np.abs(resid).max() <= 1e-10
 
 
 def test_key_matrix_positive_definite(small_mixed):
-    A = key_matrix(small_mixed)
+    A = small_mixed.A
     assert_allclose(A, np.diag(small_mixed.d) @ (np.eye(8) - 0.9 * small_mixed.P))
     assert np.linalg.eigvalsh(0.5 * (A + A.T))[0] > 0
 
@@ -175,11 +232,11 @@ def test_value_function_residual_bound_scales_with_rewards():
     # the absolute 1e-10 bound rejected this solve (residual 2.3e-10)
     m = make_random_mdp(n=30, h=1, seed=0)
     big = m.with_rewards(1e5 * m.R)
-    assert_allclose(value_function(big), 1e5 * value_function(m), rtol=1e-12)
+    assert_allclose(big.V, 1e5 * m.V, rtol=1e-12)
 
 
 def test_derived_matrices_are_cached_and_read_only(small_mixed):
-    for get in (key_matrix, value_function, lambda m: m.system, lambda m: m.dR):
+    for get in (lambda m: m.A, lambda m: m.V, lambda m: m.system, lambda m: m.dR):
         arr = get(small_mixed)
         assert get(small_mixed) is arr
         assert not arr.flags.writeable
@@ -189,11 +246,11 @@ def test_derived_matrices_are_cached_and_read_only(small_mixed):
 
 
 def test_with_rewards_gets_a_fresh_value_function(small_mixed):
-    V = value_function(small_mixed)
+    V = small_mixed.V
     other = small_mixed.with_rewards(2.0 * small_mixed.R)
-    assert value_function(other) is not V
-    assert_allclose(value_function(other), 2.0 * V, rtol=1e-12)
-    assert np.array_equal(key_matrix(other), key_matrix(small_mixed))
+    assert other.V is not V
+    assert_allclose(other.V, 2.0 * V, rtol=1e-12)
+    assert np.array_equal(other.A, small_mixed.A)
 
 
 def test_processes_compare_and_hash_by_identity():
@@ -205,10 +262,10 @@ def test_processes_compare_and_hash_by_identity():
 
 
 def test_pickled_process_stays_frozen(small_mixed):
-    A = key_matrix(small_mixed)
+    A = small_mixed.A
     copy = pickle.loads(pickle.dumps(small_mixed))
-    assert np.array_equal(key_matrix(copy), A)
-    for arr in (copy.P, copy.R, copy.d, key_matrix(copy)):
+    assert np.array_equal(copy.A, A)
+    for arr in (copy.P, copy.R, copy.d, copy.A):
         assert not arr.flags.writeable
 
 

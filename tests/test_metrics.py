@@ -4,22 +4,21 @@ from numpy.testing import assert_allclose
 
 from tdrepdyn import metrics as met
 from tdrepdyn.dynamics import orthonormal_init
-from tdrepdyn.mdp import key_matrix, make_random_mdp, make_symmetric_mdp, make_rng, value_function
+from tdrepdyn.mdp import make_random_mdp, make_symmetric_mdp, make_rng
 
 
 def test_weighted_value_error_matches_trace_form(small_mixed):
     rng = make_rng(0)
     phi = rng.standard_normal((8, 3))
     w = rng.standard_normal((3, 1))
-    err = phi @ w - value_function(small_mixed)
-    A = key_matrix(small_mixed)
+    err = phi @ w - small_mixed.V
+    A = small_mixed.A
     direct = 0.5 * np.trace(err.T @ A @ err)
     assert_allclose(met.weighted_value_error(small_mixed, phi, w), direct, rtol=1e-12)
 
 
 def test_weighted_value_error_zero_at_value_function(small_mixed):
-    V = value_function(small_mixed)
-    assert met.weighted_value_error(small_mixed, V, np.eye(1)) < 1e-12
+    assert met.weighted_value_error(small_mixed, small_mixed.V, np.eye(1)) < 1e-12
 
 
 def test_weighted_value_error_nonnegative(small_mixed):
@@ -107,12 +106,6 @@ def test_normalized_trace_is_one_on_top_eigenbasis(small_symmetric):
         assert met.normalized_trace_objective(small_symmetric, probe) <= 1.0 + 1e-10
 
 
-def test_normalized_trace_k_mismatch_rejected(small_symmetric):
-    phi = np.ones((8, 2))
-    with pytest.raises(ValueError):
-        met.normalized_trace_objective(small_symmetric, phi, k=3)
-
-
 def test_covariance_drift_scaling_oracle():
     phi0 = make_rng(5).standard_normal((6, 2))
     # (2 phi)^T (2 phi) - phi^T phi = 3 phi^T phi
@@ -169,6 +162,8 @@ def test_stacked_metrics_equal_their_2d_calls_slice_by_slice(h):
         "crit_residual": lambda p, w: met.critical_point_residual(mrp, p),
         "grad_w": lambda p, w: expected_semi_gradients(mrp, p, w)[0],
         "grad_phi": lambda p, w: expected_semi_gradients(mrp, p, w)[1],
+        "true_grad_w": lambda p, w: met.weighted_error_gradients(mrp, p, w)[0],
+        "true_grad_phi": lambda p, w: met.weighted_error_gradients(mrp, p, w)[1],
     }
     for name, metric in stacked.items():
         got = metric(phis, ws)
