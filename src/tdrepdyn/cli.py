@@ -202,6 +202,8 @@ def cmd_gen_mdp(parser: _Parser, args: argparse.Namespace, given: set[str]) -> i
         sub.error(f"--n must be >= 1, got {args.n}")
     if args.h < 1:
         sub.error(f"--h must be >= 1, got {args.h}")
+    if args.seed < 0:
+        sub.error(f"--seed must be >= 0, got {args.seed}")
     out = args.out if args.out is not None else default_out_root() / "mdp.json"
     try:
         mrp = _generate_mdp(args.symmetric, args.n, args.h, args.gamma, args.alpha, args.seed)

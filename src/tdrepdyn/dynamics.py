@@ -19,12 +19,13 @@ ODEs I*, II.4) that steps a whole batch of trajectories together. Each
 trajectory keeps its own step size, error norm and accept/reject decisions,
 exactly as SciPy's ``RK45`` solver would step it alone, while the drift
 fields evaluate on the stacked states with one numpy call per operation
-(``np.matmul``, ``np.linalg.svd``, ``np.linalg.solve``), each making one BLAS or
-LAPACK call per trajectory. A trajectory's result therefore does not depend on
-which others share its batch. Dense output gives the state at every log time,
-and each logged metric is evaluated once over the trajectory's whole stack of
-snapshots. With ``store_states=True`` a ``TrajectoryLog`` keeps those stacks
-as ``phis`` (T, n, k) and ``ws`` (T, k, h).
+(``np.matmul``, ``np.linalg.det``, ``np.linalg.solve``, and ``np.linalg.svd``
+when the fixed-point condition guard cannot certify a stack), each making one
+BLAS or LAPACK call per trajectory. A trajectory's result therefore does not
+depend on which others share its batch. Dense output gives the state at every
+log time, and each logged metric is evaluated once over the trajectory's whole
+stack of snapshots. With ``store_states=True`` a ``TrajectoryLog`` keeps those
+stacks as ``phis`` (T, n, k) and ``ws`` (T, k, h).
 """
 
 from __future__ import annotations
@@ -306,10 +307,11 @@ def td_fixed_point(mrp: MarkovRewardProcess, phi: np.ndarray) -> np.ndarray:
 
     Equivalently (phi^T A phi) w = phi^T diag(d) R, with A and diag(d) R
     taken from the process's cache. The guard is the 2-norm condition number
-    of the k x k system, s_max / s_min from ``np.linalg.svd``: beyond 1e12 it
-    raises IllConditionedError instead of returning an untrustworthy
-    solution. A solution whose residual exceeds 1e-10 max(1, max|rhs|)
-    raises FixedPointResidualError.
+    of the k x k system: beyond 1e12 it raises IllConditionedError instead of
+    returning an untrustworthy solution. A system with ||G||_F^k < 1e11 |det G|
+    is certified without computing it; any other takes s_max / s_min from
+    ``np.linalg.svd``. A solution whose residual exceeds
+    1e-10 max(1, max|rhs|) raises FixedPointResidualError.
     """
     w, failures = _fixed_points(mrp.A, mrp.dR, phi[None])
     if failures:
@@ -331,7 +333,7 @@ def _fixed_points(
     b = phi_t @ dR
     w, failures = _solve_guarded_stack(G, b, "phi^T A phi")
     residual = np.abs(G @ w - b).max(axis=(1, 2))
-    bound = 1e-10 * np.maximum(1.0, np.abs(b).max(axis=(1, 2)))
+    bound = 1e-10 * np.abs(b).max(axis=(1, 2), initial=1.0)
     missed = residual > bound
     if missed.any():
         for i in np.flatnonzero(missed):
@@ -359,7 +361,10 @@ def expected_semi_gradients(
 
 
 def _semi_gradients(P, R, gamma, d, phi, w, slots=(True, True)):
-    """``expected_semi_gradients`` on one process or on stacks of them (``d`` as a column).
+    """``expected_semi_gradients`` on one process or on stacks of them.
+
+    ``d`` is a column; it and ``gamma`` may also come repeated to the shape
+    they broadcast to, which gives the same bits.
 
     ``slots`` says which of (grad_w, grad_phi) to form, so a drift that moves
     only w or only phi pays for one product; a skipped one is None.
@@ -540,13 +545,20 @@ class _StackedField:
         def padded(mats):
             return np.stack([np.pad(m, ((0, 0), (0, h - m.shape[1]))) for m in mats])
 
+        def full(per_row, shape):
+            # each row's scalar or column, repeated to (rows, *shape): numpy multiplies
+            # two contiguous operands of one shape several times faster than it
+            # broadcasts a (rows, 1, 1) or (rows, n, 1) one, bit for bit
+            columns = np.array(per_row, dtype=float).reshape(len(rows), -1, 1)
+            return np.ascontiguousarray(np.broadcast_to(columns, (len(rows), *shape)))
+
         arrays = {
             "P": np.stack([m.P for m in mrps]),
             "R": padded([m.R for m in mrps]),
-            "gamma": np.array([m.gamma for m in mrps], dtype=float)[:, None, None],
-            "d": np.stack([m.d for m in mrps])[:, :, None],
-            "eta_w": np.array([row.spec.eta_w for row in rows], dtype=float)[:, None, None],
-            "eta_phi": np.array([row.spec.eta_phi for row in rows], dtype=float)[:, None, None],
+            "gamma": full([m.gamma for m in mrps], (n, h)),
+            "d": full([m.d for m in mrps], (n, h)),
+            "-eta_w": full([-row.spec.eta_w for row in rows], (k, h)),
+            "-eta_phi": full([-row.spec.eta_phi for row in rows], (n, k)),
         }
         if kind == TWO_TIME_SCALE:
             arrays["A"] = np.stack([m.A for m in mrps])
@@ -572,11 +584,11 @@ class _StackedField:
             phi = y.reshape(rows, n, k)
             w, failures = _fixed_points(a["A"], a["dR"], phi)
         grad_w, grad_phi = _semi_gradients(a["P"], a["R"], a["gamma"], a["d"], phi, w, self.slots)
-        parts = []
-        if grad_w is not None:
-            parts.append(-a["eta_w"] * grad_w)
-        if grad_phi is not None:
-            parts.append(-a["eta_phi"] * grad_phi)
+        if grad_phi is None:
+            return (a["-eta_w"] * grad_w).reshape(rows, -1), failures
+        if grad_w is None:
+            return (a["-eta_phi"] * grad_phi).reshape(rows, -1), failures
+        parts = (a["-eta_w"] * grad_w, a["-eta_phi"] * grad_phi)
         return np.concatenate([part.reshape(rows, -1) for part in parts], axis=1), failures
 
 

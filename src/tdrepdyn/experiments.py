@@ -76,6 +76,8 @@ class ExperimentConfig:
                 raise TypeError(f"dynamics entries must be DynamicsSpec, got {type(spec)}")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0 <= self.max_failure_fraction < 1:
             raise ValueError("max_failure_fraction must be in [0, 1)")
 

@@ -125,6 +125,10 @@ def test_gen_mdp_generation_failure_exits_3(tmp_path, monkeypatch, capsys):
         ["simulate", "--t-end", "inf"],
         ["simulate", "--rtol", "inf"],
         ["simulate", "--atol", "nan"],
+        # a negative seed died in np.random.SeedSequence with a ValueError traceback
+        ["gen-mdp", "--seed", "-1", "--n", "6"],
+        ["simulate", "--seed", "-1", "--n", "6", "--t-end", "1"],
+        ["experiment", "fig1", "--seed", "-1", "--trials", "1"],
     ],
 )
 def test_usage_errors_exit_1(argv, capsys, tmp_path):
@@ -257,7 +261,7 @@ def test_malformed_dynamics_entry_exits_1(entry, tmp_path, capsys):
     {"gamma": 1.5}, {"integrator": {"rtol": -1.0}}, {"k": 0},
     # non-integer counts died in numpy with a TypeError traceback, and h_values truncated
     {"integrator": {"log_points": 2.5}}, {"k": 2.5}, {"n_trials": 2.5}, {"h_values": [1.5]},
-    {"seed": True},
+    {"seed": True}, {"seed": -1},
 ])
 def test_out_of_range_config_values_exit_1(command, doc, tmp_path, capsys):
     config = tmp_path / "cfg.json"

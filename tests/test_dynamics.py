@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from tdrepdyn import dynamics as dyn
+from tdrepdyn import experiments as exp
 from tdrepdyn import metrics as met
 from tdrepdyn.mdp import make_random_mdp, make_symmetric_mdp, make_rng
 from tdrepdyn.metrics import COND_LIMIT, IllConditionedError
@@ -137,6 +139,103 @@ def test_singular_and_non_finite_systems_raise_ill_conditioned(small_mixed):
     x, rejected = met._solve_guarded_stack(stack, np.ones((3, 2, 1)), "G")
     assert sorted(rejected) == [0, 2] and np.array_equal(x[1], [[0.5], [0.25]])
     assert np.isnan(rejected[0].cond) and rejected[2].cond == np.inf
+
+
+_GUARD_SLICES = ("well", "near_limit", "band", "singular", "nan", "inf")
+
+
+def _guard_slice(rng, k, kind):
+    """One k x k system of a kind the condition guard must tell apart, scaled at random.
+
+    Rotated slices take random orthogonal factors; the near-limit and singular
+    ones take signed permutations, so that their singular values are exact.
+    """
+    def orthogonal():
+        return np.linalg.qr(rng.standard_normal((k, k)))[0]
+
+    def signed_permutation():
+        return np.eye(k)[rng.permutation(k)] * rng.choice([-1.0, 1.0], k)
+
+    if kind in ("near_limit", "singular"):
+        s = 10.0 ** rng.uniform(-11, 0, k)
+        s[0] = 1.0
+        if k > 1:
+            s[-1] = 0.0 if kind == "singular" else 1 / (COND_LIMIT * (1 + rng.choice([-1e-9, 1e-9])))
+        elif kind == "singular":
+            s[0] = 0.0
+        G = signed_permutation() @ np.diag(s) @ signed_permutation()
+    else:
+        digits = rng.uniform(11, 12) if kind == "band" else rng.uniform(0, 3)  # log10 cond
+        s = 10.0 ** -rng.uniform(0, digits, k)
+        s[0] = 1.0
+        if k > 1:
+            s[-1] = 10.0 ** -digits
+        G = (orthogonal() * s) @ orthogonal().T
+    G = G * 10.0 ** rng.uniform(-100, 100)
+    if kind in ("nan", "inf"):
+        G[tuple(rng.integers(k, size=2))] = np.nan if kind == "nan" else rng.choice([-np.inf, np.inf])
+    return G
+
+
+def _numpy_cond(G):
+    # np.linalg.cond raises on a NaN entry and returns NaN (with LAPACK noise) for an inf
+    return np.linalg.cond(G) if np.isfinite(G).all() else np.nan
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(k=st.integers(1, 6), kinds=st.lists(st.sampled_from(_GUARD_SLICES), min_size=1, max_size=8),
+       seed=st.integers(0, 2**32 - 1))
+@example(k=2, kinds=["well"] * 6, seed=0)  # every slice certified: one solve, no SVD
+@example(k=3, kinds=list(_GUARD_SLICES) + ["well"], seed=1)
+def test_cond_guard_rejects_exactly_what_numpy_cond_rejects(k, kinds, seed):
+    rng = make_rng(seed)
+    G = np.array([_guard_slice(rng, k, kind) for kind in kinds])
+    b = rng.standard_normal((len(kinds), k, 2))
+    x, rejected = met._solve_guarded_stack(G, b, "G")
+    assert set(rejected) == {i for i in range(len(G)) if not _numpy_cond(G[i]) <= COND_LIMIT}
+    for i, kind in enumerate(kinds):
+        if i in rejected:
+            assert np.isnan(x[i]).all()
+            if kind in ("nan", "inf"):
+                assert np.isnan(rejected[i].cond)
+            elif kind == "singular":
+                assert rejected[i].cond == np.inf
+        else:
+            assert x[i].tobytes() == np.linalg.solve(G[i], b[i]).tobytes()
+    assert {i for i, kind in enumerate(kinds) if kind in ("singular", "nan", "inf")} <= set(rejected)
+
+
+class _NumpyWithoutSvd:
+    """numpy as ``metrics`` sees it, except that ``np.linalg.svd`` fails the test."""
+
+    def __init__(self):
+        def svd(*args, **kwargs):
+            raise AssertionError("the condition guard ran np.linalg.svd")
+
+        self.linalg = SimpleNamespace(**{**vars(np.linalg), "svd": svd})
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def test_certified_solves_skip_the_svd(monkeypatch):
+    # a certificate that never certified would pass every other guard test
+    rng = make_rng(3)
+    G = np.array([_guard_slice(rng, 2, "well") for _ in range(12)])
+    b = rng.standard_normal((12, 2, 8))
+    mrp = make_random_mdp(n=30, h=8, seed=0)  # one fig3 two-time-scale row
+    phi0 = exp.initial_representation(0, 30, 2)
+    config = dyn.IntegratorConfig(t_end=10.0, log_points=11)
+    want_x, _ = met._solve_guarded_stack(G, b, "G")
+    want_log = dyn.integrate(mrp, dyn.two_time_scale(), phi0, config=config)
+
+    monkeypatch.setattr(met, "np", _NumpyWithoutSvd())
+    x, rejected = met._solve_guarded_stack(G, b, "G")
+    assert not rejected and x.tobytes() == want_x.tobytes()
+    log = dyn.integrate(mrp, dyn.two_time_scale(), phi0, config=config)
+    assert log.stats == want_log.stats
+    for name in dyn.METRIC_COLUMNS:
+        assert log.metrics[name].tobytes() == want_log.metrics[name].tobytes(), name
 
 
 def test_fixed_point_residual_bound_scales_with_rewards():

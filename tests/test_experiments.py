@@ -44,6 +44,8 @@ def test_config_validation():
         exp.ExperimentConfig(h_values=())
     with pytest.raises(ValueError):
         exp.ExperimentConfig(jobs=0)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        exp.ExperimentConfig(seed=-1)
     with pytest.raises(TypeError):
         exp.ExperimentConfig(dynamics=("end_to_end",))
 
