@@ -19,8 +19,9 @@ ODEs I*, II.4) that steps a whole batch of trajectories together. Each
 trajectory keeps its own step size, error norm and accept/reject decisions,
 exactly as SciPy's ``RK45`` solver would step it alone, while the drift
 fields evaluate on the stacked states with one numpy call per operation
-(``np.matmul``, ``np.linalg.det``, ``np.linalg.solve``, and ``np.linalg.svd``
-when the fixed-point condition guard cannot certify a stack), each making one
+(``np.matmul``; the LAPACK gufuncs behind ``np.linalg.det`` and
+``np.linalg.solve``, called directly by the fixed-point condition guard; and
+``np.linalg.svd`` when that guard cannot certify a stack), each making one
 BLAS or LAPACK call per trajectory. A trajectory's result therefore does not
 depend on which others share its batch. Dense output gives the state at every
 log time, and each logged metric is evaluated once over the trajectory's whole
@@ -310,8 +311,9 @@ def td_fixed_point(mrp: MarkovRewardProcess, phi: np.ndarray) -> np.ndarray:
     of the k x k system: beyond 1e12 it raises IllConditionedError instead of
     returning an untrustworthy solution. A system with ||G||_F^k < 1e11 |det G|
     is certified without computing it; any other takes s_max / s_min from
-    ``np.linalg.svd``. A solution whose residual exceeds
-    1e-10 max(1, max|rhs|) raises FixedPointResidualError.
+    ``np.linalg.svd``, and one whose LU factorization breaks down all the same
+    is rejected as singular. A solution whose residual exceeds
+    1e-10 max(1, max|rhs|), or is NaN, raises FixedPointResidualError.
     """
     w, failures = _fixed_points(mrp.A, mrp.dR, phi[None])
     if failures:
@@ -334,12 +336,13 @@ def _fixed_points(
     w, failures = _solve_guarded_stack(G, b, "phi^T A phi")
     residual = np.abs(G @ w - b).max(axis=(1, 2))
     bound = 1e-10 * np.abs(b).max(axis=(1, 2), initial=1.0)
-    missed = residual > bound
+    missed = ~(residual <= bound)  # a NaN residual misses too
     if missed.any():
         for i in np.flatnonzero(missed):
-            failures[int(i)] = FixedPointResidualError(
+            # a slice the guard rejected (NaN weights) keeps its IllConditionedError
+            failures.setdefault(int(i), FixedPointResidualError(
                 f"fixed-point residual {residual[i]:.3e} exceeds {bound[i]:.3e}"
-            )
+            ))
     return w, failures
 
 
@@ -357,28 +360,35 @@ def expected_semi_gradients(
         raise ValueError(f"phi has {phi.shape[-2]} rows, expected {mrp.n}")
     if w.shape[-2:] != (phi.shape[-1], mrp.h):
         raise ValueError(f"w has shape {w.shape}, expected (..., {phi.shape[-1]}, {mrp.h})")
-    return _semi_gradients(mrp.P, mrp.R, mrp.gamma, mrp.d[:, None], phi, w)
+    descent_w, descent_phi = _semi_gradients(mrp.P, mrp.R, mrp.gamma, mrp.d[:, None], phi, w)
+    return -descent_w, -descent_phi
 
 
 def _semi_gradients(P, R, gamma, d, phi, w, slots=(True, True)):
-    """``expected_semi_gradients`` on one process or on stacks of them.
+    """The descent directions (phi^T diag(d) Z, diag(d) Z w^T), on one process or stacks.
+
+    These are the negated ``expected_semi_gradients``, so the drift fields
+    scale them by the rates as they are. Rounding is symmetric in sign, so
+    negating an operand negates the rounded product exactly. The one
+    exception is a sum that cancels to exactly zero, which is +0 for either
+    sign of the operands; a zero's sign changes no norm or logged metric.
 
     ``d`` is a column; it and ``gamma`` may also come repeated to the shape
     they broadcast to, which gives the same bits.
 
-    ``slots`` says which of (grad_w, grad_phi) to form, so a drift that moves
-    only w or only phi pays for one product; a skipped one is None.
+    ``slots`` says which of the two to form, so a drift that moves only w or
+    only phi pays for one product; a skipped one is None.
     """
     pred = phi @ w
     weighted = d * (R - (pred - gamma * (P @ pred)))
-    grad_w = grad_phi = None
+    descent_w = descent_phi = None
     if slots[0]:
-        # -phi^T as a view of a C-ordered -phi: each snapshot of a strided stack
+        # phi^T as a view of a C-ordered phi: each snapshot of a strided stack
         # then takes the BLAS product one C-ordered 2-D snapshot takes, bit for bit
-        grad_w = np.negative(phi, order="C").swapaxes(-1, -2) @ weighted
+        descent_w = np.ascontiguousarray(phi).swapaxes(-1, -2) @ weighted
     if slots[1]:
-        grad_phi = -weighted @ w.swapaxes(-1, -2)
-    return grad_w, grad_phi
+        descent_phi = weighted @ w.swapaxes(-1, -2)
+    return descent_w, descent_phi
 
 
 def rhs_linear_td(
@@ -557,8 +567,8 @@ class _StackedField:
             "R": padded([m.R for m in mrps]),
             "gamma": full([m.gamma for m in mrps], (n, h)),
             "d": full([m.d for m in mrps], (n, h)),
-            "-eta_w": full([-row.spec.eta_w for row in rows], (k, h)),
-            "-eta_phi": full([-row.spec.eta_phi for row in rows], (n, k)),
+            "eta_w": full([row.spec.eta_w for row in rows], (k, h)),
+            "eta_phi": full([row.spec.eta_phi for row in rows], (n, k)),
         }
         if kind == TWO_TIME_SCALE:
             arrays["A"] = np.stack([m.A for m in mrps])
@@ -583,12 +593,12 @@ class _StackedField:
         else:
             phi = y.reshape(rows, n, k)
             w, failures = _fixed_points(a["A"], a["dR"], phi)
-        grad_w, grad_phi = _semi_gradients(a["P"], a["R"], a["gamma"], a["d"], phi, w, self.slots)
-        if grad_phi is None:
-            return (a["-eta_w"] * grad_w).reshape(rows, -1), failures
-        if grad_w is None:
-            return (a["-eta_phi"] * grad_phi).reshape(rows, -1), failures
-        parts = (a["-eta_w"] * grad_w, a["-eta_phi"] * grad_phi)
+        dw, dphi = _semi_gradients(a["P"], a["R"], a["gamma"], a["d"], phi, w, self.slots)
+        if dphi is None:
+            return (a["eta_w"] * dw).reshape(rows, -1), failures
+        if dw is None:
+            return (a["eta_phi"] * dphi).reshape(rows, -1), failures
+        parts = (a["eta_w"] * dw, a["eta_phi"] * dphi)
         return np.concatenate([part.reshape(rows, -1) for part in parts], axis=1), failures
 
 

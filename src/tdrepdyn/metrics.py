@@ -20,6 +20,7 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .mdp import MarkovRewardProcess
 
@@ -54,30 +55,43 @@ def _solve_guarded_stack(
     inf makes the test false. Any other stack takes ``np.linalg.svd``, which
     alone decides which slices are rejected and what their condition numbers
     are, so the decisions are those of ``np.linalg.cond`` either way.
-    ``np.linalg.solve`` solves the accepted slices; like ``svd`` it makes
-    one LAPACK call per slice, so a slice's solution does not depend on the
-    others in the stack. Returns the solutions (NaN for a rejected slice)
-    and an IllConditionedError per rejected slice index: cond is inf for a
-    singular slice and NaN for one with a non-finite entry.
+
+    The determinant and the solves call the LAPACK gufuncs that
+    ``np.linalg.det`` and ``np.linalg.solve`` wrap, with the same bits and
+    without the wrappers' per-call type and shape checks, which the float64
+    stacks built here never need. Like ``svd`` they make one LAPACK call per
+    slice, so a slice's solution does not depend on the others in the stack.
+    One departure from ``np.linalg.cond``: where ``np.linalg.solve`` would
+    raise "Singular matrix" the gufunc returns NaN, so a finite slice that
+    the SVD accepts but whose solution comes back non-finite is rejected
+    with cond = inf. That happens when LU breaks down on a well-conditioned
+    slice, such as one of subnormal entries whose pivot underflows to zero.
+    A certified slice cannot break down: its non-zero determinant comes from
+    the same LU factorization.
+
+    Returns the solutions (NaN for a rejected slice) and an
+    IllConditionedError per rejected slice index: cond is inf for a singular
+    slice and NaN for one with a non-finite entry.
     """
-    with np.errstate(invalid="ignore", over="ignore"):
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         certified = (G * G).sum(axis=(1, 2)) ** (G.shape[-1] / 2) < (
-            0.1 * COND_LIMIT * np.abs(np.linalg.det(G))
+            0.1 * COND_LIMIT * np.abs(_umath_linalg.det(G, signature="d->d"))
         )
-    if certified.all():
-        return np.linalg.solve(G, rhs), {}
-    # LAPACK's SVD fails on a NaN and returns NaN for an inf, so those slices skip it
-    finite = np.isfinite(G).all(axis=(1, 2))
-    s = np.full(G.shape[:2], np.nan)
-    s[finite] = np.linalg.svd(G[finite], compute_uv=False)
-    cond = np.divide(s[:, 0], s[:, -1], out=np.full(len(s), np.inf), where=s[:, -1] > 0.0)
-    cond[~finite] = np.nan
-    ok = cond <= COND_LIMIT
-    if ok.all():
-        return np.linalg.solve(G, rhs), {}
-    x = np.full(rhs.shape, np.nan)
-    if ok.any():
-        x[ok] = np.linalg.solve(G[ok], rhs[ok])
+        if certified.all():
+            return _umath_linalg.solve(G, rhs, signature="dd->d"), {}
+        # LAPACK's SVD fails on a NaN and returns NaN for an inf, so those slices skip it
+        finite = np.isfinite(G).all(axis=(1, 2))
+        s = np.full(G.shape[:2], np.nan)
+        s[finite] = np.linalg.svd(G[finite], compute_uv=False)
+        cond = np.divide(s[:, 0], s[:, -1], out=np.full(len(s), np.inf), where=s[:, -1] > 0.0)
+        cond[~finite] = np.nan
+        ok = cond <= COND_LIMIT
+        x = np.full(rhs.shape, np.nan)
+        if ok.any():
+            x[ok] = _umath_linalg.solve(G[ok], rhs[ok], signature="dd->d")
+            broke = ok & ~np.isfinite(x).all(axis=(1, 2))
+            cond[broke] = np.inf
+            ok &= ~broke
     return x, {int(i): IllConditionedError(name, float(cond[i])) for i in np.flatnonzero(~ok)}
 
 

@@ -205,21 +205,24 @@ def test_cond_guard_rejects_exactly_what_numpy_cond_rejects(k, kinds, seed):
     assert {i for i, kind in enumerate(kinds) if kind in ("singular", "nan", "inf")} <= set(rejected)
 
 
-class _NumpyWithoutSvd:
-    """numpy as ``metrics`` sees it, except that ``np.linalg.svd`` fails the test."""
+class _NumpyWithout:
+    """numpy as ``metrics`` sees it, except that the named ``np.linalg`` functions fail the test."""
 
-    def __init__(self):
-        def svd(*args, **kwargs):
-            raise AssertionError("the condition guard ran np.linalg.svd")
+    def __init__(self, *names):
+        def fail(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"the condition guard ran np.linalg.{name}")
+            return call
 
-        self.linalg = SimpleNamespace(**{**vars(np.linalg), "svd": svd})
+        self.linalg = SimpleNamespace(**{**vars(np.linalg), **{name: fail(name) for name in names}})
 
     def __getattr__(self, name):
         return getattr(np, name)
 
 
 def test_certified_solves_skip_the_svd(monkeypatch):
-    # a certificate that never certified would pass every other guard test
+    # a certificate that never certified would pass every other guard test, and so
+    # would a guard that went back to the np.linalg.det and solve wrappers
     rng = make_rng(3)
     G = np.array([_guard_slice(rng, 2, "well") for _ in range(12)])
     b = rng.standard_normal((12, 2, 8))
@@ -229,13 +232,64 @@ def test_certified_solves_skip_the_svd(monkeypatch):
     want_x, _ = met._solve_guarded_stack(G, b, "G")
     want_log = dyn.integrate(mrp, dyn.two_time_scale(), phi0, config=config)
 
-    monkeypatch.setattr(met, "np", _NumpyWithoutSvd())
+    monkeypatch.setattr(met, "np", _NumpyWithout("svd", "solve", "det"))
     x, rejected = met._solve_guarded_stack(G, b, "G")
     assert not rejected and x.tobytes() == want_x.tobytes()
     log = dyn.integrate(mrp, dyn.two_time_scale(), phi0, config=config)
     assert log.stats == want_log.stats
     for name in dyn.METRIC_COLUMNS:
         assert log.metrics[name].tobytes() == want_log.metrics[name].tobytes(), name
+
+
+def test_guard_svd_path_solves_without_the_numpy_wrappers(monkeypatch):
+    rng = make_rng(4)
+    kinds = ("well", "band", "singular", "near_limit", "well")
+    G = np.array([_guard_slice(rng, 3, kind) for kind in kinds])
+    b = rng.standard_normal((len(kinds), 3, 2))
+    want_x, want_rejected = met._solve_guarded_stack(G, b, "G")
+    assert 2 in want_rejected and 0 not in want_rejected  # the SVD ran and accepted some slices
+
+    monkeypatch.setattr(met, "np", _NumpyWithout("solve", "det"))
+    x, rejected = met._solve_guarded_stack(G, b, "G")
+    assert x.tobytes() == want_x.tobytes()
+    assert {i: e.cond for i, e in rejected.items()} == {i: e.cond for i, e in want_rejected.items()}
+    for i in set(range(len(G))) - set(rejected):
+        assert x[i].tobytes() == np.linalg.solve(G[i], b[i]).tobytes()
+
+
+# A 3 x 3 slice of subnormals: its SVD gives cond 2, but LU underflows to a zero
+# pivot, where np.linalg.solve raises LinAlgError("Singular matrix").
+_SUBNORMAL_SINGULAR_LU = np.array(
+    [[5e-324, -0.0, -5e-324], [5e-324, -5e-324, -5e-324], [-5e-324, 0.0, 0.0]]
+)
+
+
+def test_singular_lu_of_an_svd_accepted_slice_is_rejected():
+    assert np.linalg.cond(_SUBNORMAL_SINGULAR_LU) <= COND_LIMIT  # the SVD accepts it
+    rng = make_rng(5)
+    G = np.array([_guard_slice(rng, 3, "well"), _SUBNORMAL_SINGULAR_LU, _guard_slice(rng, 3, "well")])
+    b = rng.standard_normal((3, 3, 2))
+    x, rejected = met._solve_guarded_stack(G, b, "G")
+    assert list(rejected) == [1] and rejected[1].cond == np.inf and np.isnan(x[1]).all()
+    for i in (0, 2):
+        assert x[i].tobytes() == np.linalg.solve(G[i], b[i]).tobytes()
+    with pytest.raises(IllConditionedError):
+        met._solve_or_raise(_SUBNORMAL_SINGULAR_LU, np.ones((3, 1)), "G")
+
+
+def test_nan_fixed_point_solution_misses_its_residual_bound(monkeypatch):
+    real = met._solve_guarded_stack
+
+    def nan_in_slice_1(G, rhs, name):
+        x, rejected = real(G, rhs, name)
+        x[1] = np.nan
+        return x, rejected
+
+    monkeypatch.setattr(dyn, "_solve_guarded_stack", nan_in_slice_1)
+    mrp = make_random_mdp(n=8, h=2, seed=1)
+    phi = np.stack([dyn.orthonormal_init(8, 2, seed=s) for s in range(3)])
+    _, failures = dyn._fixed_points(mrp.A, mrp.dR, phi)
+    assert list(failures) == [1] and type(failures[1]) is dyn.FixedPointResidualError
 
 
 def test_fixed_point_residual_bound_scales_with_rewards():
@@ -515,6 +569,35 @@ def test_batch_rows_are_bitwise_their_solo_runs(rows, doomed):
         for name in dyn.METRIC_COLUMNS:
             assert np.array_equal(got.metrics[name], solo.metrics[name]), name
         assert np.array_equal(got.phis, solo.phis) and np.array_equal(got.ws, solo.ws)
+
+
+def _public_drift(row: dyn.Problem) -> np.ndarray:
+    """The drift of one batch row, flattened, from the public ``rhs_*`` function of its kind."""
+    mrp, spec, phi, w = row
+    if spec.kind == dyn.LINEAR_TD:
+        return dyn.rhs_linear_td(mrp, phi, w, spec.eta_w).ravel()
+    if spec.kind == dyn.END_TO_END:
+        dw, dphi = dyn.rhs_end_to_end(mrp, phi, w, spec.eta_w, spec.eta_phi)
+        return np.concatenate([dw.ravel(), dphi.ravel()])
+    padded = mrp.with_rewards(np.pad(mrp.R, ((0, 0), (0, dyn._padded_h(mrp.h) - mrp.h))))
+    return dyn.rhs_two_time_scale(padded, phi, spec.eta_phi).ravel()
+
+
+@pytest.mark.parametrize("h", [1, 3, 8, 9])
+@pytest.mark.parametrize("kind", dyn.KINDS)
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16), etas=st.lists(st.sampled_from((0.5, 1.0, 2.0)), min_size=3, max_size=3))
+def test_stacked_field_rows_are_bitwise_the_public_drifts(kind, h, seed, etas):
+    rng = make_rng(seed)
+    rows = [
+        dyn.Problem(make_random_mdp(n=8, h=h, seed=seed + i), _SPECS[kind](eta),
+                    rng.standard_normal((8, 2)), rng.standard_normal((2, h)))
+        for i, eta in enumerate(etas)
+    ]
+    f, failures = dyn._StackedField.build(kind, rows)(np.stack([dyn._initial_state(row) for row in rows]))
+    assert not failures
+    for row, got in zip(rows, f, strict=True):
+        assert got.tobytes() == _public_drift(row).tobytes()
 
 
 def test_rejected_metric_solve_is_the_rows_result(monkeypatch):
