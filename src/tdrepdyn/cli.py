@@ -39,7 +39,8 @@ INTEGRATOR_DEFAULTS = {
     "fig3": {"t_end": 100.0, "log_points": 101, "rtol": 1e-8, "atol": 1e-10},
     "invariants": {"t_end": 300.0, "log_points": 151, "rtol": 1e-10, "atol": 1e-12},
 }
-# Flags that each set one top-level config key, by argparse dest.
+# Flags that each set one top-level config key, by argparse dest. They default
+# to None, so a flag whose value is not None was typed and overlays the -c document.
 _FLAG_KEYS = {
     "n": "n_states", "k": "k", "gamma": "gamma", "alpha": "alpha", "seed": "seed",
     "trials": "n_trials", "jobs": "jobs", "outdir": "outdir",
@@ -102,12 +103,12 @@ def build_parser() -> _Parser:
     )
     sim.add_argument("--mdp", type=Path, default=None,
                      help="load the MDP from this JSON file instead of generating one")
-    sim.add_argument("--n", type=int, default=30, help="number of states if generating (default: 30)")
-    sim.add_argument("--k", type=int, default=2, help="representation width (default: 2)")
-    sim.add_argument("--h", type=int, default=1, help="number of reward columns (default: 1)")
-    sim.add_argument("--gamma", type=float, default=0.9, help="discount factor in [0, 1) (default: 0.9)")
-    sim.add_argument("--alpha", type=float, default=0.95, help="permutation mixing weight (default: 0.95)")
-    sim.add_argument("--seed", type=int, default=0, help="seed for the MDP and the init (default: 0)")
+    sim.add_argument("--n", type=int, help="number of states if generating (default: 30)")
+    sim.add_argument("--k", type=int, help="representation width (default: 2)")
+    sim.add_argument("--h", type=int, help="number of reward columns (default: 1)")
+    sim.add_argument("--gamma", type=float, help="discount factor in [0, 1) (default: 0.9)")
+    sim.add_argument("--alpha", type=float, help="permutation mixing weight (default: 0.95)")
+    sim.add_argument("--seed", type=int, help="seed for the MDP and the init (default: 0)")
     sim.add_argument("--symmetric", action="store_true", help="symmetric generator")
     sim.add_argument("--dynamics", default="two-time-scale",
                      choices=["linear-td", "end-to-end", "two-time-scale"],
@@ -136,14 +137,14 @@ def build_parser() -> _Parser:
         allow_abbrev=False,
     )
     run.add_argument("name", choices=EXPERIMENTS, help="experiment to run")
-    run.add_argument("--n", type=int, default=30, help="number of states (default: 30)")
-    run.add_argument("--k", type=int, default=2, help="representation width (default: 2)")
-    run.add_argument("--h", type=int, nargs="+", default=None, metavar="H",
+    run.add_argument("--n", type=int, help="number of states (default: 30)")
+    run.add_argument("--k", type=int, help="representation width (default: 2)")
+    run.add_argument("--h", type=int, nargs="+", metavar="H",
                      help="reward-count sweep for fig3 (default: 1 2 4 8)")
-    run.add_argument("--gamma", type=float, default=0.9, help="discount factor (default: 0.9)")
-    run.add_argument("--alpha", type=float, default=0.95, help="permutation mixing weight (default: 0.95)")
-    run.add_argument("--seed", type=int, default=0, help="master seed, trial i uses seed+i (default: 0)")
-    run.add_argument("--trials", type=int, default=100, help="number of sampled MDPs (default: 100)")
+    run.add_argument("--gamma", type=float, help="discount factor (default: 0.9)")
+    run.add_argument("--alpha", type=float, help="permutation mixing weight (default: 0.95)")
+    run.add_argument("--seed", type=int, help="master seed, trial i uses seed+i (default: 0)")
+    run.add_argument("--trials", type=int, help="number of sampled MDPs (default: 100)")
     run.add_argument("--eta-phi", type=float, default=None,
                      help="two-time-scale rate for fig2/fig3 (default 1)")
     run.add_argument("--t-end", type=float, default=None,
@@ -154,10 +155,10 @@ def build_parser() -> _Parser:
                      help="solver absolute tolerance (default: per experiment)")
     run.add_argument("--log-points", type=int, default=None,
                      help="metric samples (default: per experiment)")
-    run.add_argument("--jobs", type=int, default=1, help="concurrent trial workers (default: 1)")
+    run.add_argument("--jobs", type=int, help="concurrent trial workers (default: 1)")
     run.add_argument("-c", "--config", type=Path, default=None,
                      help="JSON config supplying defaults (flags win)")
-    run.add_argument("-o", "--out", dest="outdir", metavar="OUT", type=Path, default=None,
+    run.add_argument("-o", "--out", dest="outdir", metavar="OUT", type=Path,
                      help="output directory root (default: TDREPDYN_OUT or .)")
     run.add_argument("-v", "--verbose", action="count", default=0, help="increase log level")
     run.set_defaults(func=cmd_experiment)
@@ -166,33 +167,12 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _given_flags(subparser: argparse.ArgumentParser, argv: list[str]) -> set[str]:
-    """Dests of options that literally appear in argv (abbreviations are off)."""
-    opt_to_dest = {}
-    for action in subparser._actions:
-        for opt in action.option_strings:
-            opt_to_dest[opt] = action.dest
-    seen = set()
-    for token in argv:
-        name = token.split("=", 1)[0]
-        if name in opt_to_dest:
-            seen.add(opt_to_dest[name])
-    return seen
-
-
 def _setup_logging(verbosity: int) -> None:
     level = logging.WARNING if verbosity == 0 else logging.INFO if verbosity == 1 else logging.DEBUG
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
-def _generate_mdp(symmetric: bool, n: int, h: int, gamma: float, alpha: float,
-                  seed: int) -> mdp_mod.MarkovRewardProcess:
-    if symmetric:
-        return mdp_mod.make_symmetric_mdp(n=n, h=h, gamma=gamma, seed=seed)
-    return mdp_mod.make_random_mdp(n=n, h=h, gamma=gamma, alpha=alpha, seed=seed)
-
-
-def cmd_gen_mdp(parser: _Parser, args: argparse.Namespace, given: set[str]) -> int:
+def cmd_gen_mdp(parser: _Parser, args: argparse.Namespace) -> int:
     sub = parser.subcommands["gen-mdp"]
     if not 0 <= args.alpha <= 1:
         sub.error(f"--alpha must be in [0, 1], got {args.alpha}")
@@ -206,7 +186,8 @@ def cmd_gen_mdp(parser: _Parser, args: argparse.Namespace, given: set[str]) -> i
         sub.error(f"--seed must be >= 0, got {args.seed}")
     out = args.out if args.out is not None else default_out_root() / "mdp.json"
     try:
-        mrp = _generate_mdp(args.symmetric, args.n, args.h, args.gamma, args.alpha, args.seed)
+        mrp = mdp_mod.make_mdp(args.symmetric, args.h, n=args.n, gamma=args.gamma,
+                               alpha=args.alpha, seed=args.seed)
     except mdp_mod.ConvergenceError as exc:
         print(f"generation failed: {exc}", file=sys.stderr)
         return EXIT_GENERATION
@@ -239,7 +220,7 @@ class _CliIOError(RuntimeError):
     pass
 
 
-def _run_config(sub: argparse.ArgumentParser, args: argparse.Namespace, given: set[str],
+def _run_config(sub: argparse.ArgumentParser, args: argparse.Namespace,
                 command: str, **overlay) -> exp.ExperimentConfig:
     """The run's config: the -c document under the flags the user typed and ``overlay``.
 
@@ -248,8 +229,9 @@ def _run_config(sub: argparse.ArgumentParser, args: argparse.Namespace, given: s
     _CliIOError; a value out of range is a usage error.
     """
     doc = _load_json(args.config) if args.config is not None else {}
-    doc.update({key: getattr(args, dest) for dest, key in _FLAG_KEYS.items() if dest in given})
-    if "h" in given:
+    typed = {dest: value for dest, value in vars(args).items() if value is not None}
+    doc.update({key: typed[dest] for dest, key in _FLAG_KEYS.items() if dest in typed})
+    if "h" in typed:
         doc["h_values"] = [int(h) for h in np.atleast_1d(args.h)]
     doc.update(overlay)
     doc.setdefault("outdir", str(default_out_root()))
@@ -258,7 +240,7 @@ def _run_config(sub: argparse.ArgumentParser, args: argparse.Namespace, given: s
         doc["integrator"] = {
             **defaults,
             **doc.get("integrator", {}),
-            **{name: getattr(args, name) for name in defaults if name in given},
+            **{name: typed[name] for name in defaults if name in typed},
         }
         return exp.config_from_json(doc)
     except exp.UnknownConfigKeyError as exc:
@@ -267,7 +249,7 @@ def _run_config(sub: argparse.ArgumentParser, args: argparse.Namespace, given: s
         sub.error(str(exc))
 
 
-def cmd_simulate(parser: _Parser, args: argparse.Namespace, given: set[str]) -> int:
+def cmd_simulate(parser: _Parser, args: argparse.Namespace) -> int:
     sub = parser.subcommands["simulate"]
     kind = args.dynamics.replace("-", "_")
     eta_phi = args.eta_phi
@@ -287,14 +269,14 @@ def cmd_simulate(parser: _Parser, args: argparse.Namespace, given: set[str]) -> 
             return EXIT_IO
         overlay["n_states"] = mrp.n  # k is checked against the loaded chain
     try:
-        config = _run_config(sub, args, given, "simulate", **overlay)
+        config = _run_config(sub, args, "simulate", **overlay)
     except _CliIOError as exc:
         print(exc, file=sys.stderr)
         return EXIT_IO
     if args.mdp is None:
         try:
-            mrp = _generate_mdp(args.symmetric, config.n_states, config.h_values[0],
-                                config.gamma, config.alpha, config.seed)
+            mrp = mdp_mod.make_mdp(args.symmetric, config.h_values[0], n=config.n_states,
+                                   gamma=config.gamma, alpha=config.alpha, seed=config.seed)
         except mdp_mod.ConvergenceError as exc:
             print(f"generation failed: {exc}", file=sys.stderr)
             return EXIT_GENERATION
@@ -304,7 +286,7 @@ def cmd_simulate(parser: _Parser, args: argparse.Namespace, given: set[str]) -> 
         log = dyn.integrate(
             mrp, spec, phi0, config=config.integrator, store_states=args.store_states
         )
-    except (dyn.IntegrationError, *dyn.SOLVE_FAILURES) as exc:
+    except dyn.NUMERICAL_FAILURES as exc:
         print(f"integration failed: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
@@ -325,15 +307,15 @@ def cmd_simulate(parser: _Parser, args: argparse.Namespace, given: set[str]) -> 
     return EXIT_OK
 
 
-def cmd_experiment(parser: _Parser, args: argparse.Namespace, given: set[str]) -> int:
+def cmd_experiment(parser: _Parser, args: argparse.Namespace) -> int:
     sub = parser.subcommands["experiment"]
     if args.eta_phi is not None and args.name not in ("fig2", "fig3"):
         sub.error("--eta-phi only applies to fig2 and fig3")
     overlay = {}
-    if "eta_phi" in given:
+    if args.eta_phi is not None:
         overlay["dynamics"] = [{"kind": dyn.TWO_TIME_SCALE, "eta_w": 0.0, "eta_phi": args.eta_phi}]
     try:
-        config = _run_config(sub, args, given, args.name, **overlay)
+        config = _run_config(sub, args, args.name, **overlay)
     except _CliIOError as exc:
         print(exc, file=sys.stderr)
         return EXIT_IO
@@ -348,9 +330,12 @@ def cmd_experiment(parser: _Parser, args: argparse.Namespace, given: set[str]) -
         print(f"all {len(reports)} invariant checks passed")
         return EXIT_OK
 
-    runner = {"fig1": exp.run_fig1, "fig2": exp.run_fig2, "fig3": exp.run_fig3}[args.name]
     try:
-        series = runner(config)
+        exp._curves(args.name, config)  # fig1's curve labels must be distinct
+    except ValueError as exc:
+        sub.error(str(exc))
+    try:
+        series = exp.run_experiment(args.name, config)
     except RuntimeError as exc:
         print(f"experiment failed: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -367,12 +352,10 @@ def cmd_experiment(parser: _Parser, args: argparse.Namespace, given: set[str]) -
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     _setup_logging(args.verbose)
-    given = _given_flags(parser.subcommands[args.command], argv)
-    return args.func(parser, args, given)
+    return args.func(parser, args)
 
 
 if __name__ == "__main__":

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import metrics as _metrics
 from .mdp import MarkovRewardProcess, make_rng
-from .metrics import IllConditionedError, _solve_guarded_stack
+from .metrics import _solve_guarded_stack
 
 LINEAR_TD = "linear_td"
 END_TO_END = "end_to_end"
@@ -65,8 +65,9 @@ class FixedPointResidualError(np.linalg.LinAlgError):
     """The TD fixed-point solve passed the condition guard but missed its residual bound."""
 
 
-# Failures of the fixed-point solve.
-SOLVE_FAILURES = (IllConditionedError, FixedPointResidualError)
+# Every numerical failure a trajectory may end in (the fixed-point guard's
+# errors are LinAlgErrors); any other exception is a bug.
+NUMERICAL_FAILURES = (IntegrationError, np.linalg.LinAlgError)
 
 # The Dormand-Prince 5(4) pair with Shampine's quartic dense output, and the
 # step-size controller constants, as in SciPy's RK45.
@@ -106,6 +107,12 @@ def _check_int(name: str, value) -> None:
         raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_real(name: str, value) -> None:
+    """Reject a value that is not a real number (a bool, a string or None included)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DynamicsSpec:
     """Which drift field to integrate and at what learning rates.
@@ -119,6 +126,8 @@ class DynamicsSpec:
     eta_phi: float = 1.0
 
     def __post_init__(self):
+        _check_real("eta_w", self.eta_w)
+        _check_real("eta_phi", self.eta_phi)
         if self.kind not in KINDS:
             raise ValueError(f"unknown dynamics kind {self.kind!r}; choose from {KINDS}")
         if not (0 <= self.eta_w < np.inf and 0 <= self.eta_phi < np.inf):
@@ -154,6 +163,8 @@ class IntegratorConfig:
 
     def __post_init__(self):
         _check_int("log_points", self.log_points)
+        for name in ("t_end", "rtol", "atol", "max_step"):
+            _check_real(name, getattr(self, name))
         if not 0 < self.t_end < np.inf:
             raise ValueError(f"t_end must be finite and > 0, got {self.t_end}")
         if not (0 < self.rtol < np.inf and 0 < self.atol < np.inf):
@@ -671,14 +682,13 @@ def _dopri45(field: _StackedField, y0: np.ndarray, times: np.ndarray, config: In
 
     last_t = h0.copy()  # time of each row's latest drift evaluation
     fresh = np.ones(n_rows, dtype=bool)  # starting a step, not retrying a rejected attempt
-    retry = np.zeros(n_rows, dtype=bool)  # the current step has had a rejected attempt
     emitted = np.zeros(n_rows, dtype=int)  # entries of ``times`` already written
     leaving = failed.copy()
     while True:
         if leaving.any():
             keep = ~leaving
-            ids, t, y, f, h, h_abs, last_t, fresh, retry, emitted = (
-                a[keep] for a in (ids, t, y, f, h, h_abs, last_t, fresh, retry, emitted)
+            ids, t, y, f, h, h_abs, last_t, fresh, emitted = (
+                a[keep] for a in (ids, t, y, f, h, h_abs, last_t, fresh, emitted)
             )
             field = field.take(keep)
             failed = np.zeros(ids.size, dtype=bool)
@@ -722,7 +732,7 @@ def _dopri45(field: _StackedField, y0: np.ndarray, times: np.ndarray, config: In
         )
         accept = error_norm < 1
         factor = np.where(growth < _MAX_FACTOR, growth, _MAX_FACTOR)
-        factor = np.where(retry & ~(factor < 1), 1.0, factor)
+        factor = np.where(~fresh & ~(factor < 1), 1.0, factor)
         shrink = np.where(growth > _MIN_FACTOR, growth, _MIN_FACTOR)
         h_abs = h_abs * np.where(accept, factor, shrink)
 
@@ -743,7 +753,7 @@ def _dopri45(field: _StackedField, y0: np.ndarray, times: np.ndarray, config: In
             t = np.where(accept, t_new, t)
             y = np.where(accept[:, None], y_new, y)
             f = np.where(accept[:, None], f_new, f)
-        fresh, retry = accept, ~accept
+        fresh = accept
         leaving = done | failed
     return results
 

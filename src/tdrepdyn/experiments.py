@@ -21,7 +21,6 @@ import numpy as np
 
 from . import dynamics as dyn
 from . import mdp as mdp_mod
-from .mdp import MarkovRewardProcess
 
 logger = logging.getLogger(__name__)
 
@@ -57,6 +56,10 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in ("n_states", "k", "n_trials", "seed", "jobs"):
             dyn._check_int(name, getattr(self, name))
+        for name in ("gamma", "alpha", "max_failure_fraction"):
+            dyn._check_real(name, getattr(self, name))
+        if self.outdir is not None and not isinstance(self.outdir, (str, os.PathLike)):
+            raise TypeError(f"outdir must be a path, got {self.outdir!r}")
         for h in self.h_values:
             dyn._check_int("h_values entries", h)
         if self.n_trials < 1:
@@ -135,6 +138,8 @@ def config_from_json(doc: dict) -> ExperimentConfig:
             raise ValueError(f"dynamics[{i}] must be an object with a 'kind', got {entry!r}")
     kwargs = dict(doc)
     if "h_values" in kwargs:
+        if not isinstance(kwargs["h_values"], list):
+            raise TypeError(f"h_values must be a list of integers, got {kwargs['h_values']!r}")
         kwargs["h_values"] = tuple(kwargs["h_values"])
     if "dynamics" in kwargs:
         kwargs["dynamics"] = tuple(
@@ -209,59 +214,61 @@ def _dynamics_label(spec: dyn.DynamicsSpec) -> str:
     return f"two_time_scale_phi{spec.eta_phi:g}"
 
 
-def _scenarios(experiment: str, config: ExperimentConfig, seed: int) -> list[tuple]:
-    """The ``(curve, mrp, spec, metric)`` rows of one trial of ``experiment``.
+def _curves(experiment: str, config: ExperimentConfig) -> list[tuple]:
+    """The ``(label, (symmetric, h), spec, metric)`` rows of one trial of ``experiment``.
 
     fig1 runs every configured dynamics on one h=1 mixed chain and logs the
     weighted value error; fig2 (three named chains) and fig3 (one mixed chain
     per h) run the two-time-scale flow and log the normalized trace objective.
+    Every row of a trial with the same ``(symmetric, h)`` shares one chain.
     """
-    n, gamma, alpha = config.n_states, config.gamma, config.alpha
-
-    def mixed(h: int) -> MarkovRewardProcess:
-        return mdp_mod.make_random_mdp(n=n, h=h, gamma=gamma, alpha=alpha, seed=seed)
-
     if experiment == "fig1":
-        mrp = mixed(1)
-        return [(_dynamics_label(spec), mrp, spec, "E") for spec in config.dynamics]
+        rows = [(_dynamics_label(spec), (False, 1), spec, "E") for spec in config.dynamics]
+        labels = [label for label, *_ in rows]
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"dynamics variants are not distinct: {labels}")
+        return rows
     if experiment == "fig2":
-        chains = {
-            "h5_general": mixed(5),
-            "h1_symmetric": mdp_mod.make_symmetric_mdp(n=n, h=1, gamma=gamma, seed=seed),
-            "h1_general": mixed(1),
-        }
+        chains = {"h5_general": (False, 5), "h1_symmetric": (True, 1), "h1_general": (False, 1)}
+    elif experiment == "fig3":
+        chains = {f"h{h}": (False, h) for h in config.h_values}
     else:
-        chains = {f"h{h}": mixed(h) for h in config.h_values}
+        raise ValueError(f"unknown experiment {experiment!r}")
     spec = next((s for s in config.dynamics if s.kind == dyn.TWO_TIME_SCALE), dyn.two_time_scale())
-    return [(label, mrp, spec, "f_norm") for label, mrp in chains.items()]
+    return [(label, chain, spec, "f_norm") for label, chain in chains.items()]
 
 
 # Numerical failures a trial may end in; they count against the abort
 # threshold. Any other exception is a bug and propagates.
-_TRIAL_FAILURES = (dyn.IntegrationError, np.linalg.LinAlgError, mdp_mod.ConvergenceError)
+_TRIAL_FAILURES = (*dyn.NUMERICAL_FAILURES, mdp_mod.ConvergenceError)
 
 
 def _run_one(payload: tuple[str, ExperimentConfig, range]) -> list[dict]:
     """Run one worker's contiguous chunk of trials, in trial order.
 
-    Every scenario row of every trial in the chunk, each started from its
+    Every curve row of every trial in the chunk, each started from its
     trial's shared ``phi0``, goes into one ``integrate_batch`` call. A trial
-    whose rows cannot be built fails as a whole ("*"); a row whose
+    whose chains cannot be built fails as a whole ("*"); a row whose
     trajectory fails is recorded under its curve.
     """
     experiment, config, indices = payload
+    curves = _curves(experiment, config)
+    chains = {chain for _, chain, _, _ in curves}
     results, rows = [], []
     for index in indices:
-        result = {"seed": trial_seed(config, index), "curves": {}, "errors": {}}
+        seed = trial_seed(config, index)
+        result = {"seed": seed, "curves": {}, "errors": {}}
         results.append(result)
         try:
-            phi0 = initial_representation(result["seed"], config.n_states, config.k)
-            scenarios = _scenarios(experiment, config, result["seed"])
+            phi0 = initial_representation(seed, config.n_states, config.k)
+            mrps = {chain: mdp_mod.make_mdp(*chain, n=config.n_states, gamma=config.gamma,
+                                            alpha=config.alpha, seed=seed)
+                    for chain in chains}
         except _TRIAL_FAILURES as exc:  # failures are aggregated, not raised per trial
             result["errors"]["*"] = str(exc)
             continue
-        rows += [(result, label, metric, dyn.Problem(mrp, spec, phi0))
-                 for label, mrp, spec, metric in scenarios]
+        rows += [(result, label, metric, dyn.Problem(mrps[chain], spec, phi0))
+                 for label, chain, spec, metric in curves]
     metric_set = tuple(sorted({metric for _, _, metric, _ in rows}))
     logs = dyn.integrate_batch([p for *_, p in rows], config.integrator, metric_set=metric_set)
     for (result, label, metric, _), log in zip(rows, logs):
@@ -288,7 +295,8 @@ def _map_trials(experiment: str, config: ExperimentConfig) -> list[dict]:
         return [result for chunk in pool.map(_run_one, payloads) for result in chunk]
 
 
-def _aggregate(experiment: str, config: ExperimentConfig, curve_names: list[str]) -> dict[str, AggregateSeries]:
+def _aggregate(experiment: str, config: ExperimentConfig) -> dict[str, AggregateSeries]:
+    curve_names = [label for label, *_ in _curves(experiment, config)]
     results = _map_trials(experiment, config)
     times = np.linspace(0.0, config.integrator.t_end, config.integrator.log_points)
     out = {}
@@ -341,25 +349,13 @@ def _write_outputs(config: ExperimentConfig, experiment: str, series: dict[str, 
     (exp_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def run_fig1(config: ExperimentConfig) -> dict[str, AggregateSeries]:
-    """Median weighted value error per dynamics on mixed-generator MDPs (h=1)."""
-    names = [_dynamics_label(s) for s in config.dynamics]
-    if len(set(names)) != len(names):
-        raise ValueError(f"dynamics variants are not distinct: {names}")
-    series = _aggregate("fig1", config, names)
-    _write_outputs(config, "fig1", series)
-    return series
+def run_experiment(name: str, config: ExperimentConfig) -> dict[str, AggregateSeries]:
+    """Median curves of figure ``name`` (fig1, fig2 or fig3), written under ``config.outdir``.
 
-
-def run_fig2(config: ExperimentConfig) -> dict[str, AggregateSeries]:
-    """Median normalized trace objective for three reward/transition scenarios."""
-    series = _aggregate("fig2", config, ["h5_general", "h1_symmetric", "h1_general"])
-    _write_outputs(config, "fig2", series)
-    return series
-
-
-def run_fig3(config: ExperimentConfig) -> dict[str, AggregateSeries]:
-    """Median normalized trace objective as the reward count h sweeps."""
-    series = _aggregate("fig3", config, [f"h{h}" for h in config.h_values])
-    _write_outputs(config, "fig3", series)
+    fig1: weighted value error per dynamics on mixed-generator MDPs (h=1);
+    fig2: normalized trace objective for three reward/transition scenarios;
+    fig3: normalized trace objective as the reward count h sweeps.
+    """
+    series = _aggregate(name, config)
+    _write_outputs(config, name, series)
     return series

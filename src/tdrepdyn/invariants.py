@@ -21,7 +21,7 @@ import numpy as np
 from . import dynamics as dyn
 from . import mdp as mdp_mod
 from . import metrics as met
-from .experiments import _TRIAL_FAILURES, AggregateSeries, ExperimentConfig, run_fig1
+from .experiments import _TRIAL_FAILURES, AggregateSeries, ExperimentConfig, run_experiment
 from .mdp import RewardSpec, make_rng
 
 logger = logging.getLogger(__name__)
@@ -308,15 +308,15 @@ def _tiny_fig1_config(jobs: int = 1) -> ExperimentConfig:
 
 
 def _check_experiment_determinism(config: ExperimentConfig) -> met.MetricReport:
-    first = run_fig1(_tiny_fig1_config())
-    second = run_fig1(_tiny_fig1_config())
+    first = run_experiment("fig1", _tiny_fig1_config())
+    second = run_experiment("fig1", _tiny_fig1_config())
     same = all(first[name].to_csv() == second[name].to_csv() for name in first)
     return met.MetricReport("experiments.determinism", 0.0 if same else 1.0, 0.0, same)
 
 
 def _check_trial_independence(config: ExperimentConfig) -> met.MetricReport:
-    sequential = run_fig1(_tiny_fig1_config(jobs=1))
-    concurrent = run_fig1(_tiny_fig1_config(jobs=2))
+    sequential = run_experiment("fig1", _tiny_fig1_config(jobs=1))
+    concurrent = run_experiment("fig1", _tiny_fig1_config(jobs=2))
     worst = max(
         np.abs(sequential[name].values - concurrent[name].values).max() for name in sequential
     )

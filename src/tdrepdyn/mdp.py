@@ -283,6 +283,15 @@ def make_symmetric_mdp(
     return MarkovRewardProcess(P=P, R=R, gamma=gamma, d=d)
 
 
+def make_mdp(
+    symmetric: bool, h: int, *, n: int, gamma: float, alpha: float, seed: int
+) -> MarkovRewardProcess:
+    """The symmetric chain, or the mixed one with weight ``alpha``, for one seed."""
+    if symmetric:
+        return make_symmetric_mdp(n=n, h=h, gamma=gamma, seed=seed)
+    return make_random_mdp(n=n, h=h, gamma=gamma, alpha=alpha, seed=seed)
+
+
 def reversibility_residual(mrp: MarkovRewardProcess) -> float:
     """Max-abs-entry of diag(d) P - P^T diag(d); zero iff the chain is reversible."""
     DP = mrp.d[:, None] * mrp.P

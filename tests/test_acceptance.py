@@ -127,7 +127,7 @@ def test_criterion_5_fig1_reproduction(acceptance):
         n_states=30, k=2, n_trials=100, seed=0,
         integrator=dyn.IntegratorConfig(t_end=30.0, rtol=1e-8, atol=1e-10, log_points=121),
     )
-    series = exp.run_fig1(config)
+    series = exp.run_experiment("fig1", config)
     finals = {name: float(agg.median[-1]) for name, agg in series.items()}
     decays = all(agg.median[-1] < agg.median[0] for agg in series.values())
     tts_final = finals["two_time_scale_phi1"]
@@ -147,7 +147,7 @@ def test_criterion_6_fig3_reproduction(acceptance):
         n_states=30, k=2, n_trials=100, seed=0, h_values=(1, 2, 4, 8),
         integrator=dyn.IntegratorConfig(t_end=100.0, rtol=1e-8, atol=1e-10, log_points=101),
     )
-    series = exp.run_fig3(config)
+    series = exp.run_experiment("fig3", config)
     finals = [float(series[f"h{h}"].median[-1]) for h in (1, 2, 4, 8)]
     monotone = all(a <= b for a, b in zip(finals, finals[1:]))
     passed = monotone and finals[-1] >= 0.75

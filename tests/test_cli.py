@@ -256,6 +256,42 @@ def test_malformed_dynamics_entry_exits_1(entry, tmp_path, capsys):
     assert "dynamics[0]" in capsys.readouterr().err
 
 
+def _no_trials(*args, **kwargs):
+    raise AssertionError("a trial ran")
+
+
+@pytest.mark.parametrize("command", [["simulate", "--n", "6", "--t-end", "1"],
+                                     ["experiment", "fig1", "--trials", "1", "--t-end", "1"]])
+@pytest.mark.parametrize("field,doc", [
+    # {"outdir": 5} ran every fig1 trial and then died in Path(5); simulate accepted it
+    ("outdir", {"outdir": 5}),
+    # the others exited 1 with Python's "'<' not supported ..." that names no field
+    ("rtol", {"integrator": {"rtol": "1e-8"}}),
+    ("gamma", {"gamma": None}),
+    ("alpha", {"alpha": "0.5"}),
+    ("h_values", {"h_values": 5}),
+    ("eta_w", {"dynamics": [{"kind": "end_to_end", "eta_w": "1"}]}),
+])
+def test_ill_typed_config_values_exit_1_naming_the_field(command, field, doc, tmp_path,
+                                                         monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(exp, "_map_trials", _no_trials)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(doc))
+    assert run_cli([*command, "-c", str(config)]) == 1
+    assert f"error: {field} must be" in capsys.readouterr().err
+
+
+def test_duplicate_fig1_curves_are_a_usage_error(tmp_path, monkeypatch, capsys):
+    # this died in run_fig1 with an uncaught "dynamics variants are not distinct" ValueError
+    monkeypatch.setattr(exp, "_map_trials", _no_trials)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"dynamics": [{"kind": "end_to_end"}, {"kind": "end_to_end"}]}))
+    assert run_cli(["experiment", "fig1", "--trials", "1", "--t-end", "1", "-c", str(config),
+                    "-o", str(tmp_path / "out")]) == 1
+    assert "not distinct" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", [["simulate"], ["experiment", "fig1"]])
 @pytest.mark.parametrize("doc", [
     {"gamma": 1.5}, {"integrator": {"rtol": -1.0}}, {"k": 0},
@@ -417,6 +453,15 @@ def test_simulate_numerical_failure_exits_4(tmp_path, monkeypatch, capsys):
     assert "integration failed" in capsys.readouterr().err
 
 
+def test_simulate_value_function_failure_exits_4(tmp_path, capsys):
+    # the process's value-function residual check raises a plain LinAlgError,
+    # which exited 1 with a traceback
+    code = run_cli(["simulate", "--dynamics", "end-to-end", "--gamma", "0.999999999",
+                    "--t-end", "0.1", "--log-points", "2", "-o", str(tmp_path / "t.csv")])
+    assert code == 4
+    assert "integration failed" in capsys.readouterr().err
+
+
 # --------------------------------------------------------------- experiment
 
 
@@ -442,15 +487,28 @@ def test_experiment_fig1_tiny_run(tmp_path, capsys):
     assert stdout.count("median") == 3
 
 
+def test_experiment_attached_short_out_wins(tmp_path, monkeypatch):
+    # "-oDIR" was not seen as typed, so the run wrote ./fig1 instead
+    cwd, out = tmp_path / "cwd", tmp_path / "out"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    monkeypatch.delenv("TDREPDYN_OUT", raising=False)
+    assert run_cli(["experiment", "fig1", "--trials", "1", "--n", "6", "--t-end", "1",
+                    "--log-points", "3", f"-o{out}"]) == 0
+    assert (out / "fig1" / "manifest.json").exists()
+    assert list(cwd.iterdir()) == []
+
+
 def test_experiment_uses_per_experiment_defaults(tmp_path, monkeypatch):
     seen = {}
 
-    def fake_fig2(config):
-        seen["config"] = config
+    def fake_run(name, config):
+        seen["name"], seen["config"] = name, config
         return {}
 
-    monkeypatch.setattr(exp, "run_fig2", fake_fig2)
+    monkeypatch.setattr(exp, "run_experiment", fake_run)
     assert run_cli(["experiment", "fig2", "-o", str(tmp_path)]) == 0
+    assert seen["name"] == "fig2"
     integ = seen["config"].integrator
     assert (integ.t_end, integ.log_points) == (100.0, 101)
     assert (integ.rtol, integ.atol) == (1e-8, 1e-10)
@@ -462,21 +520,21 @@ def test_experiment_uses_per_experiment_defaults(tmp_path, monkeypatch):
 def test_experiment_eta_phi_rescales_two_time_scale(tmp_path, monkeypatch):
     seen = {}
 
-    def fake_fig3(config):
+    def fake_run(name, config):
         seen["config"] = config
         return {}
 
-    monkeypatch.setattr(exp, "run_fig3", fake_fig3)
+    monkeypatch.setattr(exp, "run_experiment", fake_run)
     assert run_cli(["experiment", "fig3", "--eta-phi", "2.5", "-o", str(tmp_path)]) == 0
     (spec,) = seen["config"].dynamics
     assert (spec.kind, spec.eta_w, spec.eta_phi) == ("two_time_scale", 0.0, 2.5)
 
 
 def test_experiment_abort_exits_4(tmp_path, monkeypatch, capsys):
-    def boom(config):
+    def boom(name, config):
         raise RuntimeError("2 of 2 trials failed")
 
-    monkeypatch.setattr(exp, "run_fig1", boom)
+    monkeypatch.setattr(exp, "run_experiment", boom)
     assert run_cli(["experiment", "fig1", "-o", str(tmp_path)]) == 4
     assert "experiment failed" in capsys.readouterr().err
 

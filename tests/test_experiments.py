@@ -12,6 +12,7 @@ from tdrepdyn import cli
 from tdrepdyn import dynamics as dyn
 from tdrepdyn import experiments as exp
 from tdrepdyn import invariants as inv
+from tdrepdyn import mdp
 from tdrepdyn.mdp import make_symmetric_mdp
 from tdrepdyn.metrics import MetricReport
 
@@ -176,13 +177,13 @@ def test_aggregate_series_csv_shape():
 
 def test_run_fig1_shapes_outputs_and_determinism(tmp_path):
     cfg = tiny_config(outdir=tmp_path)
-    series = exp.run_fig1(cfg)
+    series = exp.run_experiment("fig1", cfg)
     assert set(series) == {"end_to_end_w1_phi1", "end_to_end_w10_phi1", "two_time_scale_phi1"}
     for agg in series.values():
         assert agg.values.shape == (3, 11)
         assert agg.failures == ()
         assert (agg.values >= 0).all()
-    again = exp.run_fig1(tiny_config(outdir=None))
+    again = exp.run_experiment("fig1", tiny_config(outdir=None))
     for name in series:
         assert series[name].to_csv() == again[name].to_csv()
     written = sorted(p.name for p in (tmp_path / "fig1").iterdir())
@@ -199,15 +200,33 @@ def test_run_fig1_shapes_outputs_and_determinism(tmp_path):
 
 
 def test_run_fig2_scenarios(tmp_path):
-    series = exp.run_fig2(tiny_config(outdir=tmp_path))
+    series = exp.run_experiment("fig2", tiny_config(outdir=tmp_path))
     assert set(series) == {"h5_general", "h1_symmetric", "h1_general"}
     assert (tmp_path / "fig2" / "h1_symmetric.csv").exists()
 
 
 def test_run_fig3_h_sweep():
-    series = exp.run_fig3(tiny_config(h_values=(1, 2)))
+    series = exp.run_experiment("fig3", tiny_config(h_values=(1, 2)))
     assert set(series) == {"h1", "h2"}
     assert series["h1"].values.shape == (3, 11)
+
+
+def test_unknown_experiment_is_rejected(monkeypatch):
+    monkeypatch.setattr(exp, "_map_trials", lambda *args: pytest.fail("a trial ran"))
+    with pytest.raises(ValueError, match="unknown experiment 'fig9'"):
+        exp.run_experiment("fig9", tiny_config())
+
+
+def test_fig1_curves_share_one_chain_per_trial(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append((args, kwargs["seed"]))
+        return _make_mdp(*args, **kwargs)
+
+    monkeypatch.setattr(mdp, "make_mdp", counting)
+    exp.run_experiment("fig1", tiny_config(n_trials=2))
+    assert calls == [((False, 1), 7), ((False, 1), 8)]
 
 
 def test_single_reversible_trajectory_is_monotone():
@@ -224,29 +243,31 @@ def test_single_reversible_trajectory_is_monotone():
 # ------------------------------------------------------------ failure policy
 
 
-_scenarios = exp._scenarios
+_make_mdp = mdp.make_mdp
 
 
-def _always_boom(experiment, config, seed):
+def _always_boom(*args, **kwargs):
     raise dyn.IntegrationError("synthetic trial failure")
 
 
-def _boom_on_last(experiment, config, seed):
-    if seed == exp.trial_seed(config, config.n_trials - 1):
-        raise dyn.IntegrationError("synthetic trial failure")
-    return _scenarios(experiment, config, seed)
+def _boom_at_seed(bad_seed):
+    def make_mdp(*args, seed, **kwargs):
+        if seed == bad_seed:
+            raise dyn.IntegrationError("synthetic trial failure")
+        return _make_mdp(*args, seed=seed, **kwargs)
+    return make_mdp
 
 
 def test_failure_threshold_aborts(monkeypatch):
-    monkeypatch.setattr(exp, "_scenarios", _always_boom)
+    monkeypatch.setattr(mdp, "make_mdp", _always_boom)
     with pytest.raises(RuntimeError, match="trials failed"):
-        exp.run_fig1(tiny_config())
+        exp.run_experiment("fig1", tiny_config())
 
 
 def test_failures_below_threshold_are_recorded(monkeypatch):
-    monkeypatch.setattr(exp, "_scenarios", _boom_on_last)
     cfg = tiny_config(n_trials=12, max_failure_fraction=0.2)
-    series = exp.run_fig1(cfg)
+    monkeypatch.setattr(mdp, "make_mdp", _boom_at_seed(exp.trial_seed(cfg, 11)))
+    series = exp.run_experiment("fig1", cfg)
     for agg in series.values():
         assert agg.values.shape[0] == 11
         assert len(agg.failures) == 1
@@ -261,7 +282,7 @@ def test_bug_in_a_trial_propagates(monkeypatch):
 
     monkeypatch.setattr(dyn, "integrate_batch", bad_row)
     with pytest.raises(TypeError, match="bad scenario row"):
-        exp.run_fig1(tiny_config())
+        exp.run_experiment("fig1", tiny_config())
 
 
 def test_pool_size_is_clamped_without_starting_processes(monkeypatch):
@@ -279,15 +300,15 @@ def test_pool_size_is_clamped_without_starting_processes(monkeypatch):
 
 
 def test_parallel_trials_match_sequential():
-    seq = exp.run_fig3(tiny_config(h_values=(1,), jobs=1))
-    par = exp.run_fig3(tiny_config(h_values=(1,), jobs=2))
+    seq = exp.run_experiment("fig3", tiny_config(h_values=(1,), jobs=1))
+    par = exp.run_experiment("fig3", tiny_config(h_values=(1,), jobs=2))
     assert np.array_equal(seq["h1"].values, par["h1"].values)
 
 
 def test_chunked_batches_match_across_job_counts():
     # each worker integrates its chunk of trials as batches that mix trials and h
-    seq = exp.run_fig3(tiny_config(h_values=(1, 2, 8), n_trials=5, jobs=1))
-    par = exp.run_fig3(tiny_config(h_values=(1, 2, 8), n_trials=5, jobs=2))
+    seq = exp.run_experiment("fig3", tiny_config(h_values=(1, 2, 8), n_trials=5, jobs=1))
+    par = exp.run_experiment("fig3", tiny_config(h_values=(1, 2, 8), n_trials=5, jobs=2))
     for name in seq:
         assert np.array_equal(seq[name].values, par[name].values)
 
@@ -295,8 +316,7 @@ def test_chunked_batches_match_across_job_counts():
 @pytest.mark.parametrize("experiment", ["fig1", "fig2", "fig3"])
 def test_outputs_match_golden(experiment, tmp_path):
     # tests/data/golden holds tiny_config() outputs, recorded with outdir null
-    runner = {"fig1": exp.run_fig1, "fig2": exp.run_fig2, "fig3": exp.run_fig3}[experiment]
-    runner(tiny_config(outdir=tmp_path))
+    exp.run_experiment(experiment, tiny_config(outdir=tmp_path))
     fresh, golden = tmp_path / experiment, GOLDEN / experiment
     assert sorted(p.name for p in fresh.iterdir()) == sorted(p.name for p in golden.iterdir())
     manifest = json.loads((fresh / "manifest.json").read_text())
