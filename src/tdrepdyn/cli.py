@@ -236,12 +236,11 @@ def _run_config(sub: argparse.ArgumentParser, args: argparse.Namespace,
     doc.update(overlay)
     doc.setdefault("outdir", str(default_out_root()))
     defaults = INTEGRATOR_DEFAULTS[command]
+    section = doc.get("integrator", {})
+    if isinstance(section, dict):  # config_from_json reports any other shape
+        doc["integrator"] = {**defaults, **section,
+                             **{name: typed[name] for name in defaults if name in typed}}
     try:
-        doc["integrator"] = {
-            **defaults,
-            **doc.get("integrator", {}),
-            **{name: typed[name] for name in defaults if name in typed},
-        }
         return exp.config_from_json(doc)
     except exp.UnknownConfigKeyError as exc:
         raise _CliIOError(f"{args.config}: {exc}") from exc
@@ -264,7 +263,7 @@ def cmd_simulate(parser: _Parser, args: argparse.Namespace) -> int:
     if args.mdp is not None:
         try:
             mrp = mdp_mod.load_mdp(args.mdp)
-        except (OSError, json.JSONDecodeError, ValueError) as exc:
+        except (OSError, ValueError, TypeError) as exc:
             print(f"cannot load MDP from {args.mdp}: {exc}", file=sys.stderr)
             return EXIT_IO
         overlay["n_states"] = mrp.n  # k is checked against the loaded chain

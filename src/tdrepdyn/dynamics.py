@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import metrics as _metrics
-from .mdp import MarkovRewardProcess, make_rng
+from .mdp import MarkovRewardProcess, _check_int, _check_real, make_rng
 from .metrics import _solve_guarded_stack
 
 LINEAR_TD = "linear_td"
@@ -99,18 +99,6 @@ _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 _H_BLOCK = 8  # two-time-scale rewards are padded to a multiple of this many columns
 _MIN_SV = 1e-10  # smallest singular value a representation may have
 _INIT_ATTEMPTS = 5  # Gaussian draws orthonormal_init tries before giving up
-
-
-def _check_int(name: str, value) -> None:
-    """Reject a value that is not an integer (a bool or a float such as 2.0 included)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-
-
-def _check_real(name: str, value) -> None:
-    """Reject a value that is not a real number (a bool, a string or None included)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise TypeError(f"{name} must be a real number, got {value!r}")
 
 
 @dataclass(frozen=True)

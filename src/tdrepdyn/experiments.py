@@ -10,6 +10,7 @@ is left to external tools. The invariant suite lives in ``invariants``.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import os
@@ -55,13 +56,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("n_states", "k", "n_trials", "seed", "jobs"):
-            dyn._check_int(name, getattr(self, name))
+            mdp_mod._check_int(name, getattr(self, name))
         for name in ("gamma", "alpha", "max_failure_fraction"):
-            dyn._check_real(name, getattr(self, name))
+            mdp_mod._check_real(name, getattr(self, name))
         if self.outdir is not None and not isinstance(self.outdir, (str, os.PathLike)):
             raise TypeError(f"outdir must be a path, got {self.outdir!r}")
         for h in self.h_values:
-            dyn._check_int("h_values entries", h)
+            mdp_mod._check_int("h_values entries", h)
         if self.n_trials < 1:
             raise ValueError("n_trials must be >= 1")
         if not 1 <= self.k <= self.n_states:
@@ -86,30 +87,14 @@ class ExperimentConfig:
 
 
 def config_to_json(config: ExperimentConfig) -> dict:
-    """JSON-safe dict mirror of the config (inf max_step maps to null)."""
-    integ = config.integrator
-    return {
-        "n_states": config.n_states,
-        "k": config.k,
-        "gamma": config.gamma,
-        "alpha": config.alpha,
-        "n_trials": config.n_trials,
-        "h_values": list(config.h_values),
-        "dynamics": [
-            {"kind": s.kind, "eta_w": s.eta_w, "eta_phi": s.eta_phi} for s in config.dynamics
-        ],
-        "integrator": {
-            "t_end": integ.t_end,
-            "rtol": integ.rtol,
-            "atol": integ.atol,
-            "max_step": None if np.isinf(integ.max_step) else integ.max_step,
-            "log_points": integ.log_points,
-        },
-        "seed": config.seed,
-        "outdir": None if config.outdir is None else str(config.outdir),
-        "jobs": config.jobs,
-        "max_failure_fraction": config.max_failure_fraction,
-    }
+    """JSON-safe ``dataclasses.asdict``: inf max_step is null, outdir a string, tuples lists."""
+    doc = dataclasses.asdict(config)
+    doc["h_values"], doc["dynamics"] = list(config.h_values), list(doc["dynamics"])
+    if np.isinf(config.integrator.max_step):
+        doc["integrator"]["max_step"] = None
+    if config.outdir is not None:
+        doc["outdir"] = str(config.outdir)
+    return doc
 
 
 class UnknownConfigKeyError(ValueError):
@@ -119,12 +104,18 @@ class UnknownConfigKeyError(ValueError):
 def config_from_json(doc: dict) -> ExperimentConfig:
     """Inverse of config_to_json.
 
-    Unknown keys, top-level, in ``integrator`` or in a ``dynamics`` entry, raise
-    UnknownConfigKeyError; a ``dynamics`` entry that is not an object or has no
-    ``kind`` raises ValueError.
+    A section of the wrong shape raises TypeError naming it. Unknown keys,
+    top-level, in ``integrator`` or in a ``dynamics`` entry, raise
+    UnknownConfigKeyError; a ``dynamics`` entry that is not an object or has
+    no ``kind`` raises ValueError.
     """
+    shapes = (("integrator", dict, "an object"), ("dynamics", list, "a list of objects"),
+              ("h_values", list, "a list of integers"))
+    for key, shape, what in shapes:
+        if key in doc and not isinstance(doc[key], shape):
+            raise TypeError(f"{key} must be {what}, got {doc[key]!r}")
     known = config_to_json(ExperimentConfig())
-    entries = list(doc.get("dynamics", ()))
+    entries = doc.get("dynamics", [])
     unknown = sorted(set(doc) - set(known)) + sorted(
         f"integrator.{key}" for key in set(doc.get("integrator", {})) - set(known["integrator"])
     )
@@ -138,14 +129,9 @@ def config_from_json(doc: dict) -> ExperimentConfig:
             raise ValueError(f"dynamics[{i}] must be an object with a 'kind', got {entry!r}")
     kwargs = dict(doc)
     if "h_values" in kwargs:
-        if not isinstance(kwargs["h_values"], list):
-            raise TypeError(f"h_values must be a list of integers, got {kwargs['h_values']!r}")
         kwargs["h_values"] = tuple(kwargs["h_values"])
     if "dynamics" in kwargs:
-        kwargs["dynamics"] = tuple(
-            dyn.DynamicsSpec(d["kind"], eta_w=d.get("eta_w", 1.0), eta_phi=d.get("eta_phi", 1.0))
-            for d in entries
-        )
+        kwargs["dynamics"] = tuple(dyn.DynamicsSpec(**entry) for entry in entries)
     if "integrator" in kwargs:
         integ = dict(kwargs["integrator"])
         if integ.get("max_step") is None:
@@ -196,14 +182,12 @@ def trial_seed(config: ExperimentConfig, index: int) -> int:
 
 
 def initial_representation(seed: int, n: int, k: int) -> np.ndarray:
-    """Orthonormal init on a stream disjoint from the MDP generators' streams.
+    """Orthonormal init on child stream 3 of ``mdp.seed_streams(seed)``.
 
-    Child streams 0-2 of the seed belong to the doubly-stochastic, permutation,
-    and reward samplers; slot 3 is reserved for the representation init, so the
-    same trial seed can drive both without replaying any draws.
+    Streams 0-2 belong to the chain generator, so the same trial seed drives
+    both without replaying any draws.
     """
-    phi_stream = np.random.SeedSequence(seed).spawn(4)[3]
-    return dyn.orthonormal_init(n, k, phi_stream)
+    return dyn.orthonormal_init(n, k, mdp_mod.seed_streams(seed)[3])
 
 
 def _dynamics_label(spec: dyn.DynamicsSpec) -> str:
@@ -248,8 +232,8 @@ def _run_one(payload: tuple[str, ExperimentConfig, range]) -> list[dict]:
 
     Every curve row of every trial in the chunk, each started from its
     trial's shared ``phi0``, goes into one ``integrate_batch`` call. A trial
-    whose chains cannot be built fails as a whole ("*"); a row whose
-    trajectory fails is recorded under its curve.
+    whose chains cannot be built fails under each of its curves; a row whose
+    trajectory fails, under its own.
     """
     experiment, config, indices = payload
     curves = _curves(experiment, config)
@@ -265,7 +249,7 @@ def _run_one(payload: tuple[str, ExperimentConfig, range]) -> list[dict]:
                                             alpha=config.alpha, seed=seed)
                     for chain in chains}
         except _TRIAL_FAILURES as exc:  # failures are aggregated, not raised per trial
-            result["errors"]["*"] = str(exc)
+            result["errors"] = {label: str(exc) for label, *_ in curves}
             continue
         rows += [(result, label, metric, dyn.Problem(mrps[chain], spec, phi0))
                  for label, chain, spec, metric in curves]
@@ -307,8 +291,7 @@ def _aggregate(experiment: str, config: ExperimentConfig) -> dict[str, Aggregate
                 rows.append(res["curves"][name])
                 seeds.append(res["seed"])
             else:
-                msg = res["errors"].get(name, res["errors"].get("*", "unknown failure"))
-                failures.append((res["seed"], msg))
+                failures.append((res["seed"], res["errors"][name]))
         for seed, msg in failures:
             logger.warning("%s/%s: trial seed %d failed: %s", experiment, name, seed, msg)
         if len(failures) > config.max_failure_fraction * config.n_trials:

@@ -1,11 +1,14 @@
 """Markov reward processes: construction, validation, and derived quantities.
 
 This module provides:
-- Seeded generators for doubly-stochastic, permutation-mixed, and symmetric
-  transition matrices (all strictly positive after mixing, hence irreducible).
-- Random multi-column normal reward sampling with per-entry variance
+- ``seed_streams``, the one table of a trial seed's child streams, and
+  ``make_mdp``, the one generator body: a Sinkhorn doubly-stochastic core,
+  permutation-mixed or symmetrized (strictly positive after mixing, hence
+  irreducible), with i.i.d. standard normal rewards and uniform d.
+  ``make_random_mdp`` and ``make_symmetric_mdp`` name its two chains.
+- ``sample_random_rewards``, normal rewards with per-entry variance
   sigma^2 / h, so that R R^T concentrates around sigma^2 I as h grows.
-- A reversibility residual and JSON round-trip for generated processes.
+- A reversibility residual and a checked JSON round trip.
 
 Every quantity that depends only on the process (I - gamma P, the key matrix
 ``A`` = diag(d) (I - gamma P), ``dR`` = diag(d) R, the value function ``V``,
@@ -46,14 +49,20 @@ class ConvergenceError(RuntimeError):
 
 
 def make_rng(seed: int | np.random.SeedSequence) -> np.random.Generator:
-    """Counter-based Philox generator keyed by ``seed``.
-
-    Philox is stateless-counter based, so streams are reproducible bit-for-bit
-    across platforms and can be spawned hierarchically via SeedSequence.
-    """
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
+    """Philox generator keyed by ``seed`` or a ``seed_streams`` child, bitwise on any platform."""
     return np.random.Generator(np.random.Philox(seed))
+
+
+def _check_int(name: str, value) -> None:
+    """Reject a value that is not an integer (a bool or a float such as 2.0 included)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_real(name: str, value) -> None:
+    """Reject a value that is not a real number (a bool, a string or None included)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,57 +248,49 @@ def sample_random_rewards(
     return scale * make_rng(seed).standard_normal((n, spec.h))
 
 
-def make_random_mdp(
-    n: int = 30,
-    h: int = 1,
-    gamma: float = 0.9,
-    alpha: float = 0.95,
-    seed: int | np.random.SeedSequence = 0,
-) -> MarkovRewardProcess:
-    """Random MDP with P = alpha * P_perm + (1 - alpha) * P_ds.
+def seed_streams(seed: int) -> list[np.random.SeedSequence]:
+    """The four child streams of a trial seed, the one table of their order.
 
-    Both components are doubly stochastic, so P is doubly stochastic and the
-    stationary distribution is exactly uniform. A large alpha (default 0.95)
-    makes the chain very likely to violate reversibility. Rewards are i.i.d.
-    standard normal entries.
+    0 draws the doubly-stochastic core, 1 the permutation, 2 the rewards and
+    3 the initial representation, so one seed drives a chain and its init
+    without replaying any draws.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
-    ds_seed, perm_seed, reward_seed = seed.spawn(3)
-    P_ds = sample_doubly_stochastic(n, ds_seed)
-    P_perm = sample_permutation(n, perm_seed)
-    P = alpha * P_perm + (1.0 - alpha) * P_ds
-    R = make_rng(reward_seed).standard_normal((n, h))
-    d = np.full(n, 1.0 / n)
-    return MarkovRewardProcess(P=P, R=R, gamma=gamma, d=d)
-
-
-def make_symmetric_mdp(
-    n: int = 30,
-    h: int = 1,
-    gamma: float = 0.9,
-    seed: int | np.random.SeedSequence = 0,
-) -> MarkovRewardProcess:
-    """Random MDP with symmetric P = (P_ds + P_ds^T) / 2, hence reversible."""
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
-    ds_seed, _, reward_seed = seed.spawn(3)
-    P_ds = sample_doubly_stochastic(n, ds_seed)
-    P = (P_ds + P_ds.T) / 2.0
-    R = make_rng(reward_seed).standard_normal((n, h))
-    d = np.full(n, 1.0 / n)
-    return MarkovRewardProcess(P=P, R=R, gamma=gamma, d=d)
+    return np.random.SeedSequence(seed).spawn(4)
 
 
 def make_mdp(
     symmetric: bool, h: int, *, n: int, gamma: float, alpha: float, seed: int
 ) -> MarkovRewardProcess:
-    """The symmetric chain, or the mixed one with weight ``alpha``, for one seed."""
+    """The symmetric chain, or the mixed one with weight ``alpha``, for one int seed.
+
+    Mixed: P = alpha P_perm + (1 - alpha) P_ds, doubly stochastic, so d is
+    exactly uniform; a large alpha makes it very likely non-reversible.
+    Symmetric: P = (P_ds + P_ds^T) / 2, reversible. Rewards are standard normal.
+    """
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    ds_seed, perm_seed, reward_seed, _ = seed_streams(seed)
+    P_ds = sample_doubly_stochastic(n, ds_seed)
     if symmetric:
-        return make_symmetric_mdp(n=n, h=h, gamma=gamma, seed=seed)
-    return make_random_mdp(n=n, h=h, gamma=gamma, alpha=alpha, seed=seed)
+        P = (P_ds + P_ds.T) / 2.0
+    else:
+        P = alpha * sample_permutation(n, perm_seed) + (1.0 - alpha) * P_ds
+    R = make_rng(reward_seed).standard_normal((n, h))
+    return MarkovRewardProcess(P=P, R=R, gamma=gamma, d=np.full(n, 1.0 / n))
+
+
+def make_random_mdp(
+    n: int = 30, h: int = 1, gamma: float = 0.9, alpha: float = 0.95, seed: int = 0
+) -> MarkovRewardProcess:
+    """The mixed chain of ``make_mdp``."""
+    return make_mdp(False, h, n=n, gamma=gamma, alpha=alpha, seed=seed)
+
+
+def make_symmetric_mdp(
+    n: int = 30, h: int = 1, gamma: float = 0.9, seed: int = 0
+) -> MarkovRewardProcess:
+    """The symmetric chain of ``make_mdp``."""
+    return make_mdp(True, h, n=n, gamma=gamma, alpha=0.0, seed=seed)
 
 
 def reversibility_residual(mrp: MarkovRewardProcess) -> float:
@@ -317,11 +318,15 @@ def mdp_to_json(
 
 
 def mdp_from_json(doc: dict) -> MarkovRewardProcess:
-    """Rebuild (and re-validate) an MDP from its JSON document."""
+    """Rebuild (and re-validate) an MDP from its JSON object; ill-typed fields raise TypeError."""
+    if not isinstance(doc, dict):
+        raise TypeError(f"MDP document must be an object, got {type(doc).__name__}")
     missing = {"n", "h", "gamma", "P", "R", "d"} - set(doc)
     if missing:
         raise ValueError(f"MDP document is missing fields: {sorted(missing)}")
-    n, h = int(doc["n"]), int(doc["h"])
+    for name, check in (("n", _check_int), ("h", _check_int), ("gamma", _check_real)):
+        check(name, doc[name])
+    n, h = doc["n"], doc["h"]
     return MarkovRewardProcess(
         P=np.asarray(doc["P"], dtype=float).reshape(n, n),
         R=np.asarray(doc["R"], dtype=float).reshape(n, h),

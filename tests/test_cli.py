@@ -93,11 +93,22 @@ def test_gen_mdp_repeat_runs_are_identical(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+@pytest.mark.parametrize("argv,golden", [
+    (["--n", "9", "--h", "3", "--seed", "5"], "mixed_n9_h3_seed5.json"),
+    (["--symmetric", "--n", "9", "--h", "2", "--seed", "6"], "symmetric_n9_h2_seed6.json"),
+])
+def test_gen_mdp_matches_golden(argv, golden, tmp_path):
+    # tests/data/golden/gen_mdp pins each generator's stream order and arithmetic
+    out = tmp_path / golden
+    assert run_cli(["gen-mdp", *argv, "-o", str(out)]) == 0
+    assert out.read_bytes() == (DATA / "golden" / "gen_mdp" / golden).read_bytes()
+
+
 def test_gen_mdp_generation_failure_exits_3(tmp_path, monkeypatch, capsys):
-    def boom(**kwargs):
+    def boom(*args, **kwargs):
         raise mdp.ConvergenceError("Sinkhorn normalization", 10, 0.5)
 
-    monkeypatch.setattr(mdp, "make_random_mdp", boom)
+    monkeypatch.setattr(mdp, "sample_doubly_stochastic", boom)
     assert run_cli(["gen-mdp", "-o", str(tmp_path / "m.json")]) == 3
     assert "did not converge" in capsys.readouterr().err
 
@@ -177,6 +188,28 @@ def test_non_finite_mdp_file_exits_2(tmp_path, capsys):
         bad.write_text(json.dumps(doc))
         assert run_cli(["simulate", "--mdp", str(bad), "--t-end", "1"]) == 2
         assert "cannot load MDP" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", [
+    # null counts and gamma died in int()/float() with a TypeError traceback
+    {"gamma": None}, {"n": None}, {"h": None},
+    # int() truncated a fractional h, int() and float() took 5.0 and "0.9", and the run went ahead
+    {"h": 1.5}, {"n": 5.0}, {"gamma": "0.9"},
+])
+def test_ill_typed_mdp_file_exits_2(edit, tmp_path, capsys):
+    path = tmp_path / "m.json"
+    assert run_cli(["gen-mdp", "--n", "5", "--seed", "2", "-o", str(path)]) == 0
+    path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
+    assert run_cli(["simulate", "--mdp", str(path), "--t-end", "1", "--log-points", "2"]) == 2
+    assert "cannot load MDP" in capsys.readouterr().err
+
+
+def test_mdp_file_that_is_not_an_object_exits_2(tmp_path, capsys):
+    # a list of the field names died in doc["n"] with "list indices must be integers"
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(["n", "h", "gamma", "P", "R", "d"]))
+    assert run_cli(["simulate", "--mdp", str(path), "--t-end", "1", "--log-points", "2"]) == 2
+    assert "cannot load MDP" in capsys.readouterr().err
 
 
 def test_mdp_file_without_reward_columns_exits_2(tmp_path, capsys):
@@ -271,6 +304,12 @@ def _no_trials(*args, **kwargs):
     ("alpha", {"alpha": "0.5"}),
     ("h_values", {"h_values": 5}),
     ("eta_w", {"dynamics": [{"kind": "end_to_end", "eta_w": "1"}]}),
+    # a non-list dynamics or non-object integrator gave Python's message, or read a
+    # dict's keys as entries ("dynamics[0] ... got 'kind'")
+    ("dynamics", {"dynamics": 5}),
+    ("dynamics", {"dynamics": {"kind": "end_to_end"}}),
+    ("integrator", {"integrator": 5}),
+    ("integrator", {"integrator": [1]}),
 ])
 def test_ill_typed_config_values_exit_1_naming_the_field(command, field, doc, tmp_path,
                                                          monkeypatch, capsys):

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from tdrepdyn import mdp as mdp_mod
+from tdrepdyn.dynamics import orthonormal_init
+from tdrepdyn.experiments import initial_representation
 from tdrepdyn.mdp import (
     ConvergenceError,
     MarkovRewardProcess,
@@ -91,6 +93,26 @@ def test_generated_mdps_are_deterministic():
     a = make_random_mdp(n=12, h=3, gamma=0.9, alpha=0.95, seed=11)
     b = make_random_mdp(n=12, h=3, gamma=0.9, alpha=0.95, seed=11)
     assert np.array_equal(a.P, b.P) and np.array_equal(a.R, b.R)
+
+
+@pytest.mark.parametrize("make", [
+    lambda seed: make_random_mdp(n=6, seed=seed),
+    lambda seed: mdp_mod.make_mdp(True, 1, n=6, gamma=0.9, alpha=0.0, seed=seed),
+])
+def test_generators_reject_a_seed_sequence(make):
+    # spawning advanced the caller's SeedSequence, so each call drew another chain
+    seed = np.random.SeedSequence(3)
+    with pytest.raises(TypeError):
+        make(seed)
+
+
+def test_seed_streams_are_the_generators_and_the_init_streams():
+    streams = mdp_mod.seed_streams(7)
+    m = make_random_mdp(n=6, h=2, alpha=0.0, seed=7)
+    assert_allclose(m.P, sample_doubly_stochastic(6, streams[0]))
+    assert np.array_equal(m.R, mdp_mod.make_rng(streams[2]).standard_normal((6, 2)))
+    phi0 = initial_representation(7, 6, 2)
+    assert np.array_equal(phi0, orthonormal_init(6, 2, streams[3]))
 
 
 def test_reward_spec_validation():
