@@ -330,7 +330,7 @@ def cmd_experiment(parser: _Parser, args: argparse.Namespace) -> int:
         return EXIT_OK
 
     try:
-        exp._curves(args.name, config)  # fig1's curve labels must be distinct
+        exp._curves(args.name, config)  # curve labels must be distinct
     except ValueError as exc:
         sub.error(str(exc))
     try:

@@ -10,8 +10,8 @@ on a fixed Markov reward process:
   current representation while the representation drifts slowly.
 
 Each drift is formed by one semi-gradient kernel, which the public
-``expected_semi_gradients`` and ``rhs_*`` functions call on one process and
-the batched integrator calls on stacks of processes.
+``expected_semi_gradients`` calls on one process and the batched integrator
+calls on stacks of processes.
 
 Trajectories are integrated by one adaptive Dormand-Prince 5(4) loop
 (Dormand & Prince 1980; step control as in Hairer, Norsett & Wanner, *Solving
@@ -98,7 +98,6 @@ _ERROR_EXPONENT = -1 / 5  # -1 / (order of the embedded error estimate + 1)
 _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 _H_BLOCK = 8  # two-time-scale rewards are padded to a multiple of this many columns
 _MIN_SV = 1e-10  # smallest singular value a representation may have
-_INIT_ATTEMPTS = 5  # Gaussian draws orthonormal_init tries before giving up
 
 
 @dataclass(frozen=True)
@@ -269,21 +268,11 @@ def orthonormal_init(n: int, k: int, seed: int | np.random.SeedSequence) -> np.n
 
     Columns are re-orthogonalized with a second pass so that phi^T phi = I
     holds to machine precision. A near-zero pivot (astronomically unlikely
-    for Gaussian draws) triggers a fresh draw, and after five failed draws
-    an error is raised.
+    for Gaussian draws) raises ``LinAlgError``, a numerical failure.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    rng = make_rng(seed)
-    for _ in range(_INIT_ATTEMPTS):
-        cols = rng.standard_normal((n, k))
-        try:
-            return _gram_schmidt(cols)
-        except np.linalg.LinAlgError:
-            continue
-    raise np.linalg.LinAlgError(
-        f"orthonormal init failed: rank-deficient draws in {_INIT_ATTEMPTS} attempts"
-    )
+    return _gram_schmidt(make_rng(seed).standard_normal((n, k)))
 
 
 def _gram_schmidt(cols: np.ndarray) -> np.ndarray:
@@ -388,35 +377,6 @@ def _semi_gradients(P, R, gamma, d, phi, w, slots=(True, True)):
     if slots[1]:
         descent_phi = weighted @ w.swapaxes(-1, -2)
     return descent_w, descent_phi
-
-
-def rhs_linear_td(
-    mrp: MarkovRewardProcess, phi: np.ndarray, w: np.ndarray, eta_w: float
-) -> np.ndarray:
-    """Weight drift eta_w phi^T diag(d) (R - (I - gamma P) phi w) at fixed phi."""
-    grad_w, _ = expected_semi_gradients(mrp, phi, w)
-    return -eta_w * grad_w
-
-
-def rhs_end_to_end(
-    mrp: MarkovRewardProcess,
-    phi: np.ndarray,
-    w: np.ndarray,
-    eta_w: float,
-    eta_phi: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Joint drift of (w, phi) under the coupled semi-gradient dynamics."""
-    grad_w, grad_phi = expected_semi_gradients(mrp, phi, w)
-    return -eta_w * grad_w, -eta_phi * grad_phi
-
-
-def rhs_two_time_scale(
-    mrp: MarkovRewardProcess, phi: np.ndarray, eta_phi: float
-) -> np.ndarray:
-    """Representation drift with the weights pinned to their fixed point."""
-    w_star = td_fixed_point(mrp, phi)
-    _, grad_phi = expected_semi_gradients(mrp, phi, w_star)
-    return -eta_phi * grad_phi
 
 
 class Problem(NamedTuple):

@@ -208,18 +208,19 @@ def _curves(experiment: str, config: ExperimentConfig) -> list[tuple]:
     """
     if experiment == "fig1":
         rows = [(_dynamics_label(spec), (False, 1), spec, "E") for spec in config.dynamics]
-        labels = [label for label, *_ in rows]
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"dynamics variants are not distinct: {labels}")
-        return rows
-    if experiment == "fig2":
-        chains = {"h5_general": (False, 5), "h1_symmetric": (True, 1), "h1_general": (False, 1)}
-    elif experiment == "fig3":
-        chains = {f"h{h}": (False, h) for h in config.h_values}
     else:
-        raise ValueError(f"unknown experiment {experiment!r}")
-    spec = next((s for s in config.dynamics if s.kind == dyn.TWO_TIME_SCALE), dyn.two_time_scale())
-    return [(label, chain, spec, "f_norm") for label, chain in chains.items()]
+        if experiment == "fig2":
+            chains = [("h5_general", (False, 5)), ("h1_symmetric", (True, 1)), ("h1_general", (False, 1))]
+        elif experiment == "fig3":
+            chains = [(f"h{h}", (False, h)) for h in config.h_values]
+        else:
+            raise ValueError(f"unknown experiment {experiment!r}")
+        spec = next((s for s in config.dynamics if s.kind == dyn.TWO_TIME_SCALE), dyn.two_time_scale())
+        rows = [(label, chain, spec, "f_norm") for label, chain in chains]
+    labels = [label for label, *_ in rows]
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"{experiment} curves are not distinct: {labels}")
+    return rows
 
 
 # Numerical failures a trial may end in; they count against the abort

@@ -22,7 +22,7 @@ from . import dynamics as dyn
 from . import mdp as mdp_mod
 from . import metrics as met
 from .experiments import _TRIAL_FAILURES, AggregateSeries, ExperimentConfig, run_experiment
-from .mdp import RewardSpec, make_rng
+from .mdp import make_rng
 
 logger = logging.getLogger(__name__)
 
@@ -118,7 +118,7 @@ def _check_reward_concentration(config: ExperimentConfig) -> met.MetricReport:
     for h in (100, 1000, 10000):
         devs = []
         for seed in range(20):
-            R = mdp_mod.sample_random_rewards(n, RewardSpec(h=h, sigma=1.0), seed=seed)
+            R = mdp_mod.sample_random_rewards(n, h, seed=seed)
             devs.append(np.abs(R @ R.T - np.eye(n)).max())
         medians.append(float(np.median(devs)))
     decreasing = medians[0] > medians[1] > medians[2]
@@ -152,7 +152,8 @@ def _check_energy_dissipation(config: ExperimentConfig) -> met.MetricReport:
         stride = max(1, len(log.times) // 20)
         phis, ws = log.phis[::stride], log.ws[::stride]
         grad_w, grad_phi = met.weighted_error_gradients(mrp, phis, ws)
-        dw, dphi = dyn.rhs_end_to_end(mrp, phis, ws, spec.eta_w, spec.eta_phi)
+        semi_w, semi_phi = dyn.expected_semi_gradients(mrp, phis, ws)
+        dw, dphi = -spec.eta_w * semi_w, -spec.eta_phi * semi_phi
         lhs = np.sum(grad_w * dw, axis=(1, 2)) + np.sum(grad_phi * dphi, axis=(1, 2))
         rhs = -(np.sum(dphi * dphi, axis=(1, 2)) / spec.eta_phi
                 + np.sum(dw * dw, axis=(1, 2)) / spec.eta_w)

@@ -6,8 +6,8 @@ This module provides:
   permutation-mixed or symmetrized (strictly positive after mixing, hence
   irreducible), with i.i.d. standard normal rewards and uniform d.
   ``make_random_mdp`` and ``make_symmetric_mdp`` name its two chains.
-- ``sample_random_rewards``, normal rewards with per-entry variance
-  sigma^2 / h, so that R R^T concentrates around sigma^2 I as h grows.
+- ``sample_random_rewards``, normal rewards with per-entry variance 1 / h,
+  so that R R^T concentrates around I as h grows.
 - A reversibility residual and a checked JSON round trip.
 
 Every quantity that depends only on the process (I - gamma P, the key matrix
@@ -33,6 +33,7 @@ import numpy as np
 ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-10
 
+SINKHORN_TOL = 1e-12
 SINKHORN_MAX_ITER = 10_000
 
 
@@ -183,53 +184,29 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class RewardSpec:
-    """How to sample an |X| x h random reward matrix.
-
-    Entries are i.i.d. zero-mean normal with per-entry variance sigma^2 / h,
-    which makes R R^T concentrate around sigma^2 I at rate O(1/sqrt(h)).
-    """
-
-    h: int
-    sigma: float = 1.0
-
-    def __post_init__(self):
-        if self.h < 1:
-            raise ValueError(f"h must be >= 1, got {self.h}")
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
-
-
-def sample_doubly_stochastic(
-    n: int,
-    seed: int | np.random.SeedSequence,
-    tol: float = 1e-12,
-    max_iter: int = SINKHORN_MAX_ITER,
-) -> np.ndarray:
+def sample_doubly_stochastic(n: int, seed: int | np.random.SeedSequence) -> np.ndarray:
     """Random doubly-stochastic matrix via Sinkhorn normalization.
 
     Starts from a strictly positive uniform-random matrix and alternates
-    column and row normalization until every column sum is within ``tol``
-    of 1 (rows are exact after the final row pass). Strict positivity of
-    the start guarantees convergence and an irreducible result.
+    column and row normalization until every column sum is within
+    ``SINKHORN_TOL`` of 1 (rows are exact after the final row pass), or
+    raises ``ConvergenceError`` after ``SINKHORN_MAX_ITER`` passes. Strict
+    positivity of the start guarantees convergence and an irreducible result.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if not tol > 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
     if n == 1:
         return np.ones((1, 1))
     rng = make_rng(seed)
     M = rng.uniform(0.1, 1.0, size=(n, n))
     residual = np.inf
-    for _ in range(max_iter):
+    for _ in range(SINKHORN_MAX_ITER):
         M /= M.sum(axis=0, keepdims=True)
         M /= M.sum(axis=1, keepdims=True)
         residual = np.abs(M.sum(axis=0) - 1.0).max()
-        if residual <= tol:
+        if residual <= SINKHORN_TOL:
             return M
-    raise ConvergenceError("Sinkhorn normalization", max_iter, residual)
+    raise ConvergenceError("Sinkhorn normalization", SINKHORN_MAX_ITER, residual)
 
 
 def sample_permutation(n: int, seed: int | np.random.SeedSequence) -> np.ndarray:
@@ -240,12 +217,14 @@ def sample_permutation(n: int, seed: int | np.random.SeedSequence) -> np.ndarray
     return np.eye(n)[rng.permutation(n)]
 
 
-def sample_random_rewards(
-    n: int, spec: RewardSpec, seed: int | np.random.SeedSequence
-) -> np.ndarray:
-    """Sample an n x h normal reward matrix per ``spec`` (entry variance sigma^2 / h)."""
-    scale = spec.sigma / np.sqrt(spec.h)
-    return scale * make_rng(seed).standard_normal((n, spec.h))
+def sample_random_rewards(n: int, h: int, seed: int | np.random.SeedSequence) -> np.ndarray:
+    """n x h i.i.d. normal rewards with per-entry variance 1 / h.
+
+    R R^T then concentrates around I at rate O(1/sqrt(h)).
+    """
+    if h < 1:
+        raise ValueError(f"h must be >= 1, got {h}")
+    return 1.0 / np.sqrt(h) * make_rng(seed).standard_normal((n, h))
 
 
 def seed_streams(seed: int) -> list[np.random.SeedSequence]:
@@ -326,6 +305,9 @@ def mdp_from_json(doc: dict) -> MarkovRewardProcess:
         raise ValueError(f"MDP document is missing fields: {sorted(missing)}")
     for name, check in (("n", _check_int), ("h", _check_int), ("gamma", _check_real)):
         check(name, doc[name])
+    for name in ("P", "R", "d"):  # numpy would read "0.5" as 0.5, and true among floats as 1.0
+        for entry in {type(e): e for e in np.asarray(doc[name], dtype=object).flat}.values():
+            _check_real(f"{name} entry", entry)  # one entry of each type
     n, h = doc["n"], doc["h"]
     return MarkovRewardProcess(
         P=np.asarray(doc["P"], dtype=float).reshape(n, n),

@@ -15,8 +15,6 @@ absolute entry throughout. Every linear solve goes through one guard,
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,13 +121,13 @@ class MetricReport:
 
 
 def reports_to_csv(reports: list[MetricReport]) -> str:
-    """CSV (header + one row per report) with a trailing pass column."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["name", "value", "tolerance", "pass"])
-    for r in reports:
-        writer.writerow([r.name, repr(r.value), repr(r.tolerance_used), str(r.passed).lower()])
-    return buf.getvalue()
+    """CSV (header + one row per report) with a trailing pass column.
+
+    Check names hold no comma, quote or newline, so no field needs quoting.
+    """
+    return "name,value,tolerance,pass\n" + "".join(
+        f"{r.name},{r.value!r},{r.tolerance_used!r},{str(r.passed).lower()}\n" for r in reports
+    )
 
 
 def weighted_value_error(

@@ -195,6 +195,9 @@ def test_non_finite_mdp_file_exits_2(tmp_path, capsys):
     {"gamma": None}, {"n": None}, {"h": None},
     # int() truncated a fractional h, int() and float() took 5.0 and "0.9", and the run went ahead
     {"h": 1.5}, {"n": 5.0}, {"gamma": "0.9"},
+    # numpy read a numeric string as its number and a bool among floats as 1.0, and the run went ahead
+    {"R": ["0.25", 0.0, 0.0, 0.0, 0.0]}, {"R": [True, 0.0, 0.0, 0.0, 0.0]},
+    {"P": ["0.2"] + [0.2] * 24}, {"d": ["0.2"] + [0.2] * 4},
 ])
 def test_ill_typed_mdp_file_exits_2(edit, tmp_path, capsys):
     path = tmp_path / "m.json"
@@ -327,6 +330,18 @@ def test_duplicate_fig1_curves_are_a_usage_error(tmp_path, monkeypatch, capsys):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"dynamics": [{"kind": "end_to_end"}, {"kind": "end_to_end"}]}))
     assert run_cli(["experiment", "fig1", "--trials", "1", "--t-end", "1", "-c", str(config),
+                    "-o", str(tmp_path / "out")]) == 1
+    assert "not distinct" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_repeated_fig3_h_values_are_a_usage_error(source, tmp_path, monkeypatch, capsys):
+    # this ran, wrote a single h2 curve and recorded h_values [2, 2] in the manifest
+    monkeypatch.setattr(exp, "_map_trials", _no_trials)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"h_values": [2, 2]}))
+    h_args = ["--h", "2", "2"] if source == "flag" else ["-c", str(config)]
+    assert run_cli(["experiment", "fig3", "--trials", "1", "--t-end", "1", *h_args,
                     "-o", str(tmp_path / "out")]) == 1
     assert "not distinct" in capsys.readouterr().err
 

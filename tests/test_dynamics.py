@@ -17,7 +17,7 @@ from numpy.testing import assert_allclose
 from tdrepdyn import dynamics as dyn
 from tdrepdyn import experiments as exp
 from tdrepdyn import metrics as met
-from tdrepdyn.mdp import make_random_mdp, make_symmetric_mdp, make_rng
+from tdrepdyn.mdp import make_mdp, make_random_mdp, make_symmetric_mdp, make_rng
 from tdrepdyn.metrics import COND_LIMIT, IllConditionedError
 
 
@@ -326,6 +326,37 @@ def test_semi_gradients_match_hand_formula(small_mixed):
     assert_allclose(grad_phi, -weighted @ w.T, atol=1e-14)
 
 
+def _enumerated_semi_gradients(mrp, phi, w):
+    """Minus the expected single-transition TD update, summed transition by transition.
+
+    A transition s -> s' has weight d(s) P(s, s') and TD error
+    delta = R(s) + gamma phi(s') w - phi(s) w; it moves w by phi(s)^T delta
+    and the row phi(s) by delta w^T.
+    """
+    grad_w, grad_phi = np.zeros_like(w), np.zeros_like(phi)
+    for s in range(mrp.n):
+        for s_next in range(mrp.n):
+            weight = mrp.d[s] * mrp.P[s, s_next]
+            delta = mrp.R[s] + mrp.gamma * phi[s_next] @ w - phi[s] @ w
+            grad_w -= weight * np.outer(phi[s], delta)
+            grad_phi[s] -= weight * (w @ delta)
+    return grad_w, grad_phi
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(symmetric=st.booleans(), n=st.integers(1, 6), k=st.integers(1, 3), h=st.integers(1, 3),
+       gamma=st.sampled_from((0.0, 0.5, 0.9, 0.99)), seed=st.integers(0, 2**16))
+def test_semi_gradients_match_enumerated_td_updates(symmetric, n, k, h, gamma, seed):
+    # an oracle from the definition of TD, not from the matrix form the kernel shares
+    mrp = make_mdp(symmetric, h, n=n, gamma=gamma, alpha=0.95, seed=seed)
+    rng = make_rng(seed)
+    phi = rng.standard_normal((n, min(k, n)))
+    w = rng.standard_normal((min(k, n), h))
+    for got, want in zip(dyn.expected_semi_gradients(mrp, phi, w),
+                         _enumerated_semi_gradients(mrp, phi, w), strict=True):
+        assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
+
+
 def test_semi_gradients_shape_checks(small_mixed):
     with pytest.raises(ValueError):
         dyn.expected_semi_gradients(small_mixed, np.ones((5, 2)), np.ones((2, 1)))
@@ -333,15 +364,15 @@ def test_semi_gradients_shape_checks(small_mixed):
         dyn.expected_semi_gradients(small_mixed, np.ones((8, 2)), np.ones((3, 1)))
 
 
-def test_rhs_wrappers_scale_with_rates(small_mixed):
-    rng = make_rng(2)
-    phi = rng.standard_normal((8, 2))
-    w = rng.standard_normal((2, 1))
-    grad_w, grad_phi = dyn.expected_semi_gradients(small_mixed, phi, w)
-    dw, dphi = dyn.rhs_end_to_end(small_mixed, phi, w, eta_w=3.0, eta_phi=0.5)
-    assert_allclose(dw, -3.0 * grad_w)
-    assert_allclose(dphi, -0.5 * grad_phi)
-    assert_allclose(dyn.rhs_linear_td(small_mixed, phi, w, eta_w=3.0), dw)
+def _drift(mrp, spec, phi, w=None):
+    """(dw, dphi) of ``spec`` at (phi, w) from the public API.
+
+    The two-time-scale flow pins w at its fixed point.
+    """
+    if spec.kind == dyn.TWO_TIME_SCALE:
+        w = dyn.td_fixed_point(mrp, phi)
+    grad_w, grad_phi = dyn.expected_semi_gradients(mrp, phi, w)
+    return -spec.eta_w * grad_w, -spec.eta_phi * grad_phi
 
 
 # ----------------------------------------------------------------------- init
@@ -370,7 +401,7 @@ def test_small_step_euler_tracks_ode(small_mixed):
     spec = dyn.end_to_end(1.0, 1.0)
     phi, w = phi0, np.zeros((2, 1))
     for _ in range(2000):
-        dw, dphi = dyn.rhs_end_to_end(small_mixed, phi, w, spec.eta_w, spec.eta_phi)
+        dw, dphi = _drift(small_mixed, spec, phi, w)
         phi, w = phi + 0.005 * dphi, w + 0.005 * dw
     log = dyn.integrate(
         small_mixed, spec, phi0,
@@ -445,7 +476,7 @@ def test_integrate_wraps_fixed_point_breakdown(small_mixed):
 
 
 def _rk45_reference(mrp, spec, phi0, config):
-    """The integrator this package used before: SciPy's solve_ivp(RK45) over the public drifts."""
+    """The integrator this package used before: SciPy's solve_ivp(RK45) over the public API's drifts."""
     from scipy.integrate import solve_ivp
 
     n, k = phi0.shape
@@ -454,21 +485,21 @@ def _rk45_reference(mrp, spec, phi0, config):
         y0 = np.zeros(split)
 
         def fun(t, y):
-            return dyn.rhs_linear_td(mrp, phi0, y.reshape(k, mrp.h), spec.eta_w).ravel()
+            return _drift(mrp, spec, phi0, y.reshape(k, mrp.h))[0].ravel()
 
     elif spec.kind == dyn.END_TO_END:
         y0 = np.concatenate([np.zeros(split), phi0.ravel()])
 
         def fun(t, y):
             phi, w = y[split:].reshape(n, k), y[:split].reshape(k, mrp.h)
-            dw, dphi = dyn.rhs_end_to_end(mrp, phi, w, spec.eta_w, spec.eta_phi)
+            dw, dphi = _drift(mrp, spec, phi, w)
             return np.concatenate([dw.ravel(), dphi.ravel()])
 
     else:
         y0 = phi0.ravel()
 
         def fun(t, y):
-            return dyn.rhs_two_time_scale(mrp, y.reshape(n, k), spec.eta_phi).ravel()
+            return _drift(mrp, spec, y.reshape(n, k))[1].ravel()
 
     times = np.linspace(0.0, config.t_end, config.log_points)
     return solve_ivp(fun, (0.0, config.t_end), y0, method="RK45", t_eval=times,
@@ -572,15 +603,15 @@ def test_batch_rows_are_bitwise_their_solo_runs(rows, doomed):
 
 
 def _public_drift(row: dyn.Problem) -> np.ndarray:
-    """The drift of one batch row, flattened, from the public ``rhs_*`` function of its kind."""
+    """The drift of one batch row, flattened, from the public API."""
     mrp, spec, phi, w = row
     if spec.kind == dyn.LINEAR_TD:
-        return dyn.rhs_linear_td(mrp, phi, w, spec.eta_w).ravel()
+        return _drift(mrp, spec, phi, w)[0].ravel()
     if spec.kind == dyn.END_TO_END:
-        dw, dphi = dyn.rhs_end_to_end(mrp, phi, w, spec.eta_w, spec.eta_phi)
+        dw, dphi = _drift(mrp, spec, phi, w)
         return np.concatenate([dw.ravel(), dphi.ravel()])
     padded = mrp.with_rewards(np.pad(mrp.R, ((0, 0), (0, dyn._padded_h(mrp.h) - mrp.h))))
-    return dyn.rhs_two_time_scale(padded, phi, spec.eta_phi).ravel()
+    return _drift(padded, spec, phi)[1].ravel()
 
 
 @pytest.mark.parametrize("h", [1, 3, 8, 9])

@@ -13,7 +13,6 @@ from tdrepdyn.experiments import initial_representation
 from tdrepdyn.mdp import (
     ConvergenceError,
     MarkovRewardProcess,
-    RewardSpec,
     make_random_mdp,
     make_symmetric_mdp,
     reversibility_residual,
@@ -49,9 +48,10 @@ def test_doubly_stochastic_deterministic_and_seed_sensitive():
     assert not np.array_equal(a, c)
 
 
-def test_doubly_stochastic_nonconvergence_reports_residual():
+def test_doubly_stochastic_nonconvergence_reports_residual(monkeypatch):
+    monkeypatch.setattr(mdp_mod, "SINKHORN_MAX_ITER", 2)
     with pytest.raises(ConvergenceError) as info:
-        sample_doubly_stochastic(20, seed=0, tol=1e-12, max_iter=2)
+        sample_doubly_stochastic(20, seed=0)
     assert info.value.iterations == 2
     assert info.value.residual > 0
 
@@ -115,20 +115,17 @@ def test_seed_streams_are_the_generators_and_the_init_streams():
     assert np.array_equal(phi0, orthonormal_init(6, 2, streams[3]))
 
 
-def test_reward_spec_validation():
+def test_random_rewards_reject_h_below_1():
     with pytest.raises(ValueError):
-        RewardSpec(h=0)
-    with pytest.raises(ValueError):
-        RewardSpec(h=1, sigma=-1.0)
+        sample_random_rewards(5, 0, seed=0)
 
 
 def test_random_rewards_variance_scaling():
-    # per-entry variance sigma^2 / h
-    spec = RewardSpec(h=400, sigma=2.0)
-    R = sample_random_rewards(50, spec, seed=8)
+    # per-entry variance 1 / h
+    R = sample_random_rewards(50, 400, seed=8)
     assert R.shape == (50, 400)
     observed = R.var()
-    assert abs(observed - 4.0 / 400) < 0.1 * (4.0 / 400)
+    assert abs(observed - 1.0 / 400) < 0.1 * (1.0 / 400)
 
 
 # ---------------------------------------------------------------- validation
