@@ -10,10 +10,6 @@ A check on several chains integrates them with one ``integrate_batch`` call.
 from __future__ import annotations
 
 import logging
-import re
-import subprocess
-import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -139,7 +135,7 @@ def _check_gradient_flow_identity(config: ExperimentConfig) -> met.MetricReport:
         mrp = mdp_mod.make_symmetric_mdp(n=10, h=2, gamma=0.9, seed=seed)
         phi = rng.standard_normal((10, 3))
         w = rng.standard_normal((3, 2))
-        worst = max(worst, met.gradient_check(mrp, phi, w))
+        worst = max(worst, dyn.gradient_check(mrp, phi, w))
     return met.MetricReport("dynamics.gradient_flow_identity", worst, 1e-5, worst < 1e-5)
 
 
@@ -330,38 +326,3 @@ def _check_median_aggregation(config: ExperimentConfig) -> met.MetricReport:
     agg = AggregateSeries("median_check", times, values, trial_seeds=tuple(range(5)))
     gap = np.abs(agg.median - 2.0).max()
     return met.MetricReport("experiments.median_aggregation", float(gap), 0.0, gap == 0.0)
-
-
-def _check_cli_seed_determinism(config: ExperimentConfig) -> met.MetricReport:
-    with tempfile.TemporaryDirectory() as tmp:
-        outputs = []
-        for name in ("a.json", "b.json"):
-            path = Path(tmp) / name
-            proc = subprocess.run([sys.executable, "-m", "tdrepdyn.cli", "gen-mdp", "--n", "8",
-                                   "--seed", "4", "-o", str(path)], capture_output=True)
-            if proc.returncode != 0:
-                return met.MetricReport("cli.seed_determinism", 1.0, 0.0, False)
-            outputs.append(path.read_bytes())
-    same = outputs[0] == outputs[1]
-    return met.MetricReport("cli.seed_determinism", 0.0 if same else 1.0, 0.0, same)
-
-
-def _check_cli_help_flags(config: ExperimentConfig) -> met.MetricReport:
-    from .cli import build_parser  # deferred: cli imports this module at top level
-
-    parser = build_parser()
-    expected = {
-        "gen-mdp": ["--n", "--h", "--gamma", "--alpha", "--seed", "--symmetric", "-o", "-v"],
-        "simulate": ["--mdp", "--n", "--k", "--h", "--gamma", "--alpha", "--seed", "--symmetric",
-                     "--dynamics", "--eta-w", "--eta-phi", "--t-end", "--rtol", "--atol",
-                     "--log-points", "--store-states", "-o", "-c", "-v"],
-        "experiment": ["--n", "--k", "--h", "--gamma", "--alpha", "--seed", "--trials",
-                       "--eta-phi", "--jobs", "--t-end", "--rtol", "--atol", "--log-points",
-                       "-o", "-c", "-v"],
-    }
-    missing = 0
-    for sub, flags in expected.items():
-        # whole option tokens, so "--h" is not found inside "--help"
-        listed = set(re.findall(r"(?<![\w-])--?\w[\w-]*", parser.subcommands[sub].format_help()))
-        missing += len(set(flags) - listed)
-    return met.MetricReport("cli.help_flags", float(missing), 0.0, missing == 0)

@@ -88,6 +88,8 @@ class MarkovRewardProcess:
         R = np.asarray(self.R, dtype=float)
         if R.ndim == 1:
             R = R[:, None]
+        if R.ndim != 2:
+            raise ValueError(f"R must be a vector or a matrix, got shape {R.shape}")
         d = np.asarray(self.d, dtype=float).ravel()
         n = P.shape[0]
         if P.shape != (n, n):

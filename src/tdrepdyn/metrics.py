@@ -219,33 +219,3 @@ def invariant_subspace_residual(P: np.ndarray, phi: np.ndarray) -> float:
     target = P @ phi
     projected = phi @ _solve_or_raise(phi.T @ phi, phi.T @ target, "phi^T phi")
     return float(np.abs(target - projected).max())
-
-
-def gradient_check(mrp: MarkovRewardProcess, phi: np.ndarray, w: np.ndarray) -> float:
-    """Max relative error between semi-gradient directions and finite differences.
-
-    The analytic side is the negated, rate-normalized drift of the joint
-    dynamics; the numeric side is a central finite difference of the weighted
-    value error with step eps = 1e-6. For reversible chains the two agree to
-    O(eps^2); otherwise the returned discrepancy quantifies how far the
-    dynamics is from a true gradient flow (a diagnostic, not a failure).
-    """
-    from .dynamics import expected_semi_gradients
-
-    grad_w, grad_phi = expected_semi_gradients(mrp, phi, w)
-    eps = 1e-6
-
-    def central_difference(x: np.ndarray, error_at) -> np.ndarray:
-        fd = np.zeros_like(x)
-        for idx in np.ndindex(*x.shape):
-            step = np.zeros_like(x)
-            step[idx] = eps
-            fd[idx] = (error_at(x + step) - error_at(x - step)) / (2 * eps)
-        return fd
-
-    fd_w = central_difference(w, lambda q: weighted_value_error(mrp, phi, q))
-    fd_phi = central_difference(phi, lambda p: weighted_value_error(mrp, p, w))
-
-    scale = max(np.abs(grad_w).max(), np.abs(grad_phi).max(), 1e-12)
-    err = max(np.abs(grad_w - fd_w).max(), np.abs(grad_phi - fd_phi).max())
-    return float(err / scale)

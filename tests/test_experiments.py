@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from tdrepdyn import cli
 from tdrepdyn import dynamics as dyn
 from tdrepdyn import experiments as exp
 from tdrepdyn import invariants as inv
@@ -342,7 +341,7 @@ def test_invariant_suite_all_green(tmp_path):
         integrator=dyn.IntegratorConfig(t_end=300.0, rtol=1e-10, atol=1e-12, log_points=151),
     )
     reports = inv.run_invariant_suite(cfg)
-    assert len(reports) == 22
+    assert len(reports) == 20
     failed = [r.name for r in reports if not r.passed]
     assert failed == []
     table = (tmp_path / "invariants" / "report.csv").read_text()
@@ -375,7 +374,7 @@ def test_numerical_failure_in_an_invariant_check_is_a_failed_report(monkeypatch)
 
     name = _suite_with_one_check(monkeypatch, breaks_down)
     reports = inv.run_invariant_suite(exp.ExperimentConfig())
-    assert len(reports) == 22
+    assert len(reports) == 20
     assert reports[0] == MetricReport(name, float("inf"), 0.0, False)
     assert all(r.passed for r in reports[1:])
 
@@ -387,26 +386,6 @@ def test_bug_in_an_invariant_check_propagates(monkeypatch):
     _suite_with_one_check(monkeypatch, buggy)
     with pytest.raises(TypeError, match="bug in a check"):
         inv.run_invariant_suite(exp.ExperimentConfig())
-
-
-def test_help_flag_check_sees_a_dropped_flag(monkeypatch):
-    # "--h" must be matched as a whole token, not inside "--help"
-    build_parser = cli.build_parser
-
-    def without_h():
-        parser = build_parser()
-        sub = parser.subcommands["experiment"]
-        action = next(a for a in sub._actions if "--h" in a.option_strings)
-        sub._remove_action(action)
-        for group in sub._action_groups:
-            if action in group._group_actions:
-                group._group_actions.remove(action)
-        return parser
-
-    monkeypatch.setattr(cli, "build_parser", without_h)
-    assert "--h " not in cli.build_parser().subcommands["experiment"].format_help()
-    report = inv._check_cli_help_flags(exp.ExperimentConfig())
-    assert report.value == 1.0 and not report.passed
 
 
 if __name__ == "__main__":

@@ -160,7 +160,7 @@ def test_mrp_rejects_non_finite_entries(name, bad):
 
 
 _CORRUPTIONS = ("none", "non_finite_P", "non_finite_R", "non_finite_d", "negative_P", "row_sum",
-                "negative_d", "d_sum", "non_stationary", "gamma", "zero_columns")
+                "negative_d", "d_sum", "non_stationary", "gamma", "zero_columns", "extra_axis_R")
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -179,6 +179,9 @@ _CORRUPTIONS = ("none", "non_finite_P", "non_finite_R", "non_finite_d", "negativ
 )
 # an h = 0 process was accepted, and integrating it died in a zero-size reduction
 @example(symmetric=False, n=3, h=1, gamma=0.9, seed=0, corruption="zero_columns", index=0,
+         size=1e-3, bad=np.nan, bad_gamma=1.0)
+# a reward array with a third axis was accepted, and its first solve failed
+@example(symmetric=False, n=4, h=2, gamma=0.9, seed=0, corruption="extra_axis_R", index=0,
          size=1e-3, bad=np.nan, bad_gamma=1.0)
 def test_mrp_boundary_rejects_every_invalid_input_and_accepts_valid_ones(
     symmetric, n, h, gamma, seed, corruption, index, size, bad, bad_gamma
@@ -217,6 +220,8 @@ def test_mrp_boundary_rejects_every_invalid_input_and_accepts_valid_ones(
         d[(i + 1) % n] -= size
     elif corruption == "gamma":
         gamma = bad_gamma
+    elif corruption == "extra_axis_R":
+        R = R[..., None]
     else:
         R = np.zeros((n, 0))
     with pytest.raises(ValueError):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from tdrepdyn import metrics as met
-from tdrepdyn.dynamics import orthonormal_init
-from tdrepdyn.mdp import make_random_mdp, make_symmetric_mdp, make_rng
+from tdrepdyn.dynamics import gradient_check, orthonormal_init
+from tdrepdyn.mdp import make_mdp, make_random_mdp, make_symmetric_mdp, make_rng
 
 
 def test_weighted_value_error_matches_trace_form(small_mixed):
@@ -27,6 +29,44 @@ def test_weighted_value_error_nonnegative(small_mixed):
         phi = rng.standard_normal((8, 2))
         w = rng.standard_normal((2, 1))
         assert met.weighted_value_error(small_mixed, phi, w) >= 0.0
+
+
+def _value_by_iteration(mrp):
+    """V from ceil(40 / (1 - gamma)) sweeps of V <- R + gamma P V, starting at 0.
+
+    P is stochastic, so each sweep shrinks the max-norm error by gamma, in all
+    by gamma^sweeps <= e^-40: far below rounding. A stop on a small change
+    comes too early for gamma near 1, and rounding can leave the iterates
+    cycling in their last bits, so none is used.
+    """
+    V = np.zeros_like(mrp.R)
+    for _ in range(int(np.ceil(40 / (1 - mrp.gamma)))):
+        V = mrp.R + mrp.gamma * (mrp.P @ V)
+    return V
+
+
+def _enumerated_value_error(mrp, phi, w):
+    """0.5 sum_c sum_s d(s) e(s, c) (e(s, c) - gamma sum_s' P(s, s') e(s', c)), e = phi w - V."""
+    e = phi @ w - _value_by_iteration(mrp)
+    total = 0.0
+    for c in range(mrp.h):
+        for s in range(mrp.n):
+            expected_next = sum(mrp.P[s, s_next] * e[s_next, c] for s_next in range(mrp.n))
+            total += mrp.d[s] * e[s, c] * (e[s, c] - mrp.gamma * expected_next)
+    return 0.5 * total
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(symmetric=st.booleans(), n=st.integers(1, 6), k=st.integers(1, 3), h=st.integers(1, 3),
+       gamma=st.sampled_from((0.0, 0.5, 0.9, 0.99)), seed=st.integers(0, 2**16))
+def test_weighted_value_error_matches_enumerated_sum(symmetric, n, k, h, gamma, seed):
+    # an oracle from the definition, with V from value iteration rather than the cached solve
+    mrp = make_mdp(symmetric, h, n=n, gamma=gamma, alpha=0.95, seed=seed)
+    rng = make_rng(seed)
+    phi = rng.standard_normal((n, min(k, n)))
+    w = rng.standard_normal((min(k, n), h))
+    want = _enumerated_value_error(mrp, phi, w)
+    assert abs(met.weighted_value_error(mrp, phi, w) - want) <= 1e-10 * max(1.0, abs(want))
 
 
 def test_true_gradients_match_finite_differences(small_mixed):
@@ -58,7 +98,7 @@ def test_gradient_check_helper_small_on_random_instance(small_symmetric):
     rng = make_rng(3)
     phi = rng.standard_normal((8, 2))
     w = rng.standard_normal((2, 2))
-    assert met.gradient_check(small_symmetric, phi, w) < 1e-6
+    assert gradient_check(small_symmetric, phi, w) < 1e-6
 
 
 def test_trace_objective_matches_explicit_inverse(small_mixed):
