@@ -27,7 +27,8 @@ EXIT_IO = 2
 EXIT_GENERATION = 3
 EXIT_NUMERIC = 4
 
-EXPERIMENTS = ("fig1", "fig2", "fig3", "invariants")
+FIGURES = ("fig1", "fig2", "fig3")
+EXPERIMENTS = (*FIGURES, "invariants")
 
 # Integrator fields a run takes when neither the -c document nor a flag sets
 # them, per command (simulate, or the experiment's name). Horizons are
@@ -45,6 +46,15 @@ _FLAG_KEYS = {
     "n": "n_states", "k": "k", "gamma": "gamma", "alpha": "alpha", "seed": "seed",
     "trials": "n_trials", "jobs": "jobs", "outdir": "outdir",
 }
+# Typed experiment flags by argparse dest, with the experiments that read them;
+# any other experiment would ignore the flag, so typing it is a usage error.
+# Keys of a -c document are not checked against this table.
+_EXPERIMENT_FLAG_SCOPE = {
+    "n": FIGURES, "k": FIGURES, "trials": FIGURES, "seed": FIGURES, "jobs": FIGURES,
+    "h": ("fig3",), "eta_phi": ("fig2", "fig3"),
+}
+# simulate flags that shape the generated chain, which --mdp replaces
+_CHAIN_FLAGS = ("n", "h", "gamma", "alpha", "symmetric")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -206,6 +216,13 @@ def cmd_gen_mdp(parser: _Parser, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _reject_typed(sub: _Parser, args: argparse.Namespace, dests, reason: str) -> None:
+    """Exit with a usage error if the user typed any flag in ``dests``."""
+    for dest in dests:
+        if getattr(args, dest) != sub.get_default(dest):
+            sub.error(f"--{dest.replace('_', '-')} {reason}")
+
+
 def _load_json(path: Path) -> dict:
     try:
         doc = json.loads(path.read_text())
@@ -250,6 +267,8 @@ def _run_config(sub: argparse.ArgumentParser, args: argparse.Namespace,
 
 def cmd_simulate(parser: _Parser, args: argparse.Namespace) -> int:
     sub = parser.subcommands["simulate"]
+    if args.mdp is not None:
+        _reject_typed(sub, args, _CHAIN_FLAGS, "does not apply with --mdp")
     kind = args.dynamics.replace("-", "_")
     eta_phi = args.eta_phi
     if eta_phi is None:
@@ -308,8 +327,9 @@ def cmd_simulate(parser: _Parser, args: argparse.Namespace) -> int:
 
 def cmd_experiment(parser: _Parser, args: argparse.Namespace) -> int:
     sub = parser.subcommands["experiment"]
-    if args.eta_phi is not None and args.name not in ("fig2", "fig3"):
-        sub.error("--eta-phi only applies to fig2 and fig3")
+    for dest, names in _EXPERIMENT_FLAG_SCOPE.items():
+        if args.name not in names:
+            _reject_typed(sub, args, (dest,), f"only applies to {', '.join(names)}")
     overlay = {}
     if args.eta_phi is not None:
         overlay["dynamics"] = [{"kind": dyn.TWO_TIME_SCALE, "eta_w": 0.0, "eta_phi": args.eta_phi}]

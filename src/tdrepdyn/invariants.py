@@ -5,6 +5,12 @@
 ``MetricReport`` each. The acceptance tests call the same checks, some with
 their own integrator settings, so each invariant is checked by one function.
 A check on several chains integrates them with one ``integrate_batch`` call.
+
+A property earns a row only if the row can fail and no unit test makes the
+same check: a bound the library already enforces on every call (such as
+``MarkovRewardProcess``'s stationarity check or the fixed-point guard) reads
+"true" by construction, and a row that repeats a unit test adds run time and
+no coverage. The suite runs no figure experiment and starts no process pool.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import numpy as np
 from . import dynamics as dyn
 from . import mdp as mdp_mod
 from . import metrics as met
-from .experiments import _TRIAL_FAILURES, AggregateSeries, ExperimentConfig, run_experiment
+from .experiments import _TRIAL_FAILURES, ExperimentConfig
 from .mdp import make_rng
 
 logger = logging.getLogger(__name__)
@@ -75,16 +81,6 @@ def _check_doubly_stochastic_closure(config: ExperimentConfig) -> met.MetricRepo
     return met.MetricReport("mdp.doubly_stochastic_closure", worst, 1e-12, worst <= 1e-12)
 
 
-def _check_stationary_exactness(config: ExperimentConfig) -> met.MetricReport:
-    worst = 0.0
-    for seed in range(40):
-        mrp = mdp_mod.make_random_mdp(n=15, h=1, gamma=config.gamma, alpha=config.alpha, seed=seed)
-        sym = mdp_mod.make_symmetric_mdp(n=15, h=1, gamma=config.gamma, seed=seed)
-        for m in (mrp, sym):
-            worst = max(worst, np.abs(m.d @ m.P - m.d).max())
-    return met.MetricReport("mdp.stationary_exactness", worst, 1e-10, worst <= 1e-10)
-
-
 def _check_key_matrix_pd(config: ExperimentConfig) -> met.MetricReport:
     smallest = np.inf
     for seed in range(100):
@@ -119,13 +115,6 @@ def _check_reward_concentration(config: ExperimentConfig) -> met.MetricReport:
         medians.append(float(np.median(devs)))
     decreasing = medians[0] > medians[1] > medians[2]
     return met.MetricReport("mdp.reward_concentration", medians[-1], 0.15, decreasing and medians[-1] < 0.15)
-
-
-def _check_mdp_determinism(config: ExperimentConfig) -> met.MetricReport:
-    a = mdp_mod.make_random_mdp(n=12, h=2, gamma=config.gamma, alpha=config.alpha, seed=99)
-    b = mdp_mod.make_random_mdp(n=12, h=2, gamma=config.gamma, alpha=config.alpha, seed=99)
-    same = all(np.array_equal(x, y) for x, y in ((a.P, b.P), (a.R, b.R), (a.d, b.d)))
-    return met.MetricReport("mdp.determinism", 0.0 if same else 1.0, 0.0, same)
 
 
 def _check_gradient_flow_identity(config: ExperimentConfig) -> met.MetricReport:
@@ -176,17 +165,6 @@ def _check_trace_monotonicity(config: ExperimentConfig) -> met.MetricReport:
     logs = _integrated(config, mrps, dyn.two_time_scale(), range(1, 4), ("f",))
     worst_dip = max(float((-np.diff(log.metrics["f"])).max(initial=0.0)) for log in logs)
     return met.MetricReport("dynamics.trace_monotonicity", worst_dip, slack, worst_dip <= slack)
-
-
-def _check_fixed_point_orthogonality(config: ExperimentConfig) -> met.MetricReport:
-    mrps = [mdp_mod.make_random_mdp(n=10, h=2, gamma=0.9, alpha=config.alpha, seed=seed)
-            for seed in range(3)]
-    logs = _integrated(config, mrps, dyn.two_time_scale(), range(1, 4), ("E",), store_states=True)
-    worst = max(
-        float(np.abs(log.phis.swapaxes(1, 2) @ mrp.A @ (log.phis @ log.ws - mrp.V)).max())
-        for mrp, log in zip(mrps, logs)
-    )
-    return met.MetricReport("dynamics.fixed_point_orthogonality", worst, 1e-8, worst <= 1e-8)
 
 
 def _check_integrator_order(config: ExperimentConfig) -> met.MetricReport:
@@ -291,38 +269,3 @@ def _check_rotation_invariance(config: ExperimentConfig) -> met.MetricReport:
         Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         worst = max(worst, met.covariance_drift(phi0 @ Q, phi0))
     return met.MetricReport("metrics.rotation_invariance", worst, 1e-12, worst <= 1e-12)
-
-
-def _tiny_fig1_config(jobs: int = 1) -> ExperimentConfig:
-    return ExperimentConfig(
-        n_states=8,
-        k=2,
-        n_trials=3,
-        seed=7,
-        jobs=jobs,
-        integrator=dyn.IntegratorConfig(t_end=20.0, rtol=1e-8, atol=1e-10, log_points=21),
-    )
-
-
-def _check_experiment_determinism(config: ExperimentConfig) -> met.MetricReport:
-    first = run_experiment("fig1", _tiny_fig1_config())
-    second = run_experiment("fig1", _tiny_fig1_config())
-    same = all(first[name].to_csv() == second[name].to_csv() for name in first)
-    return met.MetricReport("experiments.determinism", 0.0 if same else 1.0, 0.0, same)
-
-
-def _check_trial_independence(config: ExperimentConfig) -> met.MetricReport:
-    sequential = run_experiment("fig1", _tiny_fig1_config(jobs=1))
-    concurrent = run_experiment("fig1", _tiny_fig1_config(jobs=2))
-    worst = max(
-        np.abs(sequential[name].values - concurrent[name].values).max() for name in sequential
-    )
-    return met.MetricReport("experiments.trial_independence", float(worst), 0.0, worst == 0.0)
-
-
-def _check_median_aggregation(config: ExperimentConfig) -> met.MetricReport:
-    times = np.arange(5.0)
-    values = np.vstack([np.full(5, 2.0)] * 4 + [np.full(5, 100.0)])
-    agg = AggregateSeries("median_check", times, values, trial_seeds=tuple(range(5)))
-    gap = np.abs(agg.median - 2.0).max()
-    return met.MetricReport("experiments.median_aggregation", float(gap), 0.0, gap == 0.0)

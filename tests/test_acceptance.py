@@ -3,7 +3,8 @@
 Every test records its verdict through the ``acceptance`` fixture (the
 summary block at the end of the pytest run) and then asserts it, so a
 failure shows up both ways. The heavyweight figure reproductions run the
-full 100-trial protocol; expect several minutes on one core.
+full 100-trial protocol; criteria 4-6 (marked slow) take about 35 s together
+on a 2-core machine, most of it criterion 6.
 """
 
 import subprocess

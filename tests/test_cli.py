@@ -147,6 +147,43 @@ def test_usage_errors_exit_1(argv, capsys, tmp_path):
     assert "error" in capsys.readouterr().err
 
 
+# each of these ran and exited 0, the flag silently ignored
+@pytest.mark.parametrize("name,flag", [
+    *[("invariants", flag) for flag in ("--n", "--k", "--trials", "--seed", "--jobs", "--h")],
+    ("fig1", "--h"), ("fig2", "--h"),
+])
+def test_flags_an_experiment_ignores_exit_1(name, flag, capsys, monkeypatch):
+    monkeypatch.setattr(inv, "run_invariant_suite", _no_trials)
+    monkeypatch.setattr(exp, "run_experiment", _no_trials)
+    assert run_cli(["experiment", name, flag, "3"]) == 1
+    assert f"{flag} only applies to" in capsys.readouterr().err
+
+
+# each of these wrote the same CSV as the run without the flag
+@pytest.mark.parametrize("flags", [["--n", "5"], ["--h", "5"], ["--gamma", "0"],
+                                   ["--alpha", "0.2"], ["--symmetric"]])
+def test_chain_flags_with_an_mdp_file_exit_1(flags, tmp_path, capsys):
+    path = tmp_path / "m.json"
+    assert run_cli(["gen-mdp", "--n", "5", "--seed", "2", "-o", str(path)]) == 0
+    out = tmp_path / "traj.csv"
+    assert run_cli(["simulate", "--mdp", str(path), "--t-end", "1", "--log-points", "3",
+                    *flags, "-o", str(out)]) == 1
+    assert f"{flags[0]} does not apply with --mdp" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_keys_an_experiment_ignores_stay_accepted(tmp_path, monkeypatch):
+    # the flag scope binds typed flags only; a manifest's config block feeds any run
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"n_states": 7, "k": 3, "seed": 3, "jobs": 2, "h_values": [4]}))
+    monkeypatch.setattr(inv, "run_invariant_suite", lambda config: [])
+    assert run_cli(["experiment", "invariants", "-c", str(config), "-o", str(tmp_path)]) == 0
+    path = tmp_path / "m.json"
+    assert run_cli(["gen-mdp", "--n", "5", "--seed", "2", "-o", str(path)]) == 0
+    assert run_cli(["simulate", "--mdp", str(path), "-c", str(config), "--t-end", "1",
+                    "--log-points", "3", "--k", "2", "-o", str(tmp_path / "t.csv")]) == 0
+
+
 @pytest.mark.parametrize(
     "doc",
     [

@@ -17,8 +17,10 @@ from numpy.testing import assert_allclose
 from tdrepdyn import dynamics as dyn
 from tdrepdyn import experiments as exp
 from tdrepdyn import metrics as met
-from tdrepdyn.mdp import make_mdp, make_random_mdp, make_symmetric_mdp, make_rng
+from tdrepdyn.mdp import make_random_mdp, make_symmetric_mdp, make_rng
 from tdrepdyn.metrics import COND_LIMIT, IllConditionedError
+
+from chains import CHAIN_KINDS, build_chain
 
 
 # ------------------------------------------------------------------- configs
@@ -344,11 +346,12 @@ def _enumerated_semi_gradients(mrp, phi, w):
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(symmetric=st.booleans(), n=st.integers(1, 6), k=st.integers(1, 3), h=st.integers(1, 3),
-       gamma=st.sampled_from((0.0, 0.5, 0.9, 0.99)), seed=st.integers(0, 2**16))
-def test_semi_gradients_match_enumerated_td_updates(symmetric, n, k, h, gamma, seed):
+@given(kind=st.sampled_from(CHAIN_KINDS), n=st.integers(1, 6), k=st.integers(1, 3),
+       h=st.integers(1, 3), gamma=st.sampled_from((0.0, 0.5, 0.9, 0.99)),
+       seed=st.integers(0, 2**16))
+def test_semi_gradients_match_enumerated_td_updates(kind, n, k, h, gamma, seed):
     # an oracle from the definition of TD, not from the matrix form the kernel shares
-    mrp = make_mdp(symmetric, h, n=n, gamma=gamma, alpha=0.95, seed=seed)
+    mrp = build_chain(kind, h, n=n, gamma=gamma, seed=seed)
     rng = make_rng(seed)
     phi = rng.standard_normal((n, min(k, n)))
     w = rng.standard_normal((min(k, n), h))

@@ -6,7 +6,9 @@ from numpy.testing import assert_allclose
 
 from tdrepdyn import metrics as met
 from tdrepdyn.dynamics import gradient_check, orthonormal_init
-from tdrepdyn.mdp import make_mdp, make_random_mdp, make_symmetric_mdp, make_rng
+from tdrepdyn.mdp import make_random_mdp, make_symmetric_mdp, make_rng
+
+from chains import CHAIN_KINDS, build_chain
 
 
 def test_weighted_value_error_matches_trace_form(small_mixed):
@@ -57,11 +59,12 @@ def _enumerated_value_error(mrp, phi, w):
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(symmetric=st.booleans(), n=st.integers(1, 6), k=st.integers(1, 3), h=st.integers(1, 3),
-       gamma=st.sampled_from((0.0, 0.5, 0.9, 0.99)), seed=st.integers(0, 2**16))
-def test_weighted_value_error_matches_enumerated_sum(symmetric, n, k, h, gamma, seed):
+@given(kind=st.sampled_from(CHAIN_KINDS), n=st.integers(1, 6), k=st.integers(1, 3),
+       h=st.integers(1, 3), gamma=st.sampled_from((0.0, 0.5, 0.9, 0.99)),
+       seed=st.integers(0, 2**16))
+def test_weighted_value_error_matches_enumerated_sum(kind, n, k, h, gamma, seed):
     # an oracle from the definition, with V from value iteration rather than the cached solve
-    mrp = make_mdp(symmetric, h, n=n, gamma=gamma, alpha=0.95, seed=seed)
+    mrp = build_chain(kind, h, n=n, gamma=gamma, seed=seed)
     rng = make_rng(seed)
     phi = rng.standard_normal((n, min(k, n)))
     w = rng.standard_normal((min(k, n), h))
