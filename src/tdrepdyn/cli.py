@@ -123,7 +123,7 @@ def build_parser() -> _Parser:
     sim.add_argument("--dynamics", default="two-time-scale",
                      choices=["linear-td", "end-to-end", "two-time-scale"],
                      help="which drift field to integrate (default: two-time-scale)")
-    sim.add_argument("--eta-w", type=float, default=1.0, help="weight learning rate (default: 1)")
+    sim.add_argument("--eta-w", type=float, default=None, help="weight learning rate (default: 1)")
     sim.add_argument("--eta-phi", type=float, default=None,
                      help="representation learning rate (default: 1, or 0 for linear-td)")
     sim.add_argument("--t-end", type=float, default=None, help="integration horizon (default: 100)")
@@ -270,11 +270,14 @@ def cmd_simulate(parser: _Parser, args: argparse.Namespace) -> int:
     if args.mdp is not None:
         _reject_typed(sub, args, _CHAIN_FLAGS, "does not apply with --mdp")
     kind = args.dynamics.replace("-", "_")
+    if kind == dyn.TWO_TIME_SCALE:  # its weights sit at the fixed point, whatever eta_w
+        _reject_typed(sub, args, ("eta_w",), "does not apply to two-time-scale dynamics")
+    eta_w = 1.0 if args.eta_w is None else args.eta_w
     eta_phi = args.eta_phi
     if eta_phi is None:
         eta_phi = 0.0 if kind == dyn.LINEAR_TD else 1.0
     try:
-        spec = dyn.DynamicsSpec(kind, eta_w=args.eta_w, eta_phi=eta_phi)
+        spec = dyn.DynamicsSpec(kind, eta_w=eta_w, eta_phi=eta_phi)
     except ValueError as exc:
         sub.error(str(exc))
 
@@ -340,7 +343,11 @@ def cmd_experiment(parser: _Parser, args: argparse.Namespace) -> int:
         return EXIT_IO
 
     if args.name == "invariants":
-        reports = inv.run_invariant_suite(config)
+        try:
+            reports = inv.run_invariant_suite(config)
+        except OSError as exc:
+            print(f"cannot write outputs: {exc}", file=sys.stderr)
+            return EXIT_IO
         print(met.reports_to_csv(reports), end="")
         failed = [r for r in reports if not r.passed]
         if failed:

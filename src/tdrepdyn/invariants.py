@@ -10,7 +10,16 @@ A property earns a row only if the row can fail and no unit test makes the
 same check: a bound the library already enforces on every call (such as
 ``MarkovRewardProcess``'s stationarity check or the fixed-point guard) reads
 "true" by construction, and a row that repeats a unit test adds run time and
-no coverage. The suite runs no figure experiment and starts no process pool.
+no coverage. So the integrator's order against a matrix exponential, the
+sign of the weighted value error, the trace objective's ceiling, the
+critical-point residual on eigenvector pairs and the rotation invariance of
+the covariance drift are left to the unit tests that check them
+(``test_linear_td_matches_matrix_exponential``,
+``test_weighted_value_error_matches_enumerated_sum``,
+``test_normalized_trace_is_one_on_top_eigenbasis``,
+``test_critical_point_residual_zero_on_eigenvector_subsets`` and
+``test_covariance_drift_rotation_invariant_for_orthonormal``). The suite runs
+no figure experiment, starts no process pool and needs nothing but numpy.
 """
 
 from __future__ import annotations
@@ -167,59 +176,6 @@ def _check_trace_monotonicity(config: ExperimentConfig) -> met.MetricReport:
     return met.MetricReport("dynamics.trace_monotonicity", worst_dip, slack, worst_dip <= slack)
 
 
-def _check_integrator_order(config: ExperimentConfig) -> met.MetricReport:
-    import scipy.linalg  # deferred: the only scipy use in the package
-
-    mrp = mdp_mod.make_random_mdp(n=10, h=1, gamma=0.9, alpha=config.alpha, seed=5)
-    phi = dyn.orthonormal_init(10, 3, seed=6)
-    w0 = np.zeros((3, 1))
-    t_end = 50.0
-    G = phi.T @ mrp.A @ phi
-    w_star = dyn.td_fixed_point(mrp, phi)
-    exact = w_star + scipy.linalg.expm(-t_end * G) @ (w0 - w_star)
-    errors = []
-    for rtol in (1e-5, 1e-9):
-        cfg = dyn.IntegratorConfig(t_end=t_end, rtol=rtol, atol=rtol * 1e-2, log_points=2)
-        log = dyn.integrate(mrp, dyn.linear_td(), phi, w0=w0, config=cfg, metric_set=("E",), store_states=True)
-        errors.append(float(np.abs(log.ws[-1] - exact).max()))
-    ok = errors[0] > errors[1] and errors[1] <= 1e-7
-    return met.MetricReport("dynamics.integrator_order", errors[1], 1e-7, ok)
-
-
-def _check_error_nonnegativity(config: ExperimentConfig) -> met.MetricReport:
-    rng = make_rng(77)
-    lowest = np.inf
-    for _ in range(1000):
-        n = int(rng.integers(3, 13))
-        h = int(rng.integers(1, 4))
-        k = int(rng.integers(1, n + 1))
-        seed = int(rng.integers(0, 2**31))
-        mrp = mdp_mod.make_random_mdp(n=n, h=h, gamma=0.9, alpha=config.alpha, seed=seed)
-        phi = rng.standard_normal((n, k))
-        w = rng.standard_normal((k, h))
-        lowest = min(lowest, met.weighted_value_error(mrp, phi, w))
-    mrp = mdp_mod.make_random_mdp(n=8, h=2, gamma=0.9, alpha=config.alpha, seed=1)
-    at_value = met.weighted_value_error(mrp, mrp.V, np.eye(2))
-    ok = lowest >= 0.0 and at_value < 1e-12
-    return met.MetricReport("metrics.error_nonnegativity", min(lowest, at_value), 0.0, ok)
-
-
-def _check_trace_kpca_consistency(config: ExperimentConfig) -> met.MetricReport:
-    mrp = mdp_mod.make_symmetric_mdp(n=10, h=1, gamma=0.9, seed=8)
-    k = 3
-    resolvent = np.linalg.inv(np.eye(10) - mrp.gamma * mrp.P)
-    eigvals, eigvecs = np.linalg.eigh(0.5 * (resolvent + resolvent.T))
-    top = eigvecs[:, -k:]
-    gap = abs(met.normalized_trace_objective(mrp, top) - 1.0)
-    worst_probe = 0.0
-    rng = make_rng(9)
-    for _ in range(50):
-        probe, _ = np.linalg.qr(rng.standard_normal((10, k)))
-        worst_probe = max(worst_probe, met.normalized_trace_objective(mrp, probe))
-    ok = gap <= 1e-10 and worst_probe <= 1.0 + 1e-10
-    return met.MetricReport("metrics.trace_kpca_consistency", gap, 1e-10, ok)
-
-
 def _check_projection_idempotence(config: ExperimentConfig) -> met.MetricReport:
     rng = make_rng(13)
     worst = 0.0
@@ -237,35 +193,3 @@ def _check_projection_idempotence(config: ExperimentConfig) -> met.MetricReport:
         v = rng.standard_normal(8)
         worst = max(worst, np.abs(B.T @ W @ (v - M @ v)).max())
     return met.MetricReport("metrics.projection_idempotence", worst, 1e-10, worst <= 1e-10)
-
-
-def _check_subspace_critical_roundtrip(config: ExperimentConfig) -> met.MetricReport:
-    n, k = 10, 2
-    base = mdp_mod.make_symmetric_mdp(n=n, h=1, gamma=0.9, seed=21)
-    mrp = base.with_rewards(np.eye(n))
-    eigvals, eigvecs = np.linalg.eigh(mrp.P)
-    rng = make_rng(22)
-    ok = True
-    worst_clean = 0.0
-    for cols in ((n - 1, n - 2), (0, n - 1), (3, 7)):
-        phi = eigvecs[:, list(cols)]
-        sub = met.invariant_subspace_residual(mrp.P, phi)
-        crit = met.critical_point_residual(mrp, phi)
-        worst_clean = max(worst_clean, sub, crit)
-        ok = ok and sub < 1e-10 and crit < 1e-10
-    for _ in range(5):
-        phi = eigvecs[:, [n - 1, n - 2]] + 1e-2 * rng.standard_normal((n, k))
-        sub = met.invariant_subspace_residual(mrp.P, phi)
-        crit = met.critical_point_residual(mrp, phi)
-        ok = ok and sub > 1e-8 and crit > 1e-8
-    return met.MetricReport("metrics.subspace_critical_roundtrip", worst_clean, 1e-10, ok)
-
-
-def _check_rotation_invariance(config: ExperimentConfig) -> met.MetricReport:
-    rng = make_rng(31)
-    phi0 = dyn.orthonormal_init(12, 4, seed=32)
-    worst = 0.0
-    for _ in range(10):
-        Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
-        worst = max(worst, met.covariance_drift(phi0 @ Q, phi0))
-    return met.MetricReport("metrics.rotation_invariance", worst, 1e-12, worst <= 1e-12)

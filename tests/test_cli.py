@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -172,6 +173,15 @@ def test_chain_flags_with_an_mdp_file_exit_1(flags, tmp_path, capsys):
     assert not out.exists()
 
 
+# the two-time-scale field pins w to the fixed point, so this wrote the same CSV as without the flag
+def test_eta_w_with_two_time_scale_dynamics_exits_1(tmp_path, capsys):
+    out = tmp_path / "traj.csv"
+    assert run_cli(["simulate", "--n", "6", "--k", "2", "--t-end", "1", "--log-points", "5",
+                    "--eta-w", "7", "-o", str(out)]) == 1
+    assert "--eta-w does not apply to two-time-scale dynamics" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_keys_an_experiment_ignores_stay_accepted(tmp_path, monkeypatch):
     # the flag scope binds typed flags only; a manifest's config block feeds any run
     config = tmp_path / "cfg.json"
@@ -213,6 +223,10 @@ def test_io_errors_exit_2(tmp_path, capsys):
     strange.write_text(json.dumps({"n_states": 5, "surprise": 1}))
     assert run_cli(["simulate", "-c", str(strange), "--t-end", "1"]) == 2
     assert "unknown config keys" in capsys.readouterr().err
+
+    # the suite runs, then cannot make its output directory under a file
+    assert run_cli(["experiment", "invariants", "--t-end", "20", "-o", str(blocker)]) == 2
+    assert "cannot write outputs" in capsys.readouterr().err
 
 
 def test_non_finite_mdp_file_exits_2(tmp_path, capsys):
@@ -491,11 +505,31 @@ def test_simulate_matches_golden(tmp_path):
     assert (tmp_path / sidecar).read_bytes() == (golden / sidecar).read_bytes()
 
 
-def test_importing_the_cli_does_not_load_scipy():
-    probe = "import sys, tdrepdyn.cli; print('scipy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+_RUN_WITHOUT_SCIPY = """
+import sys
+
+sys.modules["scipy"] = None  # any import of scipy or of a submodule now fails
+from tdrepdyn import cli
+
+out = sys.argv[1]
+runs = [
+    ["gen-mdp", "--n", "6", "--seed", "1", "-o", out + "/m.json"],
+    ["simulate", "--mdp", out + "/m.json", "--t-end", "1", "--log-points", "3", "-o", out + "/t.csv"],
+    ["experiment", "fig1", "--trials", "1", "--t-end", "1", "--log-points", "3", "-o", out],
+    ["experiment", "invariants", "--t-end", "20", "-o", out],
+]
+print([cli.main(argv) for argv in runs])
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # numpy is the only run-time dependency; scipy belongs to the test extra
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _RUN_WITHOUT_SCIPY, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0]"
 
 
 def test_simulate_config_file_supplies_defaults_and_flags_win(tmp_path):

@@ -360,6 +360,38 @@ def test_semi_gradients_match_enumerated_td_updates(kind, n, k, h, gamma, seed):
         assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
 
 
+def _gradient_flow_residuals(kind):
+    """Per chain of ``kind`` (20 seeds, n = 10, k = 3, h = 2), at a random (phi, w):
+    ``gradient_check`` and the relative gap between <grad E, drift> and the
+    dissipation -(|dw|^2 / eta_w + |dphi|^2 / eta_phi) that a gradient flow has.
+    """
+    eta_w, eta_phi = 2.0, 0.5
+    rng = make_rng(2024)
+    for seed in range(20):
+        mrp = build_chain(kind, 2, n=10, gamma=0.9, seed=seed)
+        phi, w = rng.standard_normal((10, 3)), rng.standard_normal((3, 2))
+        grad_w, grad_phi = met.weighted_error_gradients(mrp, phi, w)
+        semi_w, semi_phi = dyn.expected_semi_gradients(mrp, phi, w)
+        dw, dphi = -eta_w * semi_w, -eta_phi * semi_phi
+        rate = np.sum(grad_w * dw) + np.sum(grad_phi * dphi)
+        dissipation = np.sum(dw * dw) / eta_w + np.sum(dphi * dphi) / eta_phi
+        yield dyn.gradient_check(mrp, phi, w), abs(rate + dissipation) / dissipation
+
+
+def test_reversible_chains_with_non_uniform_d_are_gradient_flows():
+    # the theorem asks for reversibility, not a uniform d: birth-death chains have a spread d
+    for check, mismatch in _gradient_flow_residuals("birth_death"):
+        assert check < 1e-5
+        assert mismatch < 1e-12
+
+
+def test_non_reversible_chains_are_not_gradient_flows():
+    # negative control: the two checks above can fail
+    for check, mismatch in _gradient_flow_residuals("positive"):
+        assert check > 1e-2
+        assert mismatch > 1e-4
+
+
 def test_semi_gradients_shape_checks(small_mixed):
     with pytest.raises(ValueError):
         dyn.expected_semi_gradients(small_mixed, np.ones((5, 2)), np.ones((2, 1)))
@@ -421,15 +453,19 @@ def test_linear_td_matches_matrix_exponential(small_mixed):
     phi = dyn.orthonormal_init(8, 3, seed=7)
     w0 = make_rng(8).standard_normal((3, 1))
     t_end = 40.0
-    log = dyn.integrate(
-        small_mixed, dyn.linear_td(), phi, w0=w0,
-        config=dyn.IntegratorConfig(t_end=t_end, rtol=1e-11, atol=1e-13, log_points=2),
-        store_states=True,
-    )
     G = phi.T @ small_mixed.A @ phi
     w_star = dyn.td_fixed_point(small_mixed, phi)
     exact = w_star + scipy.linalg.expm(-t_end * G) @ (w0 - w_star)
-    assert np.abs(log.ws[-1] - exact).max() < 1e-9
+    errors = []
+    for rtol in (1e-5, 1e-11):
+        log = dyn.integrate(
+            small_mixed, dyn.linear_td(), phi, w0=w0,
+            config=dyn.IntegratorConfig(t_end=t_end, rtol=rtol, atol=rtol * 1e-2, log_points=2),
+            store_states=True,
+        )
+        errors.append(np.abs(log.ws[-1] - exact).max())
+    # the error shrinks with the tolerance
+    assert errors[1] < 1e-9 < errors[0]
 
 
 def test_end_to_end_descends_on_reversible(small_symmetric):

@@ -349,10 +349,7 @@ def test_invariant_suite_all_green(tmp_path):
         "mdp.doubly_stochastic_closure", "mdp.key_matrix_pd", "mdp.value_function_residual",
         "mdp.reward_concentration", "dynamics.gradient_flow_identity",
         "dynamics.energy_dissipation", "dynamics.covariance_constancy",
-        "dynamics.trace_monotonicity", "dynamics.integrator_order",
-        "metrics.error_nonnegativity", "metrics.trace_kpca_consistency",
-        "metrics.projection_idempotence", "metrics.subspace_critical_roundtrip",
-        "metrics.rotation_invariance",
+        "dynamics.trace_monotonicity", "metrics.projection_idempotence",
     ]
     failed = [r.name for r in reports if not r.passed]
     assert failed == []
@@ -386,7 +383,7 @@ def test_numerical_failure_in_an_invariant_check_is_a_failed_report(monkeypatch)
 
     name = _suite_with_one_check(monkeypatch, breaks_down)
     reports = inv.run_invariant_suite(exp.ExperimentConfig())
-    assert len(reports) == 14
+    assert len(reports) == 9
     assert reports[0] == MetricReport(name, float("inf"), 0.0, False)
     assert all(r.passed for r in reports[1:])
 

@@ -12,16 +12,15 @@ def _trees():
     return {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
 
 
-def test_no_import_inside_a_function_but_the_deferred_scipy():
-    # a deferred import hides a cycle or a slow dependency; scipy.linalg.expm is
-    # only the reference of the integrator-order check
+def test_no_import_inside_a_function():
+    # a deferred import hides a cycle or a slow dependency
     found = []
     for module, tree in _trees().items():
         for func in ast.walk(tree):
             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 found += [(module, func.name, ast.unparse(node)) for node in ast.walk(func)
                           if isinstance(node, (ast.Import, ast.ImportFrom))]
-    assert found == [("invariants", "_check_integrator_order", "import scipy.linalg")]
+    assert found == []
 
 
 def test_modules_import_one_way():

@@ -69,7 +69,9 @@ def test_weighted_value_error_matches_enumerated_sum(kind, n, k, h, gamma, seed)
     phi = rng.standard_normal((n, min(k, n)))
     w = rng.standard_normal((min(k, n), h))
     want = _enumerated_value_error(mrp, phi, w)
-    assert abs(met.weighted_value_error(mrp, phi, w) - want) <= 1e-10 * max(1.0, abs(want))
+    got = met.weighted_value_error(mrp, phi, w)
+    assert got >= 0.0
+    assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
 
 def test_true_gradients_match_finite_differences(small_mixed):
@@ -141,12 +143,13 @@ def test_trace_ceiling_is_topk_eigenvalue_sum(small_symmetric):
 def test_normalized_trace_is_one_on_top_eigenbasis(small_symmetric):
     resolvent = np.linalg.inv(np.eye(8) - small_symmetric.gamma * small_symmetric.P)
     _, vecs = np.linalg.eigh(resolvent)
-    top2 = vecs[:, -2:]
-    assert abs(met.normalized_trace_objective(small_symmetric, top2) - 1.0) < 1e-10
-    # and no orthonormal probe can beat the ceiling
-    for seed in range(20):
-        probe = orthonormal_init(8, 2, seed=seed)
-        assert met.normalized_trace_objective(small_symmetric, probe) <= 1.0 + 1e-10
+    for k in (2, 3):
+        top = vecs[:, -k:]
+        assert abs(met.normalized_trace_objective(small_symmetric, top) - 1.0) < 1e-10
+        # and no orthonormal probe can beat the ceiling
+        for seed in range(20):
+            probe = orthonormal_init(8, k, seed=seed)
+            assert met.normalized_trace_objective(small_symmetric, probe) <= 1.0 + 1e-10
 
 
 def test_covariance_drift_scaling_oracle():
@@ -166,13 +169,14 @@ def test_critical_point_residual_zero_on_eigenvector_subsets():
     base = make_symmetric_mdp(n=10, h=1, gamma=0.9, seed=9)
     mrp = base.with_rewards(np.eye(10))
     _, vecs = np.linalg.eigh(mrp.P)
-    phi = vecs[:, [9, 5]]
-    assert met.critical_point_residual(mrp, phi) < 1e-12
-    assert met.invariant_subspace_residual(mrp.P, phi) < 1e-12
-    # a perturbed subspace is critical for neither characterization
-    noisy = phi + 1e-2 * make_rng(10).standard_normal((10, 2))
-    assert met.critical_point_residual(mrp, noisy) > 1e-8
-    assert met.invariant_subspace_residual(mrp.P, noisy) > 1e-8
+    for cols in ([9, 5], [9, 8], [0, 9], [3, 7]):
+        phi = vecs[:, cols]
+        assert met.critical_point_residual(mrp, phi) < 1e-12
+        assert met.invariant_subspace_residual(mrp.P, phi) < 1e-12
+        # a perturbed subspace is critical for neither characterization
+        noisy = phi + 1e-2 * make_rng(10).standard_normal((10, 2))
+        assert met.critical_point_residual(mrp, noisy) > 1e-8
+        assert met.invariant_subspace_residual(mrp.P, noisy) > 1e-8
 
 
 def test_invariant_subspace_residual_rank_guard():
