@@ -50,8 +50,8 @@ _FLAG_KEYS = {
 # any other experiment would ignore the flag, so typing it is a usage error.
 # Keys of a -c document are not checked against this table.
 _EXPERIMENT_FLAG_SCOPE = {
-    "n": FIGURES, "k": FIGURES, "trials": FIGURES, "seed": FIGURES, "jobs": FIGURES,
-    "h": ("fig3",), "eta_phi": ("fig2", "fig3"),
+    "n": FIGURES, "k": FIGURES, "gamma": FIGURES, "trials": FIGURES, "seed": FIGURES,
+    "jobs": FIGURES, "h": ("fig3",), "eta_phi": ("fig2", "fig3"),
 }
 # simulate flags that shape the generated chain, which --mdp replaces
 _CHAIN_FLAGS = ("n", "h", "gamma", "alpha", "symmetric")

@@ -310,11 +310,19 @@ def _aggregate(experiment: str, config: ExperimentConfig) -> dict[str, Aggregate
     return out
 
 
+def _output_dir(config: ExperimentConfig, experiment: str) -> Path | None:
+    """Make ``config.outdir / experiment`` before any work, so an unwritable -o fails fast."""
+    if config.outdir is None:
+        return None
+    out = Path(config.outdir) / experiment
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _write_outputs(config: ExperimentConfig, experiment: str, series: dict[str, AggregateSeries]) -> None:
     if config.outdir is None:
         return
     exp_dir = Path(config.outdir) / experiment
-    exp_dir.mkdir(parents=True, exist_ok=True)
     for name, agg in series.items():
         agg.to_csv(exp_dir / f"{name}.csv")
     manifest = {
@@ -340,6 +348,7 @@ def run_experiment(name: str, config: ExperimentConfig) -> dict[str, AggregateSe
     fig2: normalized trace objective for three reward/transition scenarios;
     fig3: normalized trace objective as the reward count h sweeps.
     """
+    _output_dir(config, name)
     series = _aggregate(name, config)
     _write_outputs(config, name, series)
     return series

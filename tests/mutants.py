@@ -1,0 +1,179 @@
+"""Mutation gate: every mutant below must make its named test fail.
+
+    python tests/mutants.py
+
+Each mutant is one text replacement in the library, kept as data: the file,
+the exact old text (which must occur exactly once), the new text, and the
+pytest node id that must fail once the replacement is made. The runner copies
+``src/``, ``tests/`` and ``pyproject.toml`` to a temporary directory and first
+runs every named test there unmutated: all of them must pass, or a test that
+is already broken would count as a kill. Then it applies each mutant to the
+copy in turn, runs its test with ``PYTHONPATH=<copy>/src`` and restores the
+file. The child process checks that the tests imported ``tdrepdyn`` from
+the copy, since an editable install also puts the checkout on the path.
+
+A mutant is killed when its test fails (pytest exit status 1). The runner
+exits 0 only if every mutant is killed; a survivor, a test that cannot run,
+or an old text not found exactly once makes it exit 1. pytest does not
+collect this file, and CI runs it as a job of its own. See DeMillo, Lipton
+and Sayward, "Hints on test data selection", IEEE Computer 11(4), 1978.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+WRONG_PACKAGE = 97  # the child's exit status when tdrepdyn is not the copy's
+TIMEOUT_S = 600
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to the repository root
+    old: str
+    new: str
+    test: str  # pytest node id that must fail
+
+
+_MDP, _DYN, _MET = "src/tdrepdyn/mdp.py", "src/tdrepdyn/dynamics.py", "src/tdrepdyn/metrics.py"
+_ACC, _TDYN = "tests/test_acceptance.py::", "tests/test_dynamics.py::"
+
+MUTANTS = (
+    # one per invariant row
+    Mutant("system_scales_identity", _MDP, "np.eye(self.n) - self.gamma * self.P",
+           "self.gamma * np.eye(self.n) - self.P",
+           _ACC + "test_criterion_8_key_matrix_positive_definite"),
+    Mutant("rewards_scaled_by_1_over_h", _MDP, "1.0 / np.sqrt(h) * make_rng", "1.0 / h * make_rng",
+           _ACC + "test_criterion_7_reward_concentration"),
+    Mutant("semi_gradients_drop_d", _DYN, "weighted = d * (R - ", "weighted = (R - ",
+           _ACC + "test_criterion_1_gradient_flow_identity"),
+    Mutant("fixed_point_uses_A_transpose", _DYN, "G = phi_t @ A @ phi",
+           "G = phi_t @ A.swapaxes(-1, -2) @ phi",
+           _ACC + "test_criterion_3_covariance_constancy"),
+    Mutant("stacked_field_negates_eta_phi", _DYN, 'full([row.spec.eta_phi for row in rows]',
+           'full([-row.spec.eta_phi for row in rows]',
+           "tests/test_experiments.py::test_invariant_suite_all_green"),
+    # P for P^T, gamma for gamma^2, and the fixed-point guard's certificate
+    Mutant("semi_gradients_P_transpose", _DYN, "gamma * (P @ pred)",
+           "gamma * (P.swapaxes(-1, -2) @ pred)",
+           _TDYN + "test_semi_gradients_match_enumerated_td_updates"),
+    Mutant("value_error_P_transpose", _MET, "mrp.gamma * (mrp.P @ err)", "mrp.gamma * (mrp.P.T @ err)",
+           "tests/test_metrics.py::test_weighted_value_error_matches_enumerated_sum"),
+    Mutant("value_error_gamma_squared", _MET, "mrp.gamma * (mrp.P @ err)",
+           "mrp.gamma ** 2 * (mrp.P @ err)",
+           "tests/test_metrics.py::test_weighted_value_error_matches_enumerated_sum"),
+    Mutant("certificate_never_certifies", _MET, "if certified.all():", "if False:",
+           _TDYN + "test_certified_solves_skip_the_svd"),
+    Mutant("certificate_always_certifies", _MET, "if certified.all():", "if True:",
+           _TDYN + "test_cond_guard_rejects_exactly_what_numpy_cond_rejects"),
+    Mutant("certificate_square_root", _MET, "** (G.shape[-1] / 2)", "** 0.5",
+           _TDYN + "test_cond_guard_rejects_exactly_what_numpy_cond_rejects"),
+    # the key matrix, the stacked field's padding and the step-size control
+    Mutant("key_matrix_drops_d", _MDP, "_frozen(self.d[:, None] * self.system)", "_frozen(self.system)",
+           "tests/test_mdp.py::test_key_matrix_positive_definite"),
+    Mutant("padding_with_ones", _DYN, "(0, h - m.shape[1])))", "(0, h - m.shape[1])), constant_values=1.0)",
+           _TDYN + "test_stacked_field_rows_are_bitwise_the_public_drifts"),
+    Mutant("growth_after_rejection", _DYN,
+           "        factor = np.where(~fresh & ~(factor < 1), 1.0, factor)\n", "",
+           _TDYN + "test_integrator_agrees_with_scipy_rk45"),
+    Mutant("batch_wide_initial_step", _DYN, "    h = h0\n", "    h0[:] = h0.min()\n    h = h0\n",
+           _TDYN + "test_batch_rows_are_bitwise_their_solo_runs"),
+)
+
+# Run in the copy: run pytest, then check that the tests imported the copy's tdrepdyn.
+# A kill needs one failing example, not a minimal one, so hypothesis does not shrink.
+_CHILD = f"""
+import sys
+from pathlib import Path
+import pytest
+
+class NoShrink:
+    def pytest_configure(self, config):
+        from hypothesis import Phase, settings
+        settings.register_profile("mutants", phases=(Phase.explicit, Phase.generate), database=None)
+        settings.load_profile("mutants")
+
+status = pytest.main(["-q", "-x", "-p", "no:cacheprovider", *sys.argv[2:]], plugins=[NoShrink()])
+package = sys.modules.get("tdrepdyn")
+if package is None or not Path(package.__file__).resolve().is_relative_to(Path(sys.argv[1]).resolve()):
+    print(f"the tests did not import tdrepdyn from the copy: {{package}}", file=sys.stderr)
+    sys.exit({WRONG_PACKAGE})
+sys.exit(status)
+"""
+
+
+def mutate(text: str, mutant: Mutant) -> str:
+    """``text`` with the mutant's replacement made; its old text must occur exactly once."""
+    count = text.count(mutant.old)
+    if count != 1:
+        raise ValueError(f"{mutant.name}: {mutant.old!r} occurs {count} times in {mutant.file}, not once")
+    return text.replace(mutant.old, mutant.new)
+
+
+def run_tests(copy: Path, tests: list[str]) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, "-c", _CHILD, str(copy), *tests],
+        cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT_S,
+    )
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="tdrepdyn-mutants-") as tmp:
+        copy = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, copy / part, ignore=ignore)
+        shutil.copy2(ROOT / "pyproject.toml", copy)
+        try:
+            sources = {m.file: (copy / m.file).read_text() for m in MUTANTS}
+            mutated = [mutate(sources[m.file], m) for m in MUTANTS]
+        except ValueError as exc:
+            print(exc, file=sys.stderr)
+            return 1
+
+        start = time.perf_counter()
+        tests = sorted({m.test for m in MUTANTS})
+        clean = run_tests(copy, tests)
+        if clean.returncode != 0:
+            print(clean.stdout + clean.stderr, file=sys.stderr)
+            print(f"the unmutated tests do not pass (exit {clean.returncode})", file=sys.stderr)
+            return 1
+        print(f"unmutated: {len(tests)} tests pass ({time.perf_counter() - start:.1f} s)")
+
+        bad = []
+        for mutant, text in zip(MUTANTS, mutated):
+            start = time.perf_counter()
+            path = copy / mutant.file
+            path.write_text(text)
+            try:
+                result = run_tests(copy, [mutant.test])
+                status = {0: "SURVIVED", 1: "killed"}.get(
+                    result.returncode, f"error (exit {result.returncode})"
+                )
+            except subprocess.TimeoutExpired:
+                result, status = None, f"timed out after {TIMEOUT_S} s"
+            finally:
+                path.write_text(sources[mutant.file])
+            print(f"{mutant.name}: {status} ({mutant.test}, {time.perf_counter() - start:.1f} s)")
+            if status != "killed":
+                bad.append(mutant.name)
+                if result is not None and result.returncode != 0:
+                    print(result.stdout[-2000:] + result.stderr[-2000:], file=sys.stderr)
+    if bad:
+        print(f"{len(bad)} of {len(MUTANTS)} mutants not killed: {', '.join(bad)}", file=sys.stderr)
+        return 1
+    print(f"all {len(MUTANTS)} mutants killed")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -150,13 +150,14 @@ def test_usage_errors_exit_1(argv, capsys, tmp_path):
 
 # each of these ran and exited 0, the flag silently ignored
 @pytest.mark.parametrize("name,flag", [
-    *[("invariants", flag) for flag in ("--n", "--k", "--trials", "--seed", "--jobs", "--h")],
+    *[("invariants", flag) for flag in ("--n", "--k", "--gamma", "--trials", "--seed", "--jobs", "--h")],
     ("fig1", "--h"), ("fig2", "--h"),
 ])
 def test_flags_an_experiment_ignores_exit_1(name, flag, capsys, monkeypatch):
     monkeypatch.setattr(inv, "run_invariant_suite", _no_trials)
     monkeypatch.setattr(exp, "run_experiment", _no_trials)
-    assert run_cli(["experiment", name, flag, "3"]) == 1
+    value = "0.5" if flag == "--gamma" else "3"
+    assert run_cli(["experiment", name, flag, value]) == 1
     assert f"{flag} only applies to" in capsys.readouterr().err
 
 
@@ -208,7 +209,14 @@ def test_non_finite_config_values_exit_1(doc, tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
-def test_io_errors_exit_2(tmp_path, capsys):
+def test_io_errors_exit_2(tmp_path, capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("work started before the output directory was made")
+
+    # experiments ran every trial or check and found -o unwritable only then
+    monkeypatch.setattr(exp, "_run_one", never)
+    for check in [attr for attr in vars(inv) if attr.startswith("_check_")]:
+        monkeypatch.setattr(inv, check, never)
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory")
     assert run_cli(["gen-mdp", "-o", str(blocker / "m.json")]) == 2
@@ -224,9 +232,10 @@ def test_io_errors_exit_2(tmp_path, capsys):
     assert run_cli(["simulate", "-c", str(strange), "--t-end", "1"]) == 2
     assert "unknown config keys" in capsys.readouterr().err
 
-    # the suite runs, then cannot make its output directory under a file
-    assert run_cli(["experiment", "invariants", "--t-end", "20", "-o", str(blocker)]) == 2
-    assert "cannot write outputs" in capsys.readouterr().err
+    # no output directory can be made under a file
+    for argv in (["fig1", "--trials", "20"], ["invariants", "--t-end", "20"]):
+        assert run_cli(["experiment", *argv, "-o", str(blocker)]) == 2
+        assert "cannot write outputs" in capsys.readouterr().err
 
 
 def test_non_finite_mdp_file_exits_2(tmp_path, capsys):

@@ -610,18 +610,23 @@ _ROWS = st.tuples(
     st.integers(1, 3),  # k
     st.sampled_from((0.5, 1.0, 2.0)),  # learning rate
     st.integers(0, 99),  # seed of the chain and of phi0
+    st.none() | st.integers(0, 99),  # seed of a random w0, or None for w0 = 0
 )
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(rows=st.lists(_ROWS, min_size=1, max_size=6),
        doomed=st.none() | st.tuples(st.integers(0, 6), st.integers(1, 10)))
+# w0 = 0 gives the first row the floor initial step 1e-6, and the second row's
+# initial step is bounded by 100 times its own first guess, not the batch's
+@example(rows=[(dyn.LINEAR_TD, 3, 8, 2, 1.0, 7, None), (dyn.LINEAR_TD, 3, 8, 2, 1.0, 7, 7)], doomed=None)
 def test_batch_rows_are_bitwise_their_solo_runs(rows, doomed):
     config = dyn.IntegratorConfig(t_end=0.5, rtol=1e-6, atol=1e-8, log_points=5)
     problems = [
         dyn.Problem(make_random_mdp(n=n, h=h, seed=seed), _SPECS[kind](eta),
-                    dyn.orthonormal_init(n, k, seed=seed))
-        for kind, h, n, k, eta, seed in rows
+                    dyn.orthonormal_init(n, k, seed=seed),
+                    None if w0_seed is None else make_rng(w0_seed).standard_normal((k, h)))
+        for kind, h, n, k, eta, seed, w0_seed in rows
     ]
     if doomed is not None:  # a two-time-scale peer whose first fixed-point solve is rejected
         at, h = doomed

@@ -12,6 +12,7 @@ from tdrepdyn.dynamics import orthonormal_init
 from tdrepdyn.experiments import initial_representation
 from tdrepdyn.mdp import (
     ConvergenceError,
+    SINKHORN_TOL,
     MarkovRewardProcess,
     make_random_mdp,
     make_symmetric_mdp,
@@ -31,6 +32,16 @@ def test_doubly_stochastic_row_and_col_sums(n):
     assert_allclose(P.sum(axis=1), np.ones(n), atol=1e-10)
     assert_allclose(P.sum(axis=0), np.ones(n), atol=1e-10)
     assert (P > 0).all()
+
+
+def test_mixed_chains_are_doubly_stochastic():
+    # the Sinkhorn core's column sums are within SINKHORN_TOL of 1; mixing adds rounding
+    bound = SINKHORN_TOL + 16 * np.finfo(float).eps
+    for alpha in np.linspace(0.0, 1.0, 11):
+        for seed in range(20):
+            P = make_random_mdp(n=12, alpha=alpha, seed=seed).P
+            assert np.abs(P.sum(axis=1) - 1).max() <= bound
+            assert np.abs(P.sum(axis=0) - 1).max() <= bound
 
 
 def test_doubly_stochastic_2x2_is_symmetric():
@@ -241,9 +252,10 @@ def test_value_function_worked_example(two_state):
 
 
 def test_value_function_residual(small_mixed):
-    V = small_mixed.V
-    resid = V - small_mixed.gamma * small_mixed.P @ V - small_mixed.R
-    assert np.abs(resid).max() <= 1e-10
+    for mrp in (small_mixed, *(make_random_mdp(n=20, h=3, seed=seed) for seed in range(20))):
+        V = mrp.V
+        resid = V - mrp.gamma * mrp.P @ V - mrp.R
+        assert np.abs(resid).max() <= 1e-10
 
 
 def test_key_matrix_positive_definite(small_mixed):
