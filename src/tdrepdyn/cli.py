@@ -2,6 +2,12 @@
 
 Exit codes: 0 success, 1 usage error, 2 I/O error, 3 generation failure,
 4 numerical failure (integration breakdown or failed invariant checks).
+
+An error in configuring a run leaves through the command's parser, which
+raises SystemExit: a usage error (1) by ``error``, and a -c document that
+cannot be read or holds an unknown key, or an --mdp file that cannot be
+loaded (2), by ``exit``. An error in running the command (generating,
+integrating, writing) is returned: 2, 3 or 4.
 """
 
 from __future__ import annotations
@@ -58,7 +64,14 @@ _CHAIN_FLAGS = ("n", "h", "gamma", "alpha", "symmetric")
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with 2 on bad usage; the documented taxonomy wants 1."""
+    """Every parser's policy: a fixed help layout, no abbreviated flags, usage errors exit 1.
+
+    ``add_subparsers`` builds each subcommand's parser from this class too.
+    argparse exits with 2 on bad usage; the documented taxonomy wants 1.
+    """
+
+    def __init__(self, **kwargs):
+        super().__init__(formatter_class=_formatter, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -79,18 +92,10 @@ def build_parser() -> _Parser:
         prog="tdrepdyn",
         description="Continuous-time TD representation dynamics: generators, "
         "trajectory simulation, and figure experiments.",
-        formatter_class=_formatter,
-        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    parser.subcommands = {}
 
-    gen = sub.add_parser(
-        "gen-mdp",
-        help="sample a Markov reward process and write it as JSON",
-        formatter_class=_formatter,
-        allow_abbrev=False,
-    )
+    gen = sub.add_parser("gen-mdp", help="sample a Markov reward process and write it as JSON")
     gen.add_argument("--n", type=int, default=30, help="number of states (default: 30)")
     gen.add_argument("--h", type=int, default=1, help="number of reward columns (default: 1)")
     gen.add_argument("--gamma", type=float, default=0.9, help="discount factor in [0, 1) (default: 0.9)")
@@ -102,15 +107,9 @@ def build_parser() -> _Parser:
     gen.add_argument("-o", "--out", type=Path, default=None,
                      help="output path (default: <TDREPDYN_OUT>/mdp.json)")
     gen.add_argument("-v", "--verbose", action="count", default=0, help="increase log level")
-    gen.set_defaults(func=cmd_gen_mdp)
-    parser.subcommands["gen-mdp"] = gen
+    gen.set_defaults(func=cmd_gen_mdp, command_parser=gen)
 
-    sim = sub.add_parser(
-        "simulate",
-        help="integrate one trajectory and write the metric log as CSV",
-        formatter_class=_formatter,
-        allow_abbrev=False,
-    )
+    sim = sub.add_parser("simulate", help="integrate one trajectory and write the metric log as CSV")
     sim.add_argument("--mdp", type=Path, default=None,
                      help="load the MDP from this JSON file instead of generating one")
     sim.add_argument("--n", type=int, help="number of states if generating (default: 30)")
@@ -137,15 +136,9 @@ def build_parser() -> _Parser:
     sim.add_argument("-o", "--out", type=Path, default=None,
                      help="output CSV path (default: <TDREPDYN_OUT>/trajectory.csv)")
     sim.add_argument("-v", "--verbose", action="count", default=0, help="increase log level")
-    sim.set_defaults(func=cmd_simulate)
-    parser.subcommands["simulate"] = sim
+    sim.set_defaults(func=cmd_simulate, command_parser=sim)
 
-    run = sub.add_parser(
-        "experiment",
-        help="run a figure reproduction or the invariant suite",
-        formatter_class=_formatter,
-        allow_abbrev=False,
-    )
+    run = sub.add_parser("experiment", help="run a figure reproduction or the invariant suite")
     run.add_argument("name", choices=EXPERIMENTS, help="experiment to run")
     run.add_argument("--n", type=int, help="number of states (default: 30)")
     run.add_argument("--k", type=int, help="representation width (default: 2)")
@@ -171,8 +164,7 @@ def build_parser() -> _Parser:
     run.add_argument("-o", "--out", dest="outdir", metavar="OUT", type=Path,
                      help="output directory root (default: TDREPDYN_OUT or .)")
     run.add_argument("-v", "--verbose", action="count", default=0, help="increase log level")
-    run.set_defaults(func=cmd_experiment)
-    parser.subcommands["experiment"] = run
+    run.set_defaults(func=cmd_experiment, command_parser=run)
 
     return parser
 
@@ -182,18 +174,11 @@ def _setup_logging(verbosity: int) -> None:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
-def cmd_gen_mdp(parser: _Parser, args: argparse.Namespace) -> int:
-    sub = parser.subcommands["gen-mdp"]
-    if not 0 <= args.alpha <= 1:
-        sub.error(f"--alpha must be in [0, 1], got {args.alpha}")
-    if not 0 <= args.gamma < 1:
-        sub.error(f"--gamma must be in [0, 1), got {args.gamma}")
-    if args.n < 1:
-        sub.error(f"--n must be >= 1, got {args.n}")
-    if args.h < 1:
-        sub.error(f"--h must be >= 1, got {args.h}")
-    if args.seed < 0:
-        sub.error(f"--seed must be >= 0, got {args.seed}")
+def cmd_gen_mdp(args: argparse.Namespace) -> int:
+    try:
+        mdp_mod.check_chain_args(args.n, args.h, args.gamma, args.alpha, args.seed)
+    except ValueError as exc:
+        args.command_parser.error(str(exc))
     out = args.out if args.out is not None else default_out_root() / "mdp.json"
     try:
         mrp = mdp_mod.make_mdp(args.symmetric, args.h, n=args.n, gamma=args.gamma,
@@ -216,36 +201,33 @@ def cmd_gen_mdp(parser: _Parser, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _reject_typed(sub: _Parser, args: argparse.Namespace, dests, reason: str) -> None:
+def _reject_typed(args: argparse.Namespace, dests, reason: str) -> None:
     """Exit with a usage error if the user typed any flag in ``dests``."""
+    sub = args.command_parser
     for dest in dests:
         if getattr(args, dest) != sub.get_default(dest):
             sub.error(f"--{dest.replace('_', '-')} {reason}")
 
 
-def _load_json(path: Path) -> dict:
+def _load_json(sub: _Parser, path: Path) -> dict:
     try:
         doc = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        raise _CliIOError(f"cannot read {path}: {exc}") from exc
+        sub.exit(EXIT_IO, f"cannot read {path}: {exc}\n")
     if not isinstance(doc, dict):
-        raise _CliIOError(f"{path} does not hold a JSON object")
+        sub.exit(EXIT_IO, f"{path} does not hold a JSON object\n")
     return doc
 
 
-class _CliIOError(RuntimeError):
-    pass
-
-
-def _run_config(sub: argparse.ArgumentParser, args: argparse.Namespace,
-                command: str, **overlay) -> exp.ExperimentConfig:
+def _run_config(args: argparse.Namespace, command: str, **overlay) -> exp.ExperimentConfig:
     """The run's config: the -c document under the flags the user typed and ``overlay``.
 
     Integrator fields that none of them set come from ``command``'s row of
-    INTEGRATOR_DEFAULTS. An unreadable document or an unknown key raises
-    _CliIOError; a value out of range is a usage error.
+    INTEGRATOR_DEFAULTS. An unreadable document or an unknown key exits 2; a
+    value out of range is a usage error.
     """
-    doc = _load_json(args.config) if args.config is not None else {}
+    sub = args.command_parser
+    doc = _load_json(sub, args.config) if args.config is not None else {}
     typed = {dest: value for dest, value in vars(args).items() if value is not None}
     doc.update({key: typed[dest] for dest, key in _FLAG_KEYS.items() if dest in typed})
     if "h" in typed:
@@ -260,18 +242,18 @@ def _run_config(sub: argparse.ArgumentParser, args: argparse.Namespace,
     try:
         return exp.config_from_json(doc)
     except exp.UnknownConfigKeyError as exc:
-        raise _CliIOError(f"{args.config}: {exc}") from exc
+        sub.exit(EXIT_IO, f"{args.config}: {exc}\n")
     except (ValueError, TypeError) as exc:
         sub.error(str(exc))
 
 
-def cmd_simulate(parser: _Parser, args: argparse.Namespace) -> int:
-    sub = parser.subcommands["simulate"]
+def cmd_simulate(args: argparse.Namespace) -> int:
+    sub = args.command_parser
     if args.mdp is not None:
-        _reject_typed(sub, args, _CHAIN_FLAGS, "does not apply with --mdp")
+        _reject_typed(args, _CHAIN_FLAGS, "does not apply with --mdp")
     kind = args.dynamics.replace("-", "_")
     if kind == dyn.TWO_TIME_SCALE:  # its weights sit at the fixed point, whatever eta_w
-        _reject_typed(sub, args, ("eta_w",), "does not apply to two-time-scale dynamics")
+        _reject_typed(args, ("eta_w",), "does not apply to two-time-scale dynamics")
     eta_w = 1.0 if args.eta_w is None else args.eta_w
     eta_phi = args.eta_phi
     if eta_phi is None:
@@ -286,14 +268,9 @@ def cmd_simulate(parser: _Parser, args: argparse.Namespace) -> int:
         try:
             mrp = mdp_mod.load_mdp(args.mdp)
         except (OSError, ValueError, TypeError) as exc:
-            print(f"cannot load MDP from {args.mdp}: {exc}", file=sys.stderr)
-            return EXIT_IO
+            sub.exit(EXIT_IO, f"cannot load MDP from {args.mdp}: {exc}\n")
         overlay["n_states"] = mrp.n  # k is checked against the loaded chain
-    try:
-        config = _run_config(sub, args, "simulate", **overlay)
-    except _CliIOError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_IO
+    config = _run_config(args, "simulate", **overlay)
     if args.mdp is None:
         try:
             mrp = mdp_mod.make_mdp(args.symmetric, config.h_values[0], n=config.n_states,
@@ -328,19 +305,15 @@ def cmd_simulate(parser: _Parser, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_experiment(parser: _Parser, args: argparse.Namespace) -> int:
-    sub = parser.subcommands["experiment"]
+def cmd_experiment(args: argparse.Namespace) -> int:
+    sub = args.command_parser
     for dest, names in _EXPERIMENT_FLAG_SCOPE.items():
         if args.name not in names:
-            _reject_typed(sub, args, (dest,), f"only applies to {', '.join(names)}")
+            _reject_typed(args, (dest,), f"only applies to {', '.join(names)}")
     overlay = {}
     if args.eta_phi is not None:
         overlay["dynamics"] = [{"kind": dyn.TWO_TIME_SCALE, "eta_w": 0.0, "eta_phi": args.eta_phi}]
-    try:
-        config = _run_config(sub, args, args.name, **overlay)
-    except _CliIOError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_IO
+    config = _run_config(args, args.name, **overlay)
 
     if args.name == "invariants":
         try:
@@ -381,7 +354,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _setup_logging(args.verbose)
-    return args.func(parser, args)
+    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -99,6 +99,9 @@ _ERROR_EXPONENT = -1 / 5  # -1 / (order of the embedded error estimate + 1)
 _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 _H_BLOCK = 8  # two-time-scale rewards are padded to a multiple of this many columns
 _MIN_SV = 1e-10  # smallest singular value a representation may have
+# Steps (accepted plus rejected) a trajectory may take, 13x a criterion-4 row's 14.9k;
+# a flow made stiff by a large eta would otherwise step ever shorter without end.
+MAX_STEPS = 200_000
 
 
 @dataclass(frozen=True)
@@ -608,9 +611,9 @@ def _dopri45(field: _StackedField, y0: np.ndarray, times: np.ndarray, config: In
     clipping at t_end, RMS error norm over the row's own state, step-size
     factors (with no growth right after a rejection) and dense output at the
     ``times`` in (t_old, t_new]. Rows that finish or fail leave the batch,
-    which is compacted. Returns per row either ``(Y, SolverStats)``, with Y
-    holding the state at each of ``times`` as a column, or its
-    IntegrationError.
+    which is compacted; so does a row that has taken ``MAX_STEPS`` steps.
+    Returns per row either ``(Y, SolverStats)``, with Y holding the state at
+    each of ``times`` as a column, or its IntegrationError.
     """
     n_rows, size = y0.shape
     t_bound = float(config.t_end)
@@ -638,29 +641,32 @@ def _dopri45(field: _StackedField, y0: np.ndarray, times: np.ndarray, config: In
                 results[ids[slot]] = error
         return f
 
-    # select_initial_step, per row
+    # select_initial_step, per row; where a huge drift overflows the estimate,
+    # the row starts from the min_step floor and MAX_STEPS ends it
     y = y0
-    f = evaluate(y, 0.0)
-    scale = atol + np.abs(y) * rtol
-    d0, d1 = _rms(y / scale), _rms(f / scale)
-    h0 = np.empty(n_rows)
-    for i in range(n_rows):
-        h0[i] = min(1e-6 if d0[i] < 1e-5 or d1[i] < 1e-5 else 0.01 * d0[i] / d1[i], t_bound)
-    h = h0
-    f1 = evaluate(y + h0[:, None] * f, 1.0)
-    d2 = _rms((f1 - f) / scale) / h0
-    h_abs = np.empty(n_rows)
-    for i in range(n_rows):
-        if d1[i] <= 1e-15 and d2[i] <= 1e-15:
-            h1 = max(1e-6, h0[i] * 1e-3)
-        else:
-            h1 = (0.01 / max(d1[i], d2[i])) ** (1 / 5)
-        h_abs[i] = min(100 * h0[i], h1, t_bound, max_step)
+    with np.errstate(all="ignore"):
+        f = evaluate(y, 0.0)
+        scale = atol + np.abs(y) * rtol
+        d0, d1 = _rms(y / scale), _rms(f / scale)
+        h0 = np.empty(n_rows)
+        for i in range(n_rows):
+            h0[i] = min(1e-6 if d0[i] < 1e-5 or d1[i] < 1e-5 else 0.01 * d0[i] / d1[i], t_bound)
+        h = h0
+        f1 = evaluate(y + h0[:, None] * f, 1.0)
+        d2 = _rms((f1 - f) / scale) / h0
+        h_abs = np.empty(n_rows)
+        for i in range(n_rows):
+            if d1[i] <= 1e-15 and d2[i] <= 1e-15:
+                h1 = max(1e-6, h0[i] * 1e-3)
+            else:
+                h1 = (0.01 / max(d1[i], d2[i])) ** (1 / 5)
+            h_abs[i] = min(100 * h0[i], h1, t_bound, max_step)
 
     last_t = h0.copy()  # time of each row's latest drift evaluation
     fresh = np.ones(n_rows, dtype=bool)  # starting a step, not retrying a rejected attempt
     emitted = np.zeros(n_rows, dtype=int)  # entries of ``times`` already written
     leaving = failed.copy()
+    taken = 0  # steps each row in the batch has taken, as all rows start together
     while True:
         if leaving.any():
             keep = ~leaving
@@ -720,6 +726,7 @@ def _dopri45(field: _StackedField, y0: np.ndarray, times: np.ndarray, config: In
             emitted[slot] = hi
         accepted[ids[accept]] += 1
         rejected[ids[~accept]] += 1
+        taken += 1
         done = accept & (t_new - t_bound >= 0) & ~failed
         for i in ids[done]:
             steps = int(accepted[i] + rejected[i])
@@ -732,6 +739,12 @@ def _dopri45(field: _StackedField, y0: np.ndarray, times: np.ndarray, config: In
             f = np.where(accept[:, None], f_new, f)
         fresh = accept
         leaving = done | failed
+        if taken >= MAX_STEPS:
+            for slot in np.flatnonzero(~leaving):
+                results[ids[slot]] = IntegrationError(
+                    f"step budget of {MAX_STEPS} steps spent at t={t[slot]:.6g}"
+                )
+            leaving[:] = True
     return results
 
 

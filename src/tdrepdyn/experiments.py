@@ -55,10 +55,9 @@ class ExperimentConfig:
     max_failure_fraction: float = 0.1
 
     def __post_init__(self):
-        for name in ("n_states", "k", "n_trials", "seed", "jobs"):
+        for name in ("n_states", "k", "n_trials", "jobs"):
             mdp_mod._check_int(name, getattr(self, name))
-        for name in ("gamma", "alpha", "max_failure_fraction"):
-            mdp_mod._check_real(name, getattr(self, name))
+        mdp_mod._check_real("max_failure_fraction", self.max_failure_fraction)
         if self.outdir is not None and not isinstance(self.outdir, (str, os.PathLike)):
             raise TypeError(f"outdir must be a path, got {self.outdir!r}")
         for h in self.h_values:
@@ -67,12 +66,9 @@ class ExperimentConfig:
             raise ValueError("n_trials must be >= 1")
         if not 1 <= self.k <= self.n_states:
             raise ValueError(f"need 1 <= k <= n_states, got k={self.k}, n={self.n_states}")
-        if not 0 <= self.alpha <= 1:
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if not 0 <= self.gamma < 1:
-            raise ValueError(f"gamma must be in [0, 1), got {self.gamma}")
-        if any(h < 1 for h in self.h_values) or not self.h_values:
+        if not self.h_values or min(self.h_values) < 1:  # the message names the config key
             raise ValueError("h_values must be a non-empty list of positive integers")
+        mdp_mod.check_chain_args(self.n_states, min(self.h_values), self.gamma, self.alpha, self.seed)
         if not self.dynamics:
             raise ValueError("at least one dynamics variant is required")
         for spec in self.dynamics:
@@ -80,8 +76,6 @@ class ExperimentConfig:
                 raise TypeError(f"dynamics entries must be DynamicsSpec, got {type(spec)}")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0 <= self.max_failure_fraction < 1:
             raise ValueError("max_failure_fraction must be in [0, 1)")
 

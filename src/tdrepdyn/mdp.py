@@ -5,7 +5,8 @@ This module provides:
   ``make_mdp``, the one generator body: a Sinkhorn doubly-stochastic core,
   permutation-mixed or symmetrized (strictly positive after mixing, hence
   irreducible), with i.i.d. standard normal rewards and uniform d.
-  ``make_random_mdp`` and ``make_symmetric_mdp`` name its two chains.
+  ``make_random_mdp`` and ``make_symmetric_mdp`` name its two chains, and
+  ``check_chain_args`` holds the bounds of its arguments.
 - ``sample_random_rewards``, normal rewards with per-entry variance 1 / h,
   so that R R^T concentrates around I as h grows.
 - A reversibility residual and a checked JSON round trip.
@@ -239,6 +240,23 @@ def seed_streams(seed: int) -> list[np.random.SeedSequence]:
     return np.random.SeedSequence(seed).spawn(4)
 
 
+def check_chain_args(n, h, gamma, alpha, seed) -> None:
+    """A generated chain's bounds: TypeError or ValueError naming the first bad argument."""
+    for name, value in (("n", n), ("h", h), ("seed", seed)):
+        _check_int(name, value)
+    for name, value in (("gamma", gamma), ("alpha", alpha)):
+        _check_real(name, value)
+    for name, value, holds, bound in (
+        ("alpha", alpha, 0 <= alpha <= 1, "be in [0, 1]"),
+        ("gamma", gamma, 0 <= gamma < 1, "be in [0, 1)"),
+        ("n", n, n >= 1, "be >= 1"),
+        ("h", h, h >= 1, "be >= 1"),
+        ("seed", seed, seed >= 0, "be >= 0"),
+    ):
+        if not holds:
+            raise ValueError(f"{name} must {bound}, got {value}")
+
+
 def make_mdp(
     symmetric: bool, h: int, *, n: int, gamma: float, alpha: float, seed: int
 ) -> MarkovRewardProcess:
@@ -248,8 +266,7 @@ def make_mdp(
     exactly uniform; a large alpha makes it very likely non-reversible.
     Symmetric: P = (P_ds + P_ds^T) / 2, reversible. Rewards are standard normal.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    check_chain_args(n, h, gamma, alpha, seed)
     ds_seed, perm_seed, reward_seed, _ = seed_streams(seed)
     P_ds = sample_doubly_stochastic(n, ds_seed)
     if symmetric:

@@ -84,8 +84,14 @@ MUTANTS = (
     Mutant("growth_after_rejection", _DYN,
            "        factor = np.where(~fresh & ~(factor < 1), 1.0, factor)\n", "",
            _TDYN + "test_integrator_agrees_with_scipy_rk45"),
-    Mutant("batch_wide_initial_step", _DYN, "    h = h0\n", "    h0[:] = h0.min()\n    h = h0\n",
+    Mutant("batch_wide_initial_step", _DYN, "        h = h0\n",
+           "        h0[:] = h0.min()\n        h = h0\n",
            _TDYN + "test_batch_rows_are_bitwise_their_solo_runs"),
+    Mutant("step_budget_never_fires", _DYN, "if taken >= MAX_STEPS:", "if False:",
+           _TDYN + "test_step_budget_ends_only_the_row_that_spends_it"),
+    # the parser policy
+    Mutant("abbreviated_flags_allowed", "src/tdrepdyn/cli.py", "_formatter, allow_abbrev=False,", "_formatter,",
+           "tests/test_cli.py::test_abbreviated_flags_exit_1"),
 )
 
 # Run in the copy: run pytest, then check that the tests imported the copy's tdrepdyn.

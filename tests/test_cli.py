@@ -148,6 +148,29 @@ def test_usage_errors_exit_1(argv, capsys, tmp_path):
     assert "error" in capsys.readouterr().err
 
 
+# allow_abbrev=False on every parser: each of these would bind the flag it prefixes
+@pytest.mark.parametrize("argv", [["gen-mdp", "--sym"], ["simulate", "--t", "1"],
+                                  ["experiment", "fig1", "--tri", "1"]])
+def test_abbreviated_flags_exit_1(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("TDREPDYN_OUT", str(tmp_path))
+    monkeypatch.setattr(exp, "_map_trials", _no_trials)
+    assert run_cli(argv) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# gen-mdp's range errors are the generator's own, naming the argument
+@pytest.mark.parametrize("flags,message", [
+    (["--h", "-1"], "h must be >= 1, got -1"), (["--alpha", "2"], "alpha must be in [0, 1], got 2.0"),
+    (["--gamma", "1"], "gamma must be in [0, 1), got 1.0"), (["--n", "0"], "n must be >= 1, got 0"),
+    (["--seed", "-1"], "seed must be >= 0, got -1"),
+])
+def test_gen_mdp_range_errors_name_the_argument(flags, message, tmp_path, capsys):
+    out = tmp_path / "m.json"
+    assert run_cli(["gen-mdp", *flags, "-o", str(out)]) == 1
+    assert f"tdrepdyn gen-mdp: error: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # each of these ran and exited 0, the flag silently ignored
 @pytest.mark.parametrize("name,flag", [
     *[("invariants", flag) for flag in ("--n", "--k", "--gamma", "--trials", "--seed", "--jobs", "--h")],
@@ -236,6 +259,21 @@ def test_io_errors_exit_2(tmp_path, capsys, monkeypatch):
     for argv in (["fig1", "--trials", "20"], ["invariants", "--t-end", "20"]):
         assert run_cli(["experiment", *argv, "-o", str(blocker)]) == 2
         assert "cannot write outputs" in capsys.readouterr().err
+
+
+def test_simulate_config_that_is_not_an_object_exits_2(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps([{"n_states": 5}]))
+    assert run_cli(["simulate", "-c", str(config), "--t-end", "1"]) == 2
+    assert f"{config} does not hold a JSON object" in capsys.readouterr().err
+
+
+def test_simulate_unwritable_out_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    assert run_cli(["simulate", "--n", "6", "--t-end", "1", "--log-points", "3",
+                    "-o", str(blocker / "t.csv")]) == 2
+    assert f"cannot write {blocker / 't.csv'}" in capsys.readouterr().err
 
 
 def test_non_finite_mdp_file_exits_2(tmp_path, capsys):
@@ -585,6 +623,28 @@ def test_simulate_numerical_failure_exits_4(tmp_path, monkeypatch, capsys):
     code = run_cli(["simulate", "--n", "4", "--t-end", "1", "-o", str(tmp_path / "t.csv")])
     assert code == 4
     assert "integration failed" in capsys.readouterr().err
+
+
+def test_simulate_generation_failure_exits_3(tmp_path, monkeypatch, capsys):
+    def boom(*args, **kwargs):
+        raise mdp.ConvergenceError("Sinkhorn normalization", 10, 0.5)
+
+    monkeypatch.setattr(mdp, "sample_doubly_stochastic", boom)
+    out = tmp_path / "t.csv"
+    assert run_cli(["simulate", "--n", "6", "--t-end", "1", "-o", str(out)]) == 3
+    assert "generation failed: Sinkhorn normalization did not converge" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_spent_step_budget_exits_4(tmp_path, monkeypatch, capsys):
+    # this overflowed in the initial-step estimate and, unfiltered, never ended
+    from tdrepdyn import dynamics as dyn
+
+    monkeypatch.setattr(dyn, "MAX_STEPS", 50)
+    code = run_cli(["simulate", "--dynamics", "end-to-end", "--eta-w", "1e308", "--eta-phi", "1e308",
+                    "--t-end", "1", "-o", str(tmp_path / "t.csv")])
+    assert code == 4
+    assert "integration failed: step budget of 50 steps spent" in capsys.readouterr().err
 
 
 def test_simulate_value_function_failure_exits_4(tmp_path, capsys):

@@ -764,6 +764,74 @@ def test_nan_step_fails_instead_of_spinning():
     assert "Required step size is less than spacing between numbers." in proc.stdout
 
 
+def _end_to_end_row(eta):
+    """An end-to-end row on a 30-state chain; its steps to t = 1 grow with eta."""
+    mrp = make_random_mdp(n=30, h=1, seed=0)
+    return dyn.Problem(mrp, dyn.end_to_end(eta, eta), exp.initial_representation(0, 30, 2))
+
+
+def test_step_budget_ends_only_the_row_that_spends_it(monkeypatch):
+    # nothing bounded a row's work: eta = 1e6 was still stepping at t = 0.46 after 37 s
+    config = dyn.IntegratorConfig(t_end=1.0)
+    stiff, mild = _end_to_end_row(1e3), _end_to_end_row(1.0)
+    assert dyn.integrate(*stiff, config=config).stats == dyn.SolverStats(3206, 474, 60)
+    solo = dyn.integrate(*mild, config=config)
+    assert solo.stats.accepted + solo.stats.rejected < 100
+    monkeypatch.setattr(dyn, "MAX_STEPS", 100)
+    failed, log = dyn.integrate_batch([stiff, mild], config)
+    assert isinstance(failed, dyn.IntegrationError)
+    assert re.fullmatch(r"step budget of 100 steps spent at t=0\.0\d+", str(failed))
+    assert log.stats == solo.stats
+    for name in dyn.METRIC_COLUMNS:
+        assert np.array_equal(log.metrics[name], solo.metrics[name]), name
+
+
+def test_overflowing_drift_spends_the_step_budget(monkeypatch):
+    # eta = 1e308 overflowed the initial-step estimate, a RuntimeWarning that this
+    # suite's filter turns into an error; unfiltered, it stepped near 1e-307 without end
+    monkeypatch.setattr(dyn, "MAX_STEPS", 1000)
+    with pytest.raises(dyn.IntegrationError, match=r"step budget of 1000 steps spent at t=\S+e-30\d"):
+        dyn.integrate(*_end_to_end_row(1e308), config=dyn.IntegratorConfig(t_end=1.0))
+
+
+def test_zero_drift_takes_scipys_initial_step():
+    # linear TD from w0 = 0 with R = 0 has an exactly-zero drift, the initial step's
+    # branch where both derivative norms vanish
+    mrp = make_random_mdp(n=12, h=1, seed=4).with_rewards(np.zeros((12, 1)))
+    spec, phi0 = dyn.linear_td(2.0), dyn.orthonormal_init(12, 2, seed=5)
+    config = dyn.IntegratorConfig(t_end=20.0, rtol=1e-8, atol=1e-10, log_points=41)
+    log = dyn.integrate(mrp, spec, phi0, config=config, store_states=True)
+    sol = _rk45_reference(mrp, spec, phi0, config)
+    assert not log.ws.any() and not sol.y.any()
+    steps = len(sol.sol.ts) - 1
+    assert log.stats == dyn.SolverStats(sol.nfev, steps, (sol.nfev - 2) // 6 - steps)
+
+
+def test_rejected_logged_fixed_point_is_the_rows_result(monkeypatch):
+    # the integrator solves the batch's stacked fixed points, and _log_trajectory
+    # one row's logged snapshots against that row's own key matrix
+    real = dyn._fixed_points
+    injected = np.linalg.LinAlgError("rejected snapshot")
+    problems = [dyn.Problem(make_random_mdp(n=8, h=2, seed=s), dyn.two_time_scale(),
+                            dyn.orthonormal_init(8, 2, seed=s)) for s in (1, 2)]
+    doomed = problems[0].mrp
+
+    def reject_a_logged_snapshot(A, dR, phi):
+        w, failures = real(A, dR, phi)
+        if A is doomed.A:
+            failures = {**failures, 3: injected}
+        return w, failures
+
+    config = dyn.IntegratorConfig(t_end=2.0, log_points=9)
+    solo = dyn.integrate(*problems[1], config=config)
+    monkeypatch.setattr(dyn, "_fixed_points", reject_a_logged_snapshot)
+    first, second = dyn.integrate_batch(problems, config)
+    assert first is injected
+    assert second.stats == solo.stats
+    for name in dyn.METRIC_COLUMNS:
+        assert np.array_equal(second.metrics[name], solo.metrics[name]), name
+
+
 # --------------------------------------------------------------------- logs
 
 

@@ -274,6 +274,21 @@ def test_failures_below_threshold_are_recorded(monkeypatch):
         assert seed == exp.trial_seed(cfg, 11) and "synthetic" in msg
 
 
+def test_a_rows_own_failure_fails_only_its_curve(monkeypatch):
+    # the other failure tests fail the chain build, and with it every curve of the trial
+    monkeypatch.setattr(dyn, "MAX_STEPS", 100)
+    cfg = tiny_config(dynamics=(dyn.end_to_end(1e3, 1e3), dyn.end_to_end(1.0, 1.0)),
+                      integrator=dyn.IntegratorConfig(t_end=1.0, log_points=5), n_trials=2)
+    results = exp._run_one(("fig1", cfg, range(2)))
+    assert [r["seed"] for r in results] == [7, 8]
+    for result in results:
+        assert list(result["curves"]) == ["end_to_end_w1_phi1"]
+        (label, msg), = result["errors"].items()
+        assert label == "end_to_end_w1000_phi1000" and msg.startswith("step budget of 100 steps")
+    with pytest.raises(RuntimeError, match="end_to_end_w1000_phi1000: 2/2 trials failed"):
+        exp.run_experiment("fig1", cfg)
+
+
 def test_bug_in_a_trial_propagates(monkeypatch):
     # a TypeError is a bug, not a numerical trial failure to be tolerated
     def bad_row(*args, **kwargs):

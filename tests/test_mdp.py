@@ -117,6 +117,26 @@ def test_generators_reject_a_seed_sequence(make):
         make(seed)
 
 
+@pytest.mark.parametrize("name,value,error,message", [
+    # h = -1 died in numpy ("negative dimensions are not allowed"), seed = -1 in SeedSequence
+    ("h", -1, ValueError, "h must be >= 1, got -1"),
+    ("seed", -1, ValueError, "seed must be >= 0, got -1"),
+    ("n", 0, ValueError, "n must be >= 1, got 0"),
+    ("gamma", 1.0, ValueError, r"gamma must be in \[0, 1\), got 1.0"),
+    ("alpha", float("nan"), ValueError, r"alpha must be in \[0, 1\], got nan"),
+    ("n", 6.0, TypeError, "n must be an integer"),
+    ("gamma", "0.9", TypeError, "gamma must be a real number"),
+])
+def test_make_mdp_names_a_bad_argument_before_any_draw(name, value, error, message, monkeypatch):
+    def no_draw(seed):
+        raise AssertionError("a draw came before the check")
+
+    monkeypatch.setattr(mdp_mod, "seed_streams", no_draw)
+    args = {"n": 6, "h": 1, "gamma": 0.9, "alpha": 0.5, "seed": 0, name: value}
+    with pytest.raises(error, match=message):
+        mdp_mod.make_mdp(False, args.pop("h"), **args)
+
+
 def test_seed_streams_are_the_generators_and_the_init_streams():
     streams = mdp_mod.seed_streams(7)
     m = make_random_mdp(n=6, h=2, alpha=0.0, seed=7)
