@@ -2,6 +2,8 @@
 
 Exit codes: 0 success, 1 usage error, 2 I/O error, 3 generation failure,
 4 numerical failure (integration breakdown or failed invariant checks).
+A figure run exits 4 only on ``experiments.TooManyFailedTrials``; any other
+exception it raises, such as a broken process pool, propagates.
 
 An error in configuring a run leaves through the command's parser, which
 raises SystemExit: a usage error (1) by ``error``, and a -c document that
@@ -13,6 +15,7 @@ integrating, writing) is returned: 2, 3 or 4.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -37,13 +40,14 @@ FIGURES = ("fig1", "fig2", "fig3")
 EXPERIMENTS = (*FIGURES, "invariants")
 
 # Integrator fields a run takes when neither the -c document nor a flag sets
-# them, per command (simulate, or the experiment's name). Horizons are
-# calibrated so each figure's curves are converged at the endpoint.
+# them, per command (simulate, or the experiment's name), where they differ
+# from IntegratorConfig's defaults. Horizons are calibrated so each figure's
+# curves are converged at the endpoint.
 INTEGRATOR_DEFAULTS = {
-    "simulate": {"t_end": 100.0, "log_points": 201, "rtol": 1e-8, "atol": 1e-10},
-    "fig1": {"t_end": 30.0, "log_points": 121, "rtol": 1e-8, "atol": 1e-10},
-    "fig2": {"t_end": 100.0, "log_points": 101, "rtol": 1e-8, "atol": 1e-10},
-    "fig3": {"t_end": 100.0, "log_points": 101, "rtol": 1e-8, "atol": 1e-10},
+    "simulate": {"t_end": 100.0},
+    "fig1": {"t_end": 30.0, "log_points": 121},
+    "fig2": {"t_end": 100.0, "log_points": 101},
+    "fig3": {"t_end": 100.0, "log_points": 101},
     "invariants": {"t_end": 300.0, "log_points": 151, "rtol": 1e-10, "atol": 1e-12},
 }
 # Flags that each set one top-level config key, by argparse dest. They default
@@ -223,8 +227,8 @@ def _run_config(args: argparse.Namespace, command: str, **overlay) -> exp.Experi
     """The run's config: the -c document under the flags the user typed and ``overlay``.
 
     Integrator fields that none of them set come from ``command``'s row of
-    INTEGRATOR_DEFAULTS. An unreadable document or an unknown key exits 2; a
-    value out of range is a usage error.
+    INTEGRATOR_DEFAULTS, then from IntegratorConfig. An unreadable document
+    or an unknown key exits 2; a value out of range is a usage error.
     """
     sub = args.command_parser
     doc = _load_json(sub, args.config) if args.config is not None else {}
@@ -234,11 +238,11 @@ def _run_config(args: argparse.Namespace, command: str, **overlay) -> exp.Experi
         doc["h_values"] = [int(h) for h in np.atleast_1d(args.h)]
     doc.update(overlay)
     doc.setdefault("outdir", str(default_out_root()))
-    defaults = INTEGRATOR_DEFAULTS[command]
     section = doc.get("integrator", {})
     if isinstance(section, dict):  # config_from_json reports any other shape
-        doc["integrator"] = {**defaults, **section,
-                             **{name: typed[name] for name in defaults if name in typed}}
+        fields = [f.name for f in dataclasses.fields(dyn.IntegratorConfig)]
+        doc["integrator"] = {**INTEGRATOR_DEFAULTS[command], **section,
+                             **{name: typed[name] for name in fields if name in typed}}
     try:
         return exp.config_from_json(doc)
     except exp.UnknownConfigKeyError as exc:
@@ -335,7 +339,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         sub.error(str(exc))
     try:
         series = exp.run_experiment(args.name, config)
-    except RuntimeError as exc:
+    except exp.TooManyFailedTrials as exc:
         print(f"experiment failed: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

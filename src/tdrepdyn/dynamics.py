@@ -149,19 +149,16 @@ class IntegratorConfig:
     t_end: float = 1000.0
     rtol: float = 1e-8
     atol: float = 1e-10
-    max_step: float = np.inf
     log_points: int = 201
 
     def __post_init__(self):
         _check_int("log_points", self.log_points)
-        for name in ("t_end", "rtol", "atol", "max_step"):
+        for name in ("t_end", "rtol", "atol"):
             _check_real(name, getattr(self, name))
         if not 0 < self.t_end < np.inf:
             raise ValueError(f"t_end must be finite and > 0, got {self.t_end}")
         if not (0 < self.rtol < np.inf and 0 < self.atol < np.inf):
             raise ValueError(f"rtol and atol must be finite and > 0, got {self.rtol}, {self.atol}")
-        if not self.max_step > 0:
-            raise ValueError("max_step must be > 0")
         if self.log_points < 2:
             raise ValueError("log_points must be >= 2")
 
@@ -607,18 +604,18 @@ def _dopri45(field: _StackedField, y0: np.ndarray, times: np.ndarray, config: In
     """Integrate y' = field(y) for every row of ``y0`` from t = 0 to ``config.t_end``.
 
     Each row takes the steps SciPy's ``RK45`` solver takes for it alone: the
-    same initial step (``select_initial_step``), min_step floor, max_step cap,
-    clipping at t_end, RMS error norm over the row's own state, step-size
-    factors (with no growth right after a rejection) and dense output at the
-    ``times`` in (t_old, t_new]. Rows that finish or fail leave the batch,
-    which is compacted; so does a row that has taken ``MAX_STEPS`` steps.
+    same initial step (``select_initial_step``), min_step floor, clipping at
+    t_end, RMS error norm over the row's own state, step-size factors (with no
+    growth right after a rejection) and dense output at the ``times`` in
+    (t_old, t_new]. Rows that finish or fail leave the batch, which is
+    compacted; so does a row that has taken ``MAX_STEPS`` steps.
     Returns per row either ``(Y, SolverStats)``, with Y holding the state at
     each of ``times`` as a column, or its IntegrationError.
     """
     n_rows, size = y0.shape
     t_bound = float(config.t_end)
     rtol = max(config.rtol, 100 * np.finfo(float).eps)  # SciPy's floor on rtol
-    atol, max_step = config.atol, config.max_step
+    atol = config.atol
     Y = np.empty((n_rows, size, len(times)))
     results: list = [None] * n_rows
     accepted = np.zeros(n_rows, dtype=int)
@@ -660,7 +657,7 @@ def _dopri45(field: _StackedField, y0: np.ndarray, times: np.ndarray, config: In
                 h1 = max(1e-6, h0[i] * 1e-3)
             else:
                 h1 = (0.01 / max(d1[i], d2[i])) ** (1 / 5)
-            h_abs[i] = min(100 * h0[i], h1, t_bound, max_step)
+            h_abs[i] = min(100 * h0[i], h1, t_bound)
 
     last_t = h0.copy()  # time of each row's latest drift evaluation
     fresh = np.ones(n_rows, dtype=bool)  # starting a step, not retrying a rejected attempt
@@ -679,10 +676,7 @@ def _dopri45(field: _StackedField, y0: np.ndarray, times: np.ndarray, config: In
             break
 
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
-        h_abs = np.where(
-            fresh & (h_abs > max_step), max_step,
-            np.where(fresh & (h_abs < min_step), min_step, h_abs),
-        )
+        h_abs = np.where(fresh & (h_abs < min_step), min_step, h_abs)
         leaving = ~(h_abs >= min_step)  # a NaN step fails here too
         if leaving.any():
             for slot in np.flatnonzero(leaving):

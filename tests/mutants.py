@@ -44,7 +44,9 @@ class Mutant(NamedTuple):
 
 
 _MDP, _DYN, _MET = "src/tdrepdyn/mdp.py", "src/tdrepdyn/dynamics.py", "src/tdrepdyn/metrics.py"
+_EXP, _CLI = "src/tdrepdyn/experiments.py", "src/tdrepdyn/cli.py"
 _ACC, _TDYN = "tests/test_acceptance.py::", "tests/test_dynamics.py::"
+_TEXP, _TCLI = "tests/test_experiments.py::", "tests/test_cli.py::"
 
 MUTANTS = (
     # one per invariant row
@@ -89,9 +91,16 @@ MUTANTS = (
            _TDYN + "test_batch_rows_are_bitwise_their_solo_runs"),
     Mutant("step_budget_never_fires", _DYN, "if taken >= MAX_STEPS:", "if False:",
            _TDYN + "test_step_budget_ends_only_the_row_that_spends_it"),
+    # the abort threshold and the one failure type the CLI reports as an abort
+    Mutant("abort_never_fires", _EXP, "if len(failures) > MAX_FAILURE_FRACTION * config.n_trials:",
+           "if False:", _TEXP + "test_failure_threshold_aborts"),
+    Mutant("abort_at_the_threshold", _EXP, "len(failures) > MAX_FAILURE_FRACTION",
+           "len(failures) >= MAX_FAILURE_FRACTION", _TEXP + "test_failures_at_the_threshold_are_recorded"),
+    Mutant("abort_catches_any_runtime_error", _CLI, "except exp.TooManyFailedTrials as exc:",
+           "except RuntimeError as exc:", _TCLI + "test_broken_process_pool_propagates"),
     # the parser policy
-    Mutant("abbreviated_flags_allowed", "src/tdrepdyn/cli.py", "_formatter, allow_abbrev=False,", "_formatter,",
-           "tests/test_cli.py::test_abbreviated_flags_exit_1"),
+    Mutant("abbreviated_flags_allowed", _CLI, "_formatter, allow_abbrev=False,", "_formatter,",
+           _TCLI + "test_abbreviated_flags_exit_1"),
 )
 
 # Run in the copy: run pytest, then check that the tests imported the copy's tdrepdyn.

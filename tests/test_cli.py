@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -328,12 +329,44 @@ def test_mdp_file_without_reward_columns_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", [["simulate"], ["experiment", "fig1"]])
-@pytest.mark.parametrize("doc", [{"surprise": 1}, {"integrator": {"rtl": 1e-3}}])
+@pytest.mark.parametrize("doc", [
+    {"surprise": 1}, {"integrator": {"rtl": 1e-3}},
+    # retired settings, which no run changed; a manifest written before they went holds both
+    {"integrator": {"max_step": None}}, {"integrator": {"max_step": 1.0}},
+    {"max_failure_fraction": 0.1}, {"max_failure_fraction": 0.1, "integrator": {"max_step": None}},
+])
 def test_unknown_config_keys_exit_2(command, doc, tmp_path, capsys):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps(doc))
     assert run_cli([*command, "-c", str(config), "-o", str(tmp_path / "out")]) == 2
-    assert "unknown config keys" in capsys.readouterr().err
+    keys = sorted(set(doc) - {"integrator"}) + [f"integrator.{key}" for key in doc.get("integrator", {})]
+    assert f"unknown config keys: {keys}" in capsys.readouterr().err
+
+
+def _record_run(monkeypatch) -> dict:
+    """Replace run_experiment with a stub that keeps the name and config it is given."""
+    seen = {}
+
+    def fake_run(name, config):
+        seen["name"], seen["config"] = name, config
+        return {}
+
+    monkeypatch.setattr(exp, "run_experiment", fake_run)
+    return seen
+
+
+def test_every_config_key_is_set_by_an_experiment_flag(tmp_path, monkeypatch):
+    # a key that no flag sets is a setting that no run changes. dynamics is set by
+    # --eta-phi here, and fig1's curve list only by -c
+    seen = _record_run(monkeypatch)
+    assert run_cli(["experiment", "fig3", "--n", "7", "--k", "3", "--h", "3", "--gamma", "0.5",
+                    "--alpha", "0.5", "--seed", "9", "--trials", "2", "--eta-phi", "2",
+                    "--t-end", "5", "--rtol", "1e-6", "--atol", "1e-7", "--log-points", "9",
+                    "--jobs", "2", "-o", str(tmp_path)]) == 0
+    got, default = (exp.config_to_json(c) for c in (seen["config"], exp.ExperimentConfig()))
+    assert [key for key in default if got[key] == default[key]] == []
+    integrator = default["integrator"]
+    assert [key for key in integrator if got["integrator"][key] == integrator[key]] == []
 
 
 _KNOWN_KEYS = exp.config_to_json(exp.ExperimentConfig())
@@ -449,7 +482,7 @@ def test_repeated_fig3_h_values_are_a_usage_error(source, tmp_path, monkeypatch,
     {"gamma": 1.5}, {"integrator": {"rtol": -1.0}}, {"k": 0},
     # non-integer counts died in numpy with a TypeError traceback, and h_values truncated
     {"integrator": {"log_points": 2.5}}, {"k": 2.5}, {"n_trials": 2.5}, {"h_values": [1.5]},
-    {"seed": True}, {"seed": -1},
+    {"seed": True}, {"seed": -1}, {"dynamics": []},
 ])
 def test_out_of_range_config_values_exit_1(command, doc, tmp_path, capsys):
     config = tmp_path / "cfg.json"
@@ -694,13 +727,7 @@ def test_experiment_attached_short_out_wins(tmp_path, monkeypatch):
 
 
 def test_experiment_uses_per_experiment_defaults(tmp_path, monkeypatch):
-    seen = {}
-
-    def fake_run(name, config):
-        seen["name"], seen["config"] = name, config
-        return {}
-
-    monkeypatch.setattr(exp, "run_experiment", fake_run)
+    seen = _record_run(monkeypatch)
     assert run_cli(["experiment", "fig2", "-o", str(tmp_path)]) == 0
     assert seen["name"] == "fig2"
     integ = seen["config"].integrator
@@ -712,13 +739,7 @@ def test_experiment_uses_per_experiment_defaults(tmp_path, monkeypatch):
 
 
 def test_experiment_eta_phi_rescales_two_time_scale(tmp_path, monkeypatch):
-    seen = {}
-
-    def fake_run(name, config):
-        seen["config"] = config
-        return {}
-
-    monkeypatch.setattr(exp, "run_experiment", fake_run)
+    seen = _record_run(monkeypatch)
     assert run_cli(["experiment", "fig3", "--eta-phi", "2.5", "-o", str(tmp_path)]) == 0
     (spec,) = seen["config"].dynamics
     assert (spec.kind, spec.eta_w, spec.eta_phi) == ("two_time_scale", 0.0, 2.5)
@@ -726,11 +747,30 @@ def test_experiment_eta_phi_rescales_two_time_scale(tmp_path, monkeypatch):
 
 def test_experiment_abort_exits_4(tmp_path, monkeypatch, capsys):
     def boom(name, config):
-        raise RuntimeError("2 of 2 trials failed")
+        raise exp.TooManyFailedTrials("2 of 2 trials failed")
 
     monkeypatch.setattr(exp, "run_experiment", boom)
     assert run_cli(["experiment", "fig1", "-o", str(tmp_path)]) == 4
     assert "experiment failed" in capsys.readouterr().err
+
+
+def test_broken_process_pool_propagates(tmp_path, monkeypatch):
+    # a worker killed from outside, say by the OOM killer, is not a numerical
+    # failure; it was reported as "experiment failed" with exit 4
+    def broken(experiment, config):
+        raise BrokenProcessPool("A process in the process pool was terminated abruptly")
+
+    monkeypatch.setattr(exp, "_map_trials", broken)
+    with pytest.raises(BrokenProcessPool, match="terminated abruptly"):
+        cli.main(["experiment", "fig1", "--trials", "2", "-o", str(tmp_path)])
+
+
+def test_typed_tolerances_reach_a_figure_run(tmp_path, monkeypatch):
+    # fig1's INTEGRATOR_DEFAULTS row sets neither rtol nor atol
+    seen = _record_run(monkeypatch)
+    assert run_cli(["experiment", "fig1", "--rtol", "1e-6", "--atol", "1e-9", "-o", str(tmp_path)]) == 0
+    integ = seen["config"].integrator
+    assert (integ.rtol, integ.atol, integ.t_end, integ.log_points) == (1e-6, 1e-9, 30.0, 121)
 
 
 def test_experiment_invariants_reports_and_exit_codes(tmp_path, monkeypatch, capsys):

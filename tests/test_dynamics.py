@@ -44,9 +44,6 @@ def test_integrator_config_validation():
         dyn.IntegratorConfig(rtol=-1e-8)
     with pytest.raises(ValueError):
         dyn.IntegratorConfig(log_points=1)
-    with pytest.raises(ValueError):
-        dyn.IntegratorConfig(max_step=0.0)
-    assert dyn.IntegratorConfig(max_step=np.inf).max_step == np.inf  # no step cap
 
 
 @pytest.mark.parametrize("bad", [2.5, 3.0, True, "5"])
@@ -425,6 +422,19 @@ def test_orthonormal_init_rejects_bad_k():
         dyn.orthonormal_init(4, 5, seed=0)
     with pytest.raises(ValueError):
         dyn.orthonormal_init(4, 0, seed=0)
+
+
+@pytest.mark.parametrize("make,error,message", [
+    (lambda mrp: dyn.validate_representation(np.ones(8)), ValueError, "2-d matrix, got ndim=1"),
+    (lambda mrp: dyn.validate_representation(np.eye(2, 3)), ValueError, r"need k <= n, got shape \(2, 3\)"),
+    (lambda mrp: dyn.integrate(mrp, dyn.linear_td(), dyn.orthonormal_init(6, 2, seed=0)),
+     ValueError, "phi has 6 rows, expected 8"),
+    # two equal columns leave nothing after the projection
+    (lambda mrp: dyn._gram_schmidt(np.ones((4, 2))), np.linalg.LinAlgError, "near-zero pivot at column 1"),
+], ids=["phi_ndim", "phi_wider_than_tall", "phi_rows", "gram_schmidt_pivot"])
+def test_representation_checks_name_the_defect(make, error, message, small_mixed):
+    with pytest.raises(error, match=message):
+        make(small_mixed)
 
 
 # ------------------------------------------------------------------ stepping

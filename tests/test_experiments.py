@@ -48,6 +48,8 @@ def test_config_validation():
         exp.ExperimentConfig(seed=-1)
     with pytest.raises(TypeError):
         exp.ExperimentConfig(dynamics=("end_to_end",))
+    with pytest.raises(ValueError, match="at least one dynamics variant is required"):
+        exp.ExperimentConfig(dynamics=())
 
 
 @pytest.mark.parametrize("value", [2.5, 2.0, True, "2"])
@@ -68,7 +70,6 @@ def test_config_from_json_keeps_h_values_as_given():
 def test_config_json_round_trip():
     cfg = tiny_config(outdir="/tmp/somewhere", jobs=2, h_values=(1, 4))
     doc = exp.config_to_json(cfg)
-    assert doc["integrator"]["max_step"] is None  # inf is not JSON
     back = exp.config_from_json(json.loads(json.dumps(doc)))
     assert back == cfg
     with pytest.raises(ValueError):
@@ -91,7 +92,6 @@ def _configs(draw):
         t_end=draw(_POSITIVE),
         rtol=draw(_POSITIVE),
         atol=draw(_POSITIVE),
-        max_step=draw(st.just(np.inf) | _POSITIVE),
         log_points=draw(st.integers(2, 10_000)),
     )
     return exp.ExperimentConfig(
@@ -106,7 +106,6 @@ def _configs(draw):
         seed=draw(st.integers(0, 2**63)),
         outdir=draw(st.none() | st.text(min_size=1, max_size=20)),
         jobs=draw(st.integers(1, 64)),
-        max_failure_fraction=draw(st.floats(0.0, 1.0, exclude_max=True)),
     )
 
 
@@ -259,12 +258,12 @@ def _boom_at_seed(bad_seed):
 
 def test_failure_threshold_aborts(monkeypatch):
     monkeypatch.setattr(mdp, "make_mdp", _always_boom)
-    with pytest.raises(RuntimeError, match="trials failed"):
+    with pytest.raises(exp.TooManyFailedTrials, match="trials failed"):
         exp.run_experiment("fig1", tiny_config())
 
 
 def test_failures_below_threshold_are_recorded(monkeypatch):
-    cfg = tiny_config(n_trials=12, max_failure_fraction=0.2)
+    cfg = tiny_config(n_trials=12)  # 1 failure is under 10% of 12
     monkeypatch.setattr(mdp, "make_mdp", _boom_at_seed(exp.trial_seed(cfg, 11)))
     series = exp.run_experiment("fig1", cfg)
     for agg in series.values():
@@ -272,6 +271,16 @@ def test_failures_below_threshold_are_recorded(monkeypatch):
         assert len(agg.failures) == 1
         seed, msg = agg.failures[0]
         assert seed == exp.trial_seed(cfg, 11) and "synthetic" in msg
+
+
+def test_failures_at_the_threshold_are_recorded(monkeypatch):
+    # one failure in 10 trials is exactly 10%, which does not exceed the threshold
+    monkeypatch.setattr(exp, "MAX_FAILURE_FRACTION", 0.1)
+    cfg = tiny_config(n_trials=10, h_values=(1,))
+    monkeypatch.setattr(mdp, "make_mdp", _boom_at_seed(exp.trial_seed(cfg, 4)))
+    (agg,) = exp.run_experiment("fig3", cfg).values()
+    assert agg.values.shape[0] == 9
+    assert [seed for seed, _ in agg.failures] == [exp.trial_seed(cfg, 4)]
 
 
 def test_a_rows_own_failure_fails_only_its_curve(monkeypatch):
@@ -285,7 +294,7 @@ def test_a_rows_own_failure_fails_only_its_curve(monkeypatch):
         assert list(result["curves"]) == ["end_to_end_w1_phi1"]
         (label, msg), = result["errors"].items()
         assert label == "end_to_end_w1000_phi1000" and msg.startswith("step budget of 100 steps")
-    with pytest.raises(RuntimeError, match="end_to_end_w1000_phi1000: 2/2 trials failed"):
+    with pytest.raises(exp.TooManyFailedTrials, match="end_to_end_w1000_phi1000: 2/2 trials failed"):
         exp.run_experiment("fig1", cfg)
 
 
@@ -397,6 +406,22 @@ def test_numerical_failure_in_an_invariant_check_is_a_failed_report(monkeypatch)
     name = _suite_with_one_check(monkeypatch, breaks_down)
     reports = inv.run_invariant_suite(exp.ExperimentConfig())
     assert len(reports) == 5
+    assert reports[0] == MetricReport(name, float("inf"), 0.0, False)
+    assert all(r.passed for r in reports[1:])
+
+
+@pytest.mark.parametrize("check", ["covariance_constancy", "trace_monotonicity"])
+def test_failed_trajectory_in_an_invariant_check_is_a_failed_report(check, monkeypatch):
+    # _integrated raises the first failed row of its batch
+    def all_rows_fail(problems, config, metric_set):
+        return [dyn.IntegrationError(f"row {i} failed") for i in range(len(problems))]
+
+    real_check = getattr(inv, f"_check_{check}")
+    monkeypatch.setattr(dyn, "integrate_batch", all_rows_fail)
+    with pytest.raises(dyn.IntegrationError, match="row 0 failed"):
+        real_check(exp.ExperimentConfig())
+    name = _suite_with_one_check(monkeypatch, real_check)
+    reports = inv.run_invariant_suite(exp.ExperimentConfig())
     assert reports[0] == MetricReport(name, float("inf"), 0.0, False)
     assert all(r.passed for r in reports[1:])
 

@@ -190,6 +190,30 @@ def test_mrp_rejects_non_finite_entries(name, bad):
         MarkovRewardProcess(gamma=0.9, **arrays)
 
 
+def _two_states(**edit):
+    return {"P": np.full((2, 2), 0.5), "R": np.zeros((2, 1)), "gamma": 0.9, "d": np.array([0.5, 0.5]),
+            **edit}
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: MarkovRewardProcess(**_two_states(P=np.full((2, 3), 1 / 3))), "P must be square"),
+    (lambda: MarkovRewardProcess(**_two_states(R=np.zeros((3, 1)))), "R must have 2 rows"),
+    (lambda: MarkovRewardProcess(**_two_states(R=np.zeros(3))), "R must have 2 rows"),
+    (lambda: MarkovRewardProcess(**_two_states(d=np.full(3, 1 / 3))), "d must have length 2"),
+    (lambda: sample_doubly_stochastic(0, seed=0), "n must be >= 1, got 0"),
+    (lambda: sample_permutation(0, seed=0), "n must be >= 1, got 0"),
+], ids=["P_not_square", "R_rows", "R_vector_length", "d_length", "sinkhorn_n0", "permutation_n0"])
+def test_shape_checks_name_the_mismatch(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_reward_vector_is_one_column():
+    mrp = MarkovRewardProcess(**_two_states(R=np.array([1.0, 0.0])))
+    assert mrp.R.shape == (2, 1) and mrp.h == 1
+    assert_allclose(mrp.V[:, 0], [5.5, 4.5])
+
+
 _CORRUPTIONS = ("none", "non_finite_P", "non_finite_R", "non_finite_d", "negative_P", "row_sum",
                 "negative_d", "d_sum", "non_stationary", "gamma", "zero_columns", "extra_axis_R")
 

@@ -165,6 +165,15 @@ def test_covariance_drift_rotation_invariant_for_orthonormal():
     assert met.covariance_drift(phi0 @ q, phi0) < 1e-12
 
 
+@pytest.mark.parametrize("phi,phi0", [
+    (np.ones((3, 4, 2)), np.ones((4, 3))),  # a stack against the wrong width
+    (np.ones((5, 2)), np.ones((4, 2))),  # one more state
+])
+def test_covariance_drift_rejects_mismatched_shapes(phi, phi0):
+    with pytest.raises(ValueError, match="shape mismatch"):
+        met.covariance_drift(phi, phi0)
+
+
 def test_critical_point_residual_zero_on_eigenvector_subsets():
     base = make_symmetric_mdp(n=10, h=1, gamma=0.9, seed=9)
     mrp = base.with_rewards(np.eye(10))
