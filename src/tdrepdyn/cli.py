@@ -2,14 +2,15 @@
 
 Exit codes: 0 success, 1 usage error, 2 I/O error, 3 generation failure,
 4 numerical failure (integration breakdown or failed invariant checks).
-A figure run exits 4 only on ``experiments.TooManyFailedTrials``; any other
-exception it raises, such as a broken process pool, propagates.
 
 An error in configuring a run leaves through the command's parser, which
 raises SystemExit: a usage error (1) by ``error``, and a -c document that
 cannot be read or holds an unknown key, or an --mdp file that cannot be
-loaded (2), by ``exit``. An error in running the command (generating,
-integrating, writing) is returned: 2, 3 or 4.
+loaded (2), by ``exit``. An error in running the command leaves through
+``main``, which looks the exception's type up in ``_RUN_FAILURES``, prints
+what failed and returns that row's code; any other exception, such as a bug
+or a broken process pool, propagates. Failed invariant checks are a result,
+not an exception: the command returns 4.
 """
 
 from __future__ import annotations
@@ -65,6 +66,15 @@ _EXPERIMENT_FLAG_SCOPE = {
 }
 # simulate flags that shape the generated chain, which --mdp replaces
 _CHAIN_FLAGS = ("n", "h", "gamma", "alpha", "symmetric")
+# A command's run failures by exception type: the exit code and what failed.
+# main returns the code of the first row that matches. An except clause takes
+# only a flat tuple of types, so each numerical failure is a row of its own.
+_RUN_FAILURES = (
+    (mdp_mod.ConvergenceError, EXIT_GENERATION, "generation failed"),
+    *((error, EXIT_NUMERIC, "integration failed") for error in dyn.NUMERICAL_FAILURES),
+    (exp.TooManyFailedTrials, EXIT_NUMERIC, "experiment failed"),
+    (OSError, EXIT_IO, "cannot write outputs"),
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -184,19 +194,10 @@ def cmd_gen_mdp(args: argparse.Namespace) -> int:
     except ValueError as exc:
         args.command_parser.error(str(exc))
     out = args.out if args.out is not None else default_out_root() / "mdp.json"
-    try:
-        mrp = mdp_mod.make_mdp(args.symmetric, args.h, n=args.n, gamma=args.gamma,
-                               alpha=args.alpha, seed=args.seed)
-    except mdp_mod.ConvergenceError as exc:
-        print(f"generation failed: {exc}", file=sys.stderr)
-        return EXIT_GENERATION
-    generator = "symmetric" if args.symmetric else "mixed"
-    try:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        mdp_mod.save_mdp(mrp, out, seed=args.seed, generator=generator)
-    except OSError as exc:
-        print(f"cannot write {out}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    mrp = mdp_mod.make_mdp(args.symmetric, args.h, n=args.n, gamma=args.gamma,
+                           alpha=args.alpha, seed=args.seed)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    mdp_mod.save_mdp(mrp, out, seed=args.seed, generator="symmetric" if args.symmetric else "mixed")
     A = mrp.A
     lam_min = float(np.linalg.eigvalsh(0.5 * (A + A.T))[0])
     print(f"wrote {out}")
@@ -276,31 +277,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         overlay["n_states"] = mrp.n  # k is checked against the loaded chain
     config = _run_config(args, "simulate", **overlay)
     if args.mdp is None:
-        try:
-            mrp = mdp_mod.make_mdp(args.symmetric, config.h_values[0], n=config.n_states,
-                                   gamma=config.gamma, alpha=config.alpha, seed=config.seed)
-        except mdp_mod.ConvergenceError as exc:
-            print(f"generation failed: {exc}", file=sys.stderr)
-            return EXIT_GENERATION
+        mrp = mdp_mod.make_mdp(args.symmetric, config.h_values[0], n=config.n_states,
+                               gamma=config.gamma, alpha=config.alpha, seed=config.seed)
 
     phi0 = exp.initial_representation(config.seed, mrp.n, config.k)
-    try:
-        log = dyn.integrate(
-            mrp, spec, phi0, config=config.integrator, store_states=args.store_states
-        )
-    except dyn.NUMERICAL_FAILURES as exc:
-        print(f"integration failed: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    log = dyn.integrate(mrp, spec, phi0, config=config.integrator, store_states=args.store_states)
 
     out = args.out if args.out is not None else default_out_root() / "trajectory.csv"
-    try:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        log.to_csv(out)
-        if args.store_states:
-            log.states_to_json(out.with_suffix(".states.json"))
-    except OSError as exc:
-        print(f"cannot write {out}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    out.parent.mkdir(parents=True, exist_ok=True)
+    log.to_csv(out)
+    if args.store_states:
+        log.states_to_json(out.with_suffix(".states.json"))
     E, fn = log.metrics["E"], log.metrics["f_norm"]
     print(f"wrote {out}")
     print(f"E: {E[0]:.6g} -> {E[-1]:.6g}")
@@ -320,11 +307,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     config = _run_config(args, args.name, **overlay)
 
     if args.name == "invariants":
-        try:
-            reports = inv.run_invariant_suite(config)
-        except OSError as exc:
-            print(f"cannot write outputs: {exc}", file=sys.stderr)
-            return EXIT_IO
+        reports = inv.run_invariant_suite(config)
         print(met.reports_to_csv(reports), end="")
         failed = [r for r in reports if not r.passed]
         if failed:
@@ -337,14 +320,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         exp._curves(args.name, config)  # curve labels must be distinct
     except ValueError as exc:
         sub.error(str(exc))
-    try:
-        series = exp.run_experiment(args.name, config)
-    except exp.TooManyFailedTrials as exc:
-        print(f"experiment failed: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except OSError as exc:
-        print(f"cannot write outputs: {exc}", file=sys.stderr)
-        return EXIT_IO
+    series = exp.run_experiment(args.name, config)
     outdir = Path(config.outdir) / args.name
     print(f"wrote {outdir}")
     for name in sorted(series):
@@ -358,7 +334,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _setup_logging(args.verbose)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except tuple(row[0] for row in _RUN_FAILURES) as exc:
+        code, what = next(row[1:] for row in _RUN_FAILURES if isinstance(exc, row[0]))
+        print(f"{what}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

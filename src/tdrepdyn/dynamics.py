@@ -189,8 +189,9 @@ class TrajectoryLog:
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must be strictly increasing")
+        # NaN compares false, so "no step <= 0" alone would pass [0, nan, 1]
+        if not (np.isfinite(self.times).all() and (np.diff(self.times) > 0).all()):
+            raise ValueError("times must be finite and strictly increasing")
         for name, series in self.metrics.items():
             if len(series) != len(self.times):
                 raise ValueError(f"metric {name!r} length does not match times")

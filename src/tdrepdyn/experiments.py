@@ -251,8 +251,11 @@ def _run_one(payload: tuple[str, ExperimentConfig, range]) -> list[dict]:
 
 
 def _pool_workers(config: ExperimentConfig) -> int:
-    """Worker processes a run starts: ``jobs``, capped by the trial and CPU counts."""
-    return min(config.jobs, config.n_trials, os.cpu_count() or 1)
+    """Worker processes a run starts: ``jobs``, capped by the trial count and the CPUs
+    this process may run on (its affinity mask, where the platform has one)."""
+    affinity = getattr(os, "sched_getaffinity", None)  # Linux and some BSDs only
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    return min(config.jobs, config.n_trials, cpus)
 
 
 def _map_trials(experiment: str, config: ExperimentConfig) -> list[dict]:

@@ -96,8 +96,10 @@ MUTANTS = (
            "if False:", _TEXP + "test_failure_threshold_aborts"),
     Mutant("abort_at_the_threshold", _EXP, "len(failures) > MAX_FAILURE_FRACTION",
            "len(failures) >= MAX_FAILURE_FRACTION", _TEXP + "test_failures_at_the_threshold_are_recorded"),
-    Mutant("abort_catches_any_runtime_error", _CLI, "except exp.TooManyFailedTrials as exc:",
-           "except RuntimeError as exc:", _TCLI + "test_broken_process_pool_propagates"),
+    Mutant("abort_catches_any_runtime_error", _CLI,
+           '(exp.TooManyFailedTrials, EXIT_NUMERIC, "experiment failed")',
+           '(RuntimeError, EXIT_NUMERIC, "experiment failed")',
+           _TCLI + "test_broken_process_pool_propagates"),
     # the parser policy
     Mutant("abbreviated_flags_allowed", _CLI, "_formatter, allow_abbrev=False,", "_formatter,",
            _TCLI + "test_abbreviated_flags_exit_1"),

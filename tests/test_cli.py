@@ -274,7 +274,8 @@ def test_simulate_unwritable_out_exits_2(tmp_path, capsys):
     blocker.write_text("not a directory")
     assert run_cli(["simulate", "--n", "6", "--t-end", "1", "--log-points", "3",
                     "-o", str(blocker / "t.csv")]) == 2
-    assert f"cannot write {blocker / 't.csv'}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write outputs: ") and str(blocker) in err
 
 
 def test_non_finite_mdp_file_exits_2(tmp_path, capsys):
@@ -687,6 +688,41 @@ def test_simulate_value_function_failure_exits_4(tmp_path, capsys):
                     "--t-end", "0.1", "--log-points", "2", "-o", str(tmp_path / "t.csv")])
     assert code == 4
     assert "integration failed" in capsys.readouterr().err
+
+
+def test_simulate_initial_representation_failure_exits_4(tmp_path, monkeypatch, capsys):
+    # a LinAlgError raised before the integration began ended in a traceback
+    def singular(*args):
+        raise np.linalg.LinAlgError("singular initial draw")
+
+    monkeypatch.setattr(exp, "initial_representation", singular)
+    assert run_cli(["simulate", "--n", "6", "--t-end", "1", "-o", str(tmp_path / "t.csv")]) == 4
+    assert capsys.readouterr().err == "integration failed: singular initial draw\n"
+
+
+@pytest.mark.parametrize("row", cli._RUN_FAILURES, ids=lambda row: row[0].__name__)
+def test_each_run_failure_exits_with_its_code(row, monkeypatch, capsys):
+    error, code, what = row
+    if error is mdp.ConvergenceError:
+        failure = error("Sinkhorn normalization", 10, 0.5)
+    else:
+        failure = error("stub failure")
+
+    def command(args):
+        raise failure
+
+    monkeypatch.setattr(cli, "cmd_gen_mdp", command)
+    assert cli.main(["gen-mdp"]) == code
+    assert capsys.readouterr().err == f"{what}: {failure}\n"
+
+
+def test_other_exceptions_from_a_command_propagate(monkeypatch):
+    def command(args):
+        raise TypeError("a bug")
+
+    monkeypatch.setattr(cli, "cmd_gen_mdp", command)
+    with pytest.raises(TypeError, match="a bug"):
+        cli.main(["gen-mdp"])
 
 
 # --------------------------------------------------------------- experiment

@@ -875,6 +875,10 @@ def test_trajectory_log_validation():
         dyn.TrajectoryLog(times=np.array([0.0, 0.0, 1.0]), metrics={})
     with pytest.raises(ValueError):
         dyn.TrajectoryLog(times=np.array([0.0, 1.0]), metrics={"E": np.zeros(3)})
+    # NaN fails every comparison, so [0, nan, 1] has no step <= 0 and was accepted
+    for times in ([0.0, np.nan, 1.0], [0.0, 1.0, np.inf], [-np.inf, 0.0], [np.nan]):
+        with pytest.raises(ValueError, match="finite and strictly increasing"):
+            dyn.TrajectoryLog(times=times, metrics={"E": np.zeros(len(times))})
 
 
 def test_states_json_sidecar(tmp_path, small_mixed):

@@ -309,10 +309,13 @@ def test_bug_in_a_trial_propagates(monkeypatch):
 
 
 def test_pool_size_is_clamped_without_starting_processes(monkeypatch):
-    cpus = os.cpu_count() or 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     assert exp._pool_workers(tiny_config(jobs=10_000)) == min(3, cpus)
     assert exp._pool_workers(tiny_config(jobs=10_000, n_trials=10_000)) == cpus
     assert exp._pool_workers(tiny_config(jobs=2, n_trials=20)) == min(2, cpus)
+    # under taskset or a cpuset the process may run on fewer CPUs than the host has
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert exp._pool_workers(tiny_config(jobs=10_000, n_trials=10_000)) == 1
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a one-worker run must stay in process")
