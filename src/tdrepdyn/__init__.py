@@ -5,15 +5,10 @@ from .mdp import (
     MarkovRewardProcess,
     load_mdp,
     make_mdp,
-    make_random_mdp,
     make_rng,
-    make_symmetric_mdp,
     mdp_from_json,
     mdp_to_json,
     reversibility_residual,
-    sample_doubly_stochastic,
-    sample_permutation,
-    sample_random_rewards,
     save_mdp,
     seed_streams,
 )

@@ -189,12 +189,14 @@ class TrajectoryLog:
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
+        if self.times.ndim != 1:
+            raise ValueError(f"times must be 1-d, got shape {self.times.shape}")
         # NaN compares false, so "no step <= 0" alone would pass [0, nan, 1]
         if not (np.isfinite(self.times).all() and (np.diff(self.times) > 0).all()):
             raise ValueError("times must be finite and strictly increasing")
         for name, series in self.metrics.items():
-            if len(series) != len(self.times):
-                raise ValueError(f"metric {name!r} length does not match times")
+            if np.shape(series) != self.times.shape:
+                raise ValueError(f"metric {name!r} has shape {np.shape(series)}, not {self.times.shape}")
 
     def to_csv(self, path: str | Path | None = None) -> str:
         """CSV with header ``t`` plus the logged metric columns (canonical order)."""
@@ -620,23 +622,26 @@ def _dopri45(field: _StackedField, y0: np.ndarray, times: np.ndarray, config: In
     Y = np.empty((n_rows, size, len(times)))
     results: list = [None] * n_rows
     accepted = np.zeros(n_rows, dtype=int)
-    rejected = np.zeros(n_rows, dtype=int)
 
     ids = np.arange(n_rows)  # the row in each slot of the active batch
     t = np.zeros(n_rows)
     h = np.zeros(n_rows)  # the attempt's step: stage times are t + c h
-    failed = np.zeros(n_rows, dtype=bool)
+    leaving = np.zeros(n_rows, dtype=bool)  # slots that leave at the next compaction
+
+    def leave(slot: int, result) -> None:
+        # the one way out of the batch: a row's first result is its result
+        if not leaving[slot]:
+            leaving[slot] = True
+            results[ids[slot]] = result
 
     def evaluate(y: np.ndarray, c: float) -> np.ndarray:
         f, failures = field(y)
         for slot, exc in failures.items():
-            if not failed[slot]:
-                failed[slot] = True
-                error = IntegrationError(
-                    f"fixed-point solve broke down at t={t[slot] + c * h[slot]:.6g}: {exc}"
-                )
-                error.__cause__ = exc
-                results[ids[slot]] = error
+            error = IntegrationError(
+                f"fixed-point solve broke down at t={t[slot] + c * h[slot]:.6g}: {exc}"
+            )
+            error.__cause__ = exc
+            leave(slot, error)
         return f
 
     # select_initial_step, per row; where a huge drift overflows the estimate,
@@ -663,7 +668,6 @@ def _dopri45(field: _StackedField, y0: np.ndarray, times: np.ndarray, config: In
     last_t = h0.copy()  # time of each row's latest drift evaluation
     fresh = np.ones(n_rows, dtype=bool)  # starting a step, not retrying a rejected attempt
     emitted = np.zeros(n_rows, dtype=int)  # entries of ``times`` already written
-    leaving = failed.copy()
     taken = 0  # steps each row in the batch has taken, as all rows start together
     while True:
         if leaving.any():
@@ -672,27 +676,25 @@ def _dopri45(field: _StackedField, y0: np.ndarray, times: np.ndarray, config: In
                 a[keep] for a in (ids, t, y, f, h, h_abs, last_t, fresh, emitted)
             )
             field = field.take(keep)
-            failed = np.zeros(ids.size, dtype=bool)
+            leaving = np.zeros(ids.size, dtype=bool)
         if not ids.size:
             break
 
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
         h_abs = np.where(fresh & (h_abs < min_step), min_step, h_abs)
-        leaving = ~(h_abs >= min_step)  # a NaN step fails here too
+        for slot in np.flatnonzero(~(h_abs >= min_step)):  # a NaN step fails here too
+            i = ids[slot]
+            tail = Y[i, :, emitted[slot] - 1] if emitted[slot] else y0[i]
+            leave(slot, IntegrationError(
+                f"integration failed near t={last_t[slot]:.6g} ({_TOO_SMALL_STEP}); "
+                f"state norm {np.linalg.norm(tail):.6g}"
+            ))
         if leaving.any():
-            for slot in np.flatnonzero(leaving):
-                i = ids[slot]
-                tail = Y[i, :, emitted[slot] - 1] if emitted[slot] else y0[i]
-                results[i] = IntegrationError(
-                    f"integration failed near t={last_t[slot]:.6g} ({_TOO_SMALL_STEP}); "
-                    f"state norm {np.linalg.norm(tail):.6g}"
-                )
             continue
 
         t_new = t + h_abs
         t_new = np.where(t_new - t_bound > 0, t_bound, t_new)
-        h = t_new - t
-        h_abs = np.abs(h)
+        h = h_abs = t_new - t  # never negative: t_new is at least t
         K = np.empty((ids.size, 7, size))
         K[:, 0] = f
         for s in range(1, 6):
@@ -715,17 +717,15 @@ def _dopri45(field: _StackedField, y0: np.ndarray, times: np.ndarray, config: In
         h_abs = h_abs * np.where(accept, factor, shrink)
 
         reached = np.searchsorted(times, t_new, side="right")
-        for slot in np.flatnonzero(accept & (reached > emitted) & ~failed):
+        for slot in np.flatnonzero(accept & (reached > emitted) & ~leaving):
             lo, hi = emitted[slot], reached[slot]
             Y[ids[slot], :, lo:hi] = _dense_output(K[slot], t[slot], t_new[slot], y[slot], times[lo:hi])
             emitted[slot] = hi
         accepted[ids[accept]] += 1
-        rejected[ids[~accept]] += 1
         taken += 1
-        done = accept & (t_new - t_bound >= 0) & ~failed
-        for i in ids[done]:
-            steps = int(accepted[i] + rejected[i])
-            results[i] = (Y[i], SolverStats(2 + 6 * steps, int(accepted[i]), int(rejected[i])))
+        for slot in np.flatnonzero(accept & (t_new - t_bound >= 0)):
+            i = ids[slot]
+            leave(slot, (Y[i], SolverStats(2 + 6 * taken, int(accepted[i]), taken - int(accepted[i]))))
         if accept.all():
             t, y, f = t_new, y_new, f_new
         else:
@@ -733,13 +733,9 @@ def _dopri45(field: _StackedField, y0: np.ndarray, times: np.ndarray, config: In
             y = np.where(accept[:, None], y_new, y)
             f = np.where(accept[:, None], f_new, f)
         fresh = accept
-        leaving = done | failed
         if taken >= MAX_STEPS:
-            for slot in np.flatnonzero(~leaving):
-                results[ids[slot]] = IntegrationError(
-                    f"step budget of {MAX_STEPS} steps spent at t={t[slot]:.6g}"
-                )
-            leaving[:] = True
+            for slot in range(ids.size):
+                leave(slot, IntegrationError(f"step budget of {MAX_STEPS} steps spent at t={t[slot]:.6g}"))
     return results
 
 

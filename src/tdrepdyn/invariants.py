@@ -10,10 +10,11 @@ A property earns a row only if the row can fail and no unit test makes the
 same check: a bound the library already enforces on every call reads "true"
 by construction, and a row that repeats a unit test adds run time and no
 coverage. The five rows left are premises and results of the paper: the key
-matrix is positive definite, random rewards concentrate, end-to-end TD on a
-reversible chain follows the gradient of E, and with R = I the two-time-scale
-flow keeps phi^T phi fixed and climbs the trace objective. Each row has a
-checked-in mutant of the library that fails it (``tests/mutants.py``).
+matrix is positive definite, the generator's rewards concentrate, end-to-end
+TD on a reversible chain follows the gradient of E, and with R = I the
+two-time-scale flow keeps phi^T phi fixed and climbs the trace objective.
+Each row has a checked-in mutant of the library that fails it
+(``tests/mutants.py``).
 
 Left to unit tests, or to nothing:
 
@@ -102,8 +103,8 @@ def _check_key_matrix_pd(config: ExperimentConfig) -> met.MetricReport:
     for seed in range(100):
         for n in (10, 30):
             for mrp in (
-                mdp_mod.make_random_mdp(n=n, h=1, gamma=0.9, alpha=config.alpha, seed=seed),
-                mdp_mod.make_symmetric_mdp(n=n, h=1, gamma=0.9, seed=seed),
+                mdp_mod.make_mdp(False, 1, n=n, gamma=0.9, alpha=config.alpha, seed=seed),
+                mdp_mod.make_mdp(True, 1, n=n, gamma=0.9, seed=seed),
             ):
                 A = mrp.A
                 smallest = min(smallest, float(np.linalg.eigvalsh(0.5 * (A + A.T))[0]))
@@ -116,8 +117,8 @@ def _check_reward_concentration(config: ExperimentConfig) -> met.MetricReport:
     for h in (100, 1000, 10000):
         devs = []
         for seed in range(20):
-            R = mdp_mod.sample_random_rewards(n, h, seed=seed)
-            devs.append(np.abs(R @ R.T - np.eye(n)).max())
+            R = mdp_mod.make_mdp(False, h, n=n, gamma=0.9, alpha=config.alpha, seed=seed).R
+            devs.append(np.abs(R @ R.T / h - np.eye(n)).max())
         medians.append(float(np.median(devs)))
     decreasing = medians[0] > medians[1] > medians[2]
     return met.MetricReport("mdp.reward_concentration", medians[-1], 0.15, decreasing and medians[-1] < 0.15)
@@ -127,7 +128,7 @@ def _check_gradient_flow_identity(config: ExperimentConfig) -> met.MetricReport:
     worst = 0.0
     rng = make_rng(2024)
     for seed in range(20):
-        mrp = mdp_mod.make_symmetric_mdp(n=10, h=2, gamma=0.9, seed=seed)
+        mrp = mdp_mod.make_mdp(True, 2, n=10, gamma=0.9, seed=seed)
         phi = rng.standard_normal((10, 3))
         w = rng.standard_normal((3, 2))
         worst = max(worst, dyn.gradient_check(mrp, phi, w))
@@ -136,7 +137,7 @@ def _check_gradient_flow_identity(config: ExperimentConfig) -> met.MetricReport:
 
 def _check_covariance_constancy(config: ExperimentConfig) -> met.MetricReport:
     # phi^T phi is conserved on any chain, so mixed-generator chains are the harder test
-    mrps = [mdp_mod.make_random_mdp(n=30, h=1, gamma=0.9, alpha=config.alpha, seed=seed)
+    mrps = [mdp_mod.make_mdp(False, 1, n=30, gamma=0.9, alpha=config.alpha, seed=seed)
             for seed in range(20)]
     logs = _integrated(config, mrps, dyn.two_time_scale(), range(20), ("cov_drift",))
     worst = max(float(log.metrics["cov_drift"].max()) for log in logs)
@@ -145,7 +146,7 @@ def _check_covariance_constancy(config: ExperimentConfig) -> met.MetricReport:
 
 def _check_trace_monotonicity(config: ExperimentConfig) -> met.MetricReport:
     slack = 10 * config.integrator.atol
-    mrps = [mdp_mod.make_symmetric_mdp(n=10, h=1, gamma=0.9, seed=seed).with_rewards(np.eye(10))
+    mrps = [mdp_mod.make_mdp(True, 1, n=10, gamma=0.9, seed=seed).with_rewards(np.eye(10))
             for seed in range(3)]
     logs = _integrated(config, mrps, dyn.two_time_scale(), range(1, 4), ("f",))
     worst_dip = max(float((-np.diff(log.metrics["f"])).max(initial=0.0)) for log in logs)

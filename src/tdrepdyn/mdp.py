@@ -4,11 +4,10 @@ This module provides:
 - ``seed_streams``, the one table of a trial seed's child streams, and
   ``make_mdp``, the one generator body: a Sinkhorn doubly-stochastic core,
   permutation-mixed or symmetrized (strictly positive after mixing, hence
-  irreducible), with i.i.d. standard normal rewards and uniform d.
-  ``make_random_mdp`` and ``make_symmetric_mdp`` name its two chains, and
-  ``check_chain_args`` holds the bounds of its arguments.
-- ``sample_random_rewards``, normal rewards with per-entry variance 1 / h,
-  so that R R^T concentrates around I as h grows.
+  irreducible), with i.i.d. standard normal rewards and uniform d, the only
+  way to draw a chain or its rewards. ``check_chain_args`` holds the bounds
+  of its arguments. The reward-concentration invariant reads its rewards
+  scaled by 1 / h: R R^T / h concentrates around I as h grows.
 - A reversibility residual and a checked JSON round trip.
 
 Every quantity that depends only on the process (I - gamma P, the key matrix
@@ -187,7 +186,7 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def sample_doubly_stochastic(n: int, seed: int | np.random.SeedSequence) -> np.ndarray:
+def _sample_doubly_stochastic(n: int, seed: int | np.random.SeedSequence) -> np.ndarray:
     """Random doubly-stochastic matrix via Sinkhorn normalization.
 
     Starts from a strictly positive uniform-random matrix and alternates
@@ -196,12 +195,7 @@ def sample_doubly_stochastic(n: int, seed: int | np.random.SeedSequence) -> np.n
     raises ``ConvergenceError`` after ``SINKHORN_MAX_ITER`` passes. Strict
     positivity of the start guarantees convergence and an irreducible result.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if n == 1:
-        return np.ones((1, 1))
-    rng = make_rng(seed)
-    M = rng.uniform(0.1, 1.0, size=(n, n))
+    M = make_rng(seed).uniform(0.1, 1.0, size=(n, n))
     residual = np.inf
     for _ in range(SINKHORN_MAX_ITER):
         M /= M.sum(axis=0, keepdims=True)
@@ -212,22 +206,9 @@ def sample_doubly_stochastic(n: int, seed: int | np.random.SeedSequence) -> np.n
     raise ConvergenceError("Sinkhorn normalization", SINKHORN_MAX_ITER, residual)
 
 
-def sample_permutation(n: int, seed: int | np.random.SeedSequence) -> np.ndarray:
+def _sample_permutation(n: int, seed: int | np.random.SeedSequence) -> np.ndarray:
     """Random n x n permutation matrix; row i has its 1 in a permuted column."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    rng = make_rng(seed)
-    return np.eye(n)[rng.permutation(n)]
-
-
-def sample_random_rewards(n: int, h: int, seed: int | np.random.SeedSequence) -> np.ndarray:
-    """n x h i.i.d. normal rewards with per-entry variance 1 / h.
-
-    R R^T then concentrates around I at rate O(1/sqrt(h)).
-    """
-    if h < 1:
-        raise ValueError(f"h must be >= 1, got {h}")
-    return 1.0 / np.sqrt(h) * make_rng(seed).standard_normal((n, h))
+    return np.eye(n)[make_rng(seed).permutation(n)]
 
 
 def seed_streams(seed: int) -> list[np.random.SeedSequence]:
@@ -258,37 +239,25 @@ def check_chain_args(n, h, gamma, alpha, seed) -> None:
 
 
 def make_mdp(
-    symmetric: bool, h: int, *, n: int, gamma: float, alpha: float, seed: int
+    symmetric: bool, h: int = 1, *, n: int = 30, gamma: float = 0.9, alpha: float = 0.95,
+    seed: int = 0,
 ) -> MarkovRewardProcess:
     """The symmetric chain, or the mixed one with weight ``alpha``, for one int seed.
 
     Mixed: P = alpha P_perm + (1 - alpha) P_ds, doubly stochastic, so d is
     exactly uniform; a large alpha makes it very likely non-reversible.
-    Symmetric: P = (P_ds + P_ds^T) / 2, reversible. Rewards are standard normal.
+    Symmetric: P = (P_ds + P_ds^T) / 2, reversible; it ignores ``alpha``.
+    Rewards are standard normal.
     """
     check_chain_args(n, h, gamma, alpha, seed)
     ds_seed, perm_seed, reward_seed, _ = seed_streams(seed)
-    P_ds = sample_doubly_stochastic(n, ds_seed)
+    P_ds = _sample_doubly_stochastic(n, ds_seed)
     if symmetric:
         P = (P_ds + P_ds.T) / 2.0
     else:
-        P = alpha * sample_permutation(n, perm_seed) + (1.0 - alpha) * P_ds
+        P = alpha * _sample_permutation(n, perm_seed) + (1.0 - alpha) * P_ds
     R = make_rng(reward_seed).standard_normal((n, h))
     return MarkovRewardProcess(P=P, R=R, gamma=gamma, d=np.full(n, 1.0 / n))
-
-
-def make_random_mdp(
-    n: int = 30, h: int = 1, gamma: float = 0.9, alpha: float = 0.95, seed: int = 0
-) -> MarkovRewardProcess:
-    """The mixed chain of ``make_mdp``."""
-    return make_mdp(False, h, n=n, gamma=gamma, alpha=alpha, seed=seed)
-
-
-def make_symmetric_mdp(
-    n: int = 30, h: int = 1, gamma: float = 0.9, seed: int = 0
-) -> MarkovRewardProcess:
-    """The symmetric chain of ``make_mdp``."""
-    return make_mdp(True, h, n=n, gamma=gamma, alpha=0.0, seed=seed)
 
 
 def reversibility_residual(mrp: MarkovRewardProcess) -> float:

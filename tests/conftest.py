@@ -26,12 +26,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture
 def small_mixed():
-    return mdp_mod.make_random_mdp(n=8, h=1, gamma=0.9, alpha=0.95, seed=3)
+    return mdp_mod.make_mdp(False, 1, n=8, gamma=0.9, alpha=0.95, seed=3)
 
 
 @pytest.fixture
 def small_symmetric():
-    return mdp_mod.make_symmetric_mdp(n=8, h=2, gamma=0.9, seed=3)
+    return mdp_mod.make_mdp(True, 2, n=8, gamma=0.9, seed=3)
 
 
 @pytest.fixture

@@ -53,7 +53,8 @@ MUTANTS = (
     Mutant("system_scales_identity", _MDP, "np.eye(self.n) - self.gamma * self.P",
            "self.gamma * np.eye(self.n) - self.P",
            _ACC + "test_criterion_8_key_matrix_positive_definite"),
-    Mutant("rewards_scaled_by_1_over_h", _MDP, "1.0 / np.sqrt(h) * make_rng", "1.0 / h * make_rng",
+    Mutant("rewards_scaled_by_1_over_sqrt_h", _MDP, "make_rng(reward_seed).standard_normal((n, h))",
+           "make_rng(reward_seed).standard_normal((n, h)) / np.sqrt(h)",
            _ACC + "test_criterion_7_reward_concentration"),
     Mutant("semi_gradients_drop_d", _DYN, "weighted = d * (R - ", "weighted = (R - ",
            _ACC + "test_criterion_1_gradient_flow_identity"),

@@ -17,7 +17,7 @@ from tdrepdyn import dynamics as dyn
 from tdrepdyn import experiments as exp
 from tdrepdyn import invariants as inv
 from tdrepdyn import metrics as met
-from tdrepdyn.mdp import make_symmetric_mdp
+from tdrepdyn.mdp import make_mdp
 
 N_PROBE_MDPS = 20
 
@@ -40,7 +40,7 @@ def test_criterion_2_energy_dissipation(acceptance):
     worst_increase = 0.0
     worst_match = 0.0
     for seed in range(N_PROBE_MDPS):
-        mrp = make_symmetric_mdp(n=10, h=1, gamma=0.9, seed=seed)
+        mrp = make_mdp(True, 1, n=10, gamma=0.9, seed=seed)
         phi0 = dyn.orthonormal_init(10, 2, seed=seed)
         t_end = 100.0
         while True:
@@ -101,7 +101,7 @@ def test_criterion_4_spectral_monotonicity(acceptance):
     worst_residual = 0.0
     problems = [
         dyn.Problem(
-            make_symmetric_mdp(n=10, h=1, gamma=0.9, seed=seed).with_rewards(np.eye(10)),
+            make_mdp(True, 1, n=10, gamma=0.9, seed=seed).with_rewards(np.eye(10)),
             spec,
             dyn.orthonormal_init(10, 2, seed=seed),
         )
@@ -160,7 +160,7 @@ def test_criterion_6_fig3_reproduction(acceptance):
 def test_criterion_7_reward_concentration(acceptance):
     report = inv._check_reward_concentration(exp.ExperimentConfig())
     acceptance(7, "reward concentration", report.passed,
-               f"median max |R R^T - I| falls with h, {report.value:.3f} < "
+               f"median max |R R^T / h - I| falls with h, {report.value:.3f} < "
                f"{report.tolerance_used:g} at h=10000")
     assert report.passed
 

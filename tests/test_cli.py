@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -106,11 +107,22 @@ def test_gen_mdp_matches_golden(argv, golden, tmp_path):
     assert out.read_bytes() == (DATA / "golden" / "gen_mdp" / golden).read_bytes()
 
 
+def test_chain_defaults_agree():
+    # make_mdp, ExperimentConfig (whose h_values[0] simulate draws) and gen-mdp each spell them out
+    params = inspect.signature(mdp.make_mdp).parameters
+    made = {name: params[name].default for name in ("n", "h", "gamma", "alpha", "seed")}
+    config = exp.ExperimentConfig()
+    assert made == {"n": config.n_states, "h": config.h_values[0], "gamma": config.gamma,
+                    "alpha": config.alpha, "seed": config.seed}
+    args = cli.build_parser().parse_args(["gen-mdp"])
+    assert made == {name: getattr(args, name) for name in made}
+
+
 def test_gen_mdp_generation_failure_exits_3(tmp_path, monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise mdp.ConvergenceError("Sinkhorn normalization", 10, 0.5)
 
-    monkeypatch.setattr(mdp, "sample_doubly_stochastic", boom)
+    monkeypatch.setattr(mdp, "_sample_doubly_stochastic", boom)
     assert run_cli(["gen-mdp", "-o", str(tmp_path / "m.json")]) == 3
     assert "did not converge" in capsys.readouterr().err
 
@@ -663,7 +675,7 @@ def test_simulate_generation_failure_exits_3(tmp_path, monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise mdp.ConvergenceError("Sinkhorn normalization", 10, 0.5)
 
-    monkeypatch.setattr(mdp, "sample_doubly_stochastic", boom)
+    monkeypatch.setattr(mdp, "_sample_doubly_stochastic", boom)
     out = tmp_path / "t.csv"
     assert run_cli(["simulate", "--n", "6", "--t-end", "1", "-o", str(out)]) == 3
     assert "generation failed: Sinkhorn normalization did not converge" in capsys.readouterr().err

@@ -17,7 +17,7 @@ from numpy.testing import assert_allclose
 from tdrepdyn import dynamics as dyn
 from tdrepdyn import experiments as exp
 from tdrepdyn import metrics as met
-from tdrepdyn.mdp import make_random_mdp, make_symmetric_mdp, make_rng
+from tdrepdyn.mdp import make_mdp, make_rng
 from tdrepdyn.metrics import COND_LIMIT, IllConditionedError
 
 from chains import CHAIN_KINDS, build_chain
@@ -102,7 +102,7 @@ def test_fixed_point_is_bit_identical_to_reference_formula():
         k = (1, 2, 3, 4, 5)[i % 5]
         n = int(rng.integers(k, 31))
         h = int(rng.integers(1, 9))
-        mrp = make_random_mdp(n=n, h=h, seed=i)
+        mrp = make_mdp(False, h, n=n, seed=i)
         phi = rng.standard_normal((n, k))
         assert np.array_equal(dyn.td_fixed_point(mrp, phi), _reference_fixed_point(mrp, phi))
 
@@ -225,7 +225,7 @@ def test_certified_solves_skip_the_svd(monkeypatch):
     rng = make_rng(3)
     G = np.array([_guard_slice(rng, 2, "well") for _ in range(12)])
     b = rng.standard_normal((12, 2, 8))
-    mrp = make_random_mdp(n=30, h=8, seed=0)  # one fig3 two-time-scale row
+    mrp = make_mdp(False, 8, n=30, seed=0)  # one fig3 two-time-scale row
     phi0 = exp.initial_representation(0, 30, 2)
     config = dyn.IntegratorConfig(t_end=10.0, log_points=11)
     want_x, _ = met._solve_guarded_stack(G, b, "G")
@@ -285,7 +285,7 @@ def test_nan_fixed_point_solution_misses_its_residual_bound(monkeypatch):
         return x, rejected
 
     monkeypatch.setattr(dyn, "_solve_guarded_stack", nan_in_slice_1)
-    mrp = make_random_mdp(n=8, h=2, seed=1)
+    mrp = make_mdp(False, 2, n=8, seed=1)
     phi = np.stack([dyn.orthonormal_init(8, 2, seed=s) for s in range(3)])
     _, failures = dyn._fixed_points(mrp.A, mrp.dR, phi)
     assert list(failures) == [1] and type(failures[1]) is dyn.FixedPointResidualError
@@ -293,7 +293,7 @@ def test_nan_fixed_point_solution_misses_its_residual_bound(monkeypatch):
 
 def test_fixed_point_residual_bound_scales_with_rewards():
     # the absolute 1e-10 bound rejected this solve, reported as cond 1.47
-    mrp = make_random_mdp(n=30, h=4, seed=0)
+    mrp = make_mdp(False, 4, n=30, seed=0)
     phi = dyn.orthonormal_init(30, 2, seed=0)
     w = dyn.td_fixed_point(mrp.with_rewards(1e8 * mrp.R), phi)
     assert_allclose(w, 1e8 * dyn.td_fixed_point(mrp, phi), rtol=1e-10)
@@ -567,7 +567,7 @@ def test_rk45_tableau_is_scipys():
     ids=lambda spec: spec.kind,
 )
 def test_integrator_agrees_with_scipy_rk45(spec):
-    mrp = make_random_mdp(n=12, h=3, seed=4)
+    mrp = make_mdp(False, 3, n=12, seed=4)
     phi0 = dyn.orthonormal_init(12, 2, seed=5)
     config = dyn.IntegratorConfig(t_end=20.0, rtol=1e-8, atol=1e-10, log_points=41)
     log = dyn.integrate(mrp, spec, phi0, config=config, store_states=True)
@@ -589,7 +589,7 @@ def test_batch_member_is_bitwise_its_solo_run():
     spec = dyn.two_time_scale()
 
     def problem(h, phi0):
-        return dyn.Problem(make_random_mdp(n=8, h=h, seed=h), spec, phi0)
+        return dyn.Problem(make_mdp(False, h, n=8, seed=h), spec, phi0)
 
     target = problem(4, dyn.orthonormal_init(8, 2, seed=2))
     u = dyn.orthonormal_init(8, 2, seed=12)
@@ -633,7 +633,7 @@ _ROWS = st.tuples(
 def test_batch_rows_are_bitwise_their_solo_runs(rows, doomed):
     config = dyn.IntegratorConfig(t_end=0.5, rtol=1e-6, atol=1e-8, log_points=5)
     problems = [
-        dyn.Problem(make_random_mdp(n=n, h=h, seed=seed), _SPECS[kind](eta),
+        dyn.Problem(make_mdp(False, h, n=n, seed=seed), _SPECS[kind](eta),
                     dyn.orthonormal_init(n, k, seed=seed),
                     None if w0_seed is None else make_rng(w0_seed).standard_normal((k, h)))
         for kind, h, n, k, eta, seed, w0_seed in rows
@@ -642,7 +642,7 @@ def test_batch_rows_are_bitwise_their_solo_runs(rows, doomed):
         at, h = doomed
         u = dyn.orthonormal_init(8, 2, seed=h)
         phi0 = np.column_stack([u[:, 0], u[:, 0] + 1e-7 * u[:, 1]])
-        problems.insert(at, dyn.Problem(make_random_mdp(n=8, h=h, seed=h), dyn.two_time_scale(), phi0))
+        problems.insert(at, dyn.Problem(make_mdp(False, h, n=8, seed=h), dyn.two_time_scale(), phi0))
     batch = dyn.integrate_batch(problems, config, store_states=True)
     for problem, got in zip(problems, batch, strict=True):
         try:
@@ -675,7 +675,7 @@ def _public_drift(row: dyn.Problem) -> np.ndarray:
 def test_stacked_field_rows_are_bitwise_the_public_drifts(kind, h, seed, etas):
     rng = make_rng(seed)
     rows = [
-        dyn.Problem(make_random_mdp(n=8, h=h, seed=seed + i), _SPECS[kind](eta),
+        dyn.Problem(make_mdp(False, h, n=8, seed=seed + i), _SPECS[kind](eta),
                     rng.standard_normal((8, 2)), rng.standard_normal((2, h)))
         for i, eta in enumerate(etas)
     ]
@@ -699,7 +699,7 @@ def test_rejected_metric_solve_is_the_rows_result(monkeypatch):
         return x, rejected
 
     monkeypatch.setattr(met, "_solve_guarded_stack", reject_once)
-    mrp = make_random_mdp(n=8, h=2, seed=1)
+    mrp = make_mdp(False, 2, n=8, seed=1)
     problems = [dyn.Problem(mrp, dyn.end_to_end(), dyn.orthonormal_init(8, 2, seed=s)) for s in (1, 2)]
     config = dyn.IntegratorConfig(t_end=2.0, log_points=9)
     first, second = dyn.integrate_batch(problems, config)
@@ -776,7 +776,7 @@ def test_nan_step_fails_instead_of_spinning():
 
 def _end_to_end_row(eta):
     """An end-to-end row on a 30-state chain; its steps to t = 1 grow with eta."""
-    mrp = make_random_mdp(n=30, h=1, seed=0)
+    mrp = make_mdp(False, 1, n=30, seed=0)
     return dyn.Problem(mrp, dyn.end_to_end(eta, eta), exp.initial_representation(0, 30, 2))
 
 
@@ -807,7 +807,7 @@ def test_overflowing_drift_spends_the_step_budget(monkeypatch):
 def test_zero_drift_takes_scipys_initial_step():
     # linear TD from w0 = 0 with R = 0 has an exactly-zero drift, the initial step's
     # branch where both derivative norms vanish
-    mrp = make_random_mdp(n=12, h=1, seed=4).with_rewards(np.zeros((12, 1)))
+    mrp = make_mdp(False, 1, n=12, seed=4).with_rewards(np.zeros((12, 1)))
     spec, phi0 = dyn.linear_td(2.0), dyn.orthonormal_init(12, 2, seed=5)
     config = dyn.IntegratorConfig(t_end=20.0, rtol=1e-8, atol=1e-10, log_points=41)
     log = dyn.integrate(mrp, spec, phi0, config=config, store_states=True)
@@ -822,7 +822,7 @@ def test_rejected_logged_fixed_point_is_the_rows_result(monkeypatch):
     # one row's logged snapshots against that row's own key matrix
     real = dyn._fixed_points
     injected = np.linalg.LinAlgError("rejected snapshot")
-    problems = [dyn.Problem(make_random_mdp(n=8, h=2, seed=s), dyn.two_time_scale(),
+    problems = [dyn.Problem(make_mdp(False, 2, n=8, seed=s), dyn.two_time_scale(),
                             dyn.orthonormal_init(8, 2, seed=s)) for s in (1, 2)]
     doomed = problems[0].mrp
 
@@ -879,6 +879,11 @@ def test_trajectory_log_validation():
     for times in ([0.0, np.nan, 1.0], [0.0, 1.0, np.inf], [-np.inf, 0.0], [np.nan]):
         with pytest.raises(ValueError, match="finite and strictly increasing"):
             dyn.TrajectoryLog(times=times, metrics={"E": np.zeros(len(times))})
+    # to_csv wrote three fields under a two-field header for each of these
+    with pytest.raises(ValueError, match=r"times must be 1-d, got shape \(2, 2\)"):
+        dyn.TrajectoryLog(times=[[0.0, 1.0], [2.0, 3.0]], metrics={"E": np.zeros(2)})
+    with pytest.raises(ValueError, match=r"metric 'E' has shape \(2, 2\), not \(2,\)"):
+        dyn.TrajectoryLog(times=[0.0, 1.0], metrics={"E": np.zeros((2, 2))})
 
 
 def test_states_json_sidecar(tmp_path, small_mixed):
@@ -916,7 +921,7 @@ def test_json_array_is_json_dumps_of_tolist(a):
 
 
 def test_states_json_is_json_dumps_of_the_snapshots():
-    mrp = make_random_mdp(n=12, h=3, seed=5)
+    mrp = make_mdp(False, 3, n=12, seed=5)
     phi0 = dyn.orthonormal_init(12, 3, seed=5)
     cfg = dyn.IntegratorConfig(t_end=20.0, log_points=501)
     log = dyn.integrate(mrp, dyn.end_to_end(), phi0, config=cfg, store_states=True)

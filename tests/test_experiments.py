@@ -12,7 +12,6 @@ from tdrepdyn import dynamics as dyn
 from tdrepdyn import experiments as exp
 from tdrepdyn import invariants as inv
 from tdrepdyn import mdp
-from tdrepdyn.mdp import make_symmetric_mdp
 from tdrepdyn.metrics import MetricReport
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -229,7 +228,7 @@ def test_fig1_curves_share_one_chain_per_trial(monkeypatch):
 
 def test_single_reversible_trajectory_is_monotone():
     # one symmetric-generator trial: reversible, so E never increases
-    mrp = make_symmetric_mdp(n=8, h=1, gamma=0.9, seed=2)
+    mrp = mdp.make_mdp(True, 1, n=8, gamma=0.9, seed=2)
     phi0 = exp.initial_representation(2, 8, 2)
     log = dyn.integrate(
         mrp, dyn.end_to_end(), phi0,

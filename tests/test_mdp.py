@@ -14,12 +14,10 @@ from tdrepdyn.mdp import (
     ConvergenceError,
     SINKHORN_TOL,
     MarkovRewardProcess,
-    make_random_mdp,
-    make_symmetric_mdp,
+    _sample_doubly_stochastic,
+    _sample_permutation,
+    make_mdp,
     reversibility_residual,
-    sample_doubly_stochastic,
-    sample_permutation,
-    sample_random_rewards,
 )
 
 
@@ -28,7 +26,7 @@ from tdrepdyn.mdp import (
 
 @pytest.mark.parametrize("n", [1, 2, 5, 30])
 def test_doubly_stochastic_row_and_col_sums(n):
-    P = sample_doubly_stochastic(n, seed=0)
+    P = _sample_doubly_stochastic(n, seed=0)
     assert_allclose(P.sum(axis=1), np.ones(n), atol=1e-10)
     assert_allclose(P.sum(axis=0), np.ones(n), atol=1e-10)
     assert (P > 0).all()
@@ -39,22 +37,22 @@ def test_mixed_chains_are_doubly_stochastic():
     bound = SINKHORN_TOL + 16 * np.finfo(float).eps
     for alpha in np.linspace(0.0, 1.0, 11):
         for seed in range(20):
-            P = make_random_mdp(n=12, alpha=alpha, seed=seed).P
+            P = make_mdp(False, n=12, alpha=alpha, seed=seed).P
             assert np.abs(P.sum(axis=1) - 1).max() <= bound
             assert np.abs(P.sum(axis=0) - 1).max() <= bound
 
 
 def test_doubly_stochastic_2x2_is_symmetric():
     # a 2x2 doubly stochastic matrix is [[a, 1-a], [1-a, a]]
-    P = sample_doubly_stochastic(2, seed=7)
+    P = _sample_doubly_stochastic(2, seed=7)
     assert abs(P[0, 0] - P[1, 1]) < 1e-12
     assert abs(P[0, 1] - P[1, 0]) < 1e-12
 
 
 def test_doubly_stochastic_deterministic_and_seed_sensitive():
-    a = sample_doubly_stochastic(6, seed=1)
-    b = sample_doubly_stochastic(6, seed=1)
-    c = sample_doubly_stochastic(6, seed=2)
+    a = _sample_doubly_stochastic(6, seed=1)
+    b = _sample_doubly_stochastic(6, seed=1)
+    c = _sample_doubly_stochastic(6, seed=2)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -62,38 +60,38 @@ def test_doubly_stochastic_deterministic_and_seed_sensitive():
 def test_doubly_stochastic_nonconvergence_reports_residual(monkeypatch):
     monkeypatch.setattr(mdp_mod, "SINKHORN_MAX_ITER", 2)
     with pytest.raises(ConvergenceError) as info:
-        sample_doubly_stochastic(20, seed=0)
+        _sample_doubly_stochastic(20, seed=0)
     assert info.value.iterations == 2
     assert info.value.residual > 0
 
 
 @pytest.mark.parametrize("n", [1, 3, 5])
 def test_permutation_matrix_property(n):
-    P = sample_permutation(n, seed=4)
+    P = _sample_permutation(n, seed=4)
     assert_allclose(P.sum(axis=0), np.ones(n))
     assert_allclose(P.sum(axis=1), np.ones(n))
     assert set(np.unique(P)) <= {0.0, 1.0}
 
 
 def test_permutations_vary_across_seeds():
-    draws = {sample_permutation(5, seed=s).tobytes() for s in range(10)}
+    draws = {_sample_permutation(5, seed=s).tobytes() for s in range(10)}
     assert len(draws) > 1  # 5! = 120 possibilities, ten draws collide rarely
 
 
 def test_make_random_mdp_alpha_endpoints():
-    m0 = make_random_mdp(n=6, h=1, gamma=0.9, alpha=0.0, seed=5)
-    ds = sample_doubly_stochastic(6, seed=np.random.SeedSequence(5).spawn(3)[0])
+    m0 = make_mdp(False, 1, n=6, gamma=0.9, alpha=0.0, seed=5)
+    ds = _sample_doubly_stochastic(6, seed=np.random.SeedSequence(5).spawn(3)[0])
     assert_allclose(m0.P, ds)
 
 
 def test_make_random_mdp_uniform_stationary_and_nonreversible():
-    m = make_random_mdp(n=30, h=1, gamma=0.9, alpha=0.95, seed=0)
+    m = make_mdp(False, 1, n=30, gamma=0.9, alpha=0.95, seed=0)
     assert_allclose(m.d, np.full(30, 1 / 30))  # doubly stochastic => uniform
     assert reversibility_residual(m) > 1e-3
 
 
 def test_make_symmetric_mdp_reversible_real_spectrum():
-    m = make_symmetric_mdp(n=30, h=1, gamma=0.9, seed=0)
+    m = make_mdp(True, 1, n=30, gamma=0.9, seed=0)
     assert np.array_equal(m.P, m.P.T)
     assert reversibility_residual(m) <= 1e-10
     eigs = np.linalg.eigvalsh(m.P)
@@ -101,13 +99,13 @@ def test_make_symmetric_mdp_reversible_real_spectrum():
 
 
 def test_generated_mdps_are_deterministic():
-    a = make_random_mdp(n=12, h=3, gamma=0.9, alpha=0.95, seed=11)
-    b = make_random_mdp(n=12, h=3, gamma=0.9, alpha=0.95, seed=11)
+    a = make_mdp(False, 3, n=12, gamma=0.9, alpha=0.95, seed=11)
+    b = make_mdp(False, 3, n=12, gamma=0.9, alpha=0.95, seed=11)
     assert np.array_equal(a.P, b.P) and np.array_equal(a.R, b.R)
 
 
 @pytest.mark.parametrize("make", [
-    lambda seed: make_random_mdp(n=6, seed=seed),
+    lambda seed: make_mdp(False, n=6, seed=seed),
     lambda seed: mdp_mod.make_mdp(True, 1, n=6, gamma=0.9, alpha=0.0, seed=seed),
 ])
 def test_generators_reject_a_seed_sequence(make):
@@ -139,24 +137,11 @@ def test_make_mdp_names_a_bad_argument_before_any_draw(name, value, error, messa
 
 def test_seed_streams_are_the_generators_and_the_init_streams():
     streams = mdp_mod.seed_streams(7)
-    m = make_random_mdp(n=6, h=2, alpha=0.0, seed=7)
-    assert_allclose(m.P, sample_doubly_stochastic(6, streams[0]))
+    m = make_mdp(False, 2, n=6, alpha=0.0, seed=7)
+    assert_allclose(m.P, _sample_doubly_stochastic(6, streams[0]))
     assert np.array_equal(m.R, mdp_mod.make_rng(streams[2]).standard_normal((6, 2)))
     phi0 = initial_representation(7, 6, 2)
     assert np.array_equal(phi0, orthonormal_init(6, 2, streams[3]))
-
-
-def test_random_rewards_reject_h_below_1():
-    with pytest.raises(ValueError):
-        sample_random_rewards(5, 0, seed=0)
-
-
-def test_random_rewards_variance_scaling():
-    # per-entry variance 1 / h
-    R = sample_random_rewards(50, 400, seed=8)
-    assert R.shape == (50, 400)
-    observed = R.var()
-    assert abs(observed - 1.0 / 400) < 0.1 * (1.0 / 400)
 
 
 # ---------------------------------------------------------------- validation
@@ -200,9 +185,7 @@ def _two_states(**edit):
     (lambda: MarkovRewardProcess(**_two_states(R=np.zeros((3, 1)))), "R must have 2 rows"),
     (lambda: MarkovRewardProcess(**_two_states(R=np.zeros(3))), "R must have 2 rows"),
     (lambda: MarkovRewardProcess(**_two_states(d=np.full(3, 1 / 3))), "d must have length 2"),
-    (lambda: sample_doubly_stochastic(0, seed=0), "n must be >= 1, got 0"),
-    (lambda: sample_permutation(0, seed=0), "n must be >= 1, got 0"),
-], ids=["P_not_square", "R_rows", "R_vector_length", "d_length", "sinkhorn_n0", "permutation_n0"])
+], ids=["P_not_square", "R_rows", "R_vector_length", "d_length"])
 def test_shape_checks_name_the_mismatch(make, message):
     with pytest.raises(ValueError, match=message):
         make()
@@ -242,9 +225,9 @@ def test_mrp_boundary_rejects_every_invalid_input_and_accepts_valid_ones(
     symmetric, n, h, gamma, seed, corruption, index, size, bad, bad_gamma
 ):
     if symmetric:
-        valid = make_symmetric_mdp(n=n, h=h, gamma=gamma, seed=seed)
+        valid = make_mdp(True, h, n=n, gamma=gamma, seed=seed)
     else:
-        valid = make_random_mdp(n=n, h=h, gamma=gamma, seed=seed)
+        valid = make_mdp(False, h, n=n, gamma=gamma, seed=seed)
     P, R, d = valid.P.copy(), valid.R.copy(), valid.d.copy()
     i, j = divmod(index, 8)
     i, j = i % n, j % n
@@ -296,7 +279,7 @@ def test_value_function_worked_example(two_state):
 
 
 def test_value_function_residual(small_mixed):
-    for mrp in (small_mixed, *(make_random_mdp(n=20, h=3, seed=seed) for seed in range(20))):
+    for mrp in (small_mixed, *(make_mdp(False, 3, n=20, seed=seed) for seed in range(20))):
         V = mrp.V
         resid = V - mrp.gamma * mrp.P @ V - mrp.R
         assert np.abs(resid).max() <= 1e-10
@@ -310,7 +293,7 @@ def test_key_matrix_positive_definite(small_mixed):
 
 def test_value_function_residual_bound_scales_with_rewards():
     # the absolute 1e-10 bound rejected this solve (residual 2.3e-10)
-    m = make_random_mdp(n=30, h=1, seed=0)
+    m = make_mdp(False, 1, n=30, seed=0)
     big = m.with_rewards(1e5 * m.R)
     assert_allclose(big.V, 1e5 * m.V, rtol=1e-12)
 
@@ -335,7 +318,7 @@ def test_with_rewards_gets_a_fresh_value_function(small_mixed):
 
 def test_processes_compare_and_hash_by_identity():
     # value equality over ndarray fields raised (ambiguous truth value, unhashable)
-    a, b = make_random_mdp(n=4, seed=0), make_random_mdp(n=4, seed=0)
+    a, b = make_mdp(False, n=4, seed=0), make_mdp(False, n=4, seed=0)
     assert a == a and a != b
     curves = {a: "first", b: "second"}
     assert curves[a] == "first" and curves[b] == "second"
@@ -375,9 +358,9 @@ def test_json_round_trip(tmp_path, small_symmetric):
 )
 def test_json_round_trip_is_bit_exact(symmetric, n, h, gamma, alpha, seed):
     if symmetric:
-        mrp = make_symmetric_mdp(n=n, h=h, gamma=gamma, seed=seed)
+        mrp = make_mdp(True, h, n=n, gamma=gamma, seed=seed)
     else:
-        mrp = make_random_mdp(n=n, h=h, gamma=gamma, alpha=alpha, seed=seed)
+        mrp = make_mdp(False, h, n=n, gamma=gamma, alpha=alpha, seed=seed)
     back = mdp_mod.mdp_from_json(json.loads(json.dumps(mdp_mod.mdp_to_json(mrp, seed=seed))))
     for name in ("P", "R", "d"):
         got, want = getattr(back, name), getattr(mrp, name)

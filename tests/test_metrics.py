@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from tdrepdyn import metrics as met
 from tdrepdyn.dynamics import gradient_check, orthonormal_init
-from tdrepdyn.mdp import make_random_mdp, make_symmetric_mdp, make_rng
+from tdrepdyn.mdp import make_mdp, make_rng
 
 from chains import CHAIN_KINDS, build_chain
 
@@ -120,7 +120,7 @@ def test_trace_objective_matches_explicit_inverse(small_mixed):
 def test_trace_objective_and_ceiling_match_the_solve_formula():
     # both now read the process's cached resolvent instead of solving per call
     for seed in range(10):
-        mrp = make_random_mdp(n=30, h=2, seed=seed)
+        mrp = make_mdp(False, 2, n=30, seed=seed)
         system = np.eye(30) - mrp.gamma * mrp.P
         phi = make_rng(seed).standard_normal((30, 2))
         direct = np.sum(phi * np.linalg.solve(system, phi))
@@ -175,7 +175,7 @@ def test_covariance_drift_rejects_mismatched_shapes(phi, phi0):
 
 
 def test_critical_point_residual_zero_on_eigenvector_subsets():
-    base = make_symmetric_mdp(n=10, h=1, gamma=0.9, seed=9)
+    base = make_mdp(True, 1, n=10, gamma=0.9, seed=9)
     mrp = base.with_rewards(np.eye(10))
     _, vecs = np.linalg.eigh(mrp.P)
     for cols in ([9, 5], [9, 8], [0, 9], [3, 7]):
@@ -207,7 +207,7 @@ def _snapshot_stacks(mrp, T, k, seed):
 def test_stacked_metrics_equal_their_2d_calls_slice_by_slice(h):
     from tdrepdyn.dynamics import expected_semi_gradients
 
-    mrp = make_random_mdp(n=9, h=h, seed=11)
+    mrp = make_mdp(False, h, n=9, seed=11)
     phi0 = orthonormal_init(9, 2, seed=12)
     phis, ws = _snapshot_stacks(mrp, 7, 2, seed=13)
     stacked = {
@@ -233,7 +233,7 @@ def test_stacked_metrics_equal_their_2d_calls_slice_by_slice(h):
 
 
 def test_critical_point_residual_raises_for_an_ill_conditioned_snapshot():
-    mrp = make_random_mdp(n=8, h=2, seed=14)
+    mrp = make_mdp(False, 2, n=8, seed=14)
     phis, _ = _snapshot_stacks(mrp, 4, 2, seed=15)
     phis = phis.copy()
     phis[2, :, 1] = phis[2, :, 0]  # phi^T A phi is singular for this snapshot only
