@@ -255,10 +255,12 @@ def _csv_text(header: list[str], columns: list[np.ndarray], path: str | Path | N
 
 
 def validate_representation(phi: np.ndarray) -> np.ndarray:
-    """Check full column rank (minimum singular value above 1e-10)."""
+    """Check finite entries and full column rank (minimum singular value above 1e-10)."""
     phi = np.asarray(phi, dtype=float)
     if phi.ndim != 2:
         raise ValueError(f"representation must be a 2-d matrix, got ndim={phi.ndim}")
+    if not np.all(np.isfinite(phi)):
+        raise ValueError("representation has non-finite entries")
     if phi.shape[1] > phi.shape[0]:
         raise ValueError(f"need k <= n, got shape {phi.shape}")
     sv = np.linalg.svd(phi, compute_uv=False)
@@ -611,9 +613,10 @@ def _dopri45(field: _StackedField, y0: np.ndarray, times: np.ndarray, config: In
     t_end, RMS error norm over the row's own state, step-size factors (with no
     growth right after a rejection) and dense output at the ``times`` in
     (t_old, t_new]. Rows that finish or fail leave the batch, which is
-    compacted; so does a row that has taken ``MAX_STEPS`` steps.
-    Returns per row either ``(Y, SolverStats)``, with Y holding the state at
-    each of ``times`` as a column, or its IntegrationError.
+    compacted; so does a row that has taken ``MAX_STEPS`` steps. A row that
+    fails at the min_step floor reports its last accepted t and state, as
+    SciPy does. Returns per row either ``(Y, SolverStats)``, with Y holding
+    the state at each of ``times`` as a column, or its IntegrationError.
     """
     n_rows, size = y0.shape
     t_bound = float(config.t_end)
@@ -625,7 +628,7 @@ def _dopri45(field: _StackedField, y0: np.ndarray, times: np.ndarray, config: In
 
     ids = np.arange(n_rows)  # the row in each slot of the active batch
     t = np.zeros(n_rows)
-    h = np.zeros(n_rows)  # the attempt's step: stage times are t + c h
+    h = np.zeros(n_rows)  # the attempt's step, set before its first stage: stage times are t + c h
     leaving = np.zeros(n_rows, dtype=bool)  # slots that leave at the next compaction
 
     def leave(slot: int, result) -> None:
@@ -651,9 +654,7 @@ def _dopri45(field: _StackedField, y0: np.ndarray, times: np.ndarray, config: In
         f = evaluate(y, 0.0)
         scale = atol + np.abs(y) * rtol
         d0, d1 = _rms(y / scale), _rms(f / scale)
-        h0 = np.empty(n_rows)
-        for i in range(n_rows):
-            h0[i] = min(1e-6 if d0[i] < 1e-5 or d1[i] < 1e-5 else 0.01 * d0[i] / d1[i], t_bound)
+        h0 = np.minimum(np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1), t_bound)
         h = h0
         f1 = evaluate(y + h0[:, None] * f, 1.0)
         d2 = _rms((f1 - f) / scale) / h0
@@ -665,16 +666,13 @@ def _dopri45(field: _StackedField, y0: np.ndarray, times: np.ndarray, config: In
                 h1 = (0.01 / max(d1[i], d2[i])) ** (1 / 5)
             h_abs[i] = min(100 * h0[i], h1, t_bound)
 
-    last_t = h0.copy()  # time of each row's latest drift evaluation
     fresh = np.ones(n_rows, dtype=bool)  # starting a step, not retrying a rejected attempt
     emitted = np.zeros(n_rows, dtype=int)  # entries of ``times`` already written
     taken = 0  # steps each row in the batch has taken, as all rows start together
     while True:
         if leaving.any():
             keep = ~leaving
-            ids, t, y, f, h, h_abs, last_t, fresh, emitted = (
-                a[keep] for a in (ids, t, y, f, h, h_abs, last_t, fresh, emitted)
-            )
+            ids, t, y, f, h_abs, fresh, emitted = (a[keep] for a in (ids, t, y, f, h_abs, fresh, emitted))
             field = field.take(keep)
             leaving = np.zeros(ids.size, dtype=bool)
         if not ids.size:
@@ -683,11 +681,9 @@ def _dopri45(field: _StackedField, y0: np.ndarray, times: np.ndarray, config: In
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
         h_abs = np.where(fresh & (h_abs < min_step), min_step, h_abs)
         for slot in np.flatnonzero(~(h_abs >= min_step)):  # a NaN step fails here too
-            i = ids[slot]
-            tail = Y[i, :, emitted[slot] - 1] if emitted[slot] else y0[i]
             leave(slot, IntegrationError(
-                f"integration failed near t={last_t[slot]:.6g} ({_TOO_SMALL_STEP}); "
-                f"state norm {np.linalg.norm(tail):.6g}"
+                f"integration failed near t={t[slot]:.6g} ({_TOO_SMALL_STEP}); "
+                f"state norm {np.linalg.norm(y[slot]):.6g}"
             ))
         if leaving.any():
             continue
@@ -702,7 +698,6 @@ def _dopri45(field: _StackedField, y0: np.ndarray, times: np.ndarray, config: In
             K[:, s] = evaluate(y + dy, _RK_C[s])
         y_new = y + h[:, None] * (_RK_B @ K[:, :6])
         f_new = K[:, 6] = evaluate(y_new, 1.0)
-        last_t = t + h
         scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
         error_norm = _rms((_RK_E @ K) * h[:, None] / scale)
 
@@ -719,7 +714,7 @@ def _dopri45(field: _StackedField, y0: np.ndarray, times: np.ndarray, config: In
         reached = np.searchsorted(times, t_new, side="right")
         for slot in np.flatnonzero(accept & (reached > emitted) & ~leaving):
             lo, hi = emitted[slot], reached[slot]
-            Y[ids[slot], :, lo:hi] = _dense_output(K[slot], t[slot], t_new[slot], y[slot], times[lo:hi])
+            Y[ids[slot], :, lo:hi] = _dense_output(K[slot], t[slot], h[slot], y[slot], times[lo:hi])
             emitted[slot] = hi
         accepted[ids[accept]] += 1
         taken += 1
@@ -739,10 +734,9 @@ def _dopri45(field: _StackedField, y0: np.ndarray, times: np.ndarray, config: In
     return results
 
 
-def _dense_output(K, t_old, t_new, y_old, t):
-    """SciPy's RK45 dense output (Shampine's quartic) of one step, at the times ``t``."""
+def _dense_output(K, t_old, h, y_old, t):
+    """SciPy's RK45 dense output (Shampine's quartic) of one step of size ``h``, at the times ``t``."""
     Q = K.T.dot(_RK_P)
-    h = t_new - t_old
     x = (t - t_old) / h
     p = np.multiply.accumulate(np.repeat(x[None], Q.shape[1], axis=0), axis=0)  # x, x^2, ...
     y = h * np.dot(Q, p)

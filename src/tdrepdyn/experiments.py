@@ -327,7 +327,9 @@ def _write_outputs(config: ExperimentConfig, experiment: str, series: dict[str, 
             for name, agg in sorted(series.items())
         },
     }
-    (exp_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    # a numpy scalar that passed the config checks (np.int64, np.float32) is written as its number
+    text = json.dumps(manifest, indent=2, sort_keys=True, default=np.generic.item)
+    (exp_dir / "manifest.json").write_text(text + "\n")
 
 
 def run_experiment(name: str, config: ExperimentConfig) -> dict[str, AggregateSeries]:

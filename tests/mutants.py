@@ -87,6 +87,8 @@ MUTANTS = (
     Mutant("growth_after_rejection", _DYN,
            "        factor = np.where(~fresh & ~(factor < 1), 1.0, factor)\n", "",
            _TDYN + "test_integrator_agrees_with_scipy_rk45"),
+    Mutant("dense_output_uses_next_step", _DYN, "_dense_output(K[slot], t[slot], h[slot],",
+           "_dense_output(K[slot], t[slot], h_abs[slot],", _TDYN + "test_integrator_agrees_with_scipy_rk45"),
     Mutant("batch_wide_initial_step", _DYN, "        h = h0\n",
            "        h0[:] = h0.min()\n        h = h0\n",
            _TDYN + "test_batch_rows_are_bitwise_their_solo_runs"),

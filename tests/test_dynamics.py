@@ -427,11 +427,15 @@ def test_orthonormal_init_rejects_bad_k():
 @pytest.mark.parametrize("make,error,message", [
     (lambda mrp: dyn.validate_representation(np.ones(8)), ValueError, "2-d matrix, got ndim=1"),
     (lambda mrp: dyn.validate_representation(np.eye(2, 3)), ValueError, r"need k <= n, got shape \(2, 3\)"),
+    # NaN once reached the SVD (LinAlgError), and inf was integrated
+    (lambda mrp: dyn.validate_representation(np.diag([1.0, np.nan])), ValueError, "non-finite entries"),
+    (lambda mrp: dyn.integrate(mrp, dyn.two_time_scale(1.0), np.full((8, 2), np.inf)),
+     ValueError, "representation has non-finite entries"),
     (lambda mrp: dyn.integrate(mrp, dyn.linear_td(), dyn.orthonormal_init(6, 2, seed=0)),
      ValueError, "phi has 6 rows, expected 8"),
     # two equal columns leave nothing after the projection
     (lambda mrp: dyn._gram_schmidt(np.ones((4, 2))), np.linalg.LinAlgError, "near-zero pivot at column 1"),
-], ids=["phi_ndim", "phi_wider_than_tall", "phi_rows", "gram_schmidt_pivot"])
+], ids=["phi_ndim", "phi_wider_than_tall", "phi_nan", "phi_inf", "phi_rows", "gram_schmidt_pivot"])
 def test_representation_checks_name_the_defect(make, error, message, small_mixed):
     with pytest.raises(error, match=message):
         make(small_mixed)
@@ -725,6 +729,8 @@ class _ToyField:
 
 
 def test_rows_leave_the_batch_as_they_fail_or_finish():
+    from scipy.integrate import solve_ivp
+
     times = np.linspace(0.0, 3.0, 7)
     config = dyn.IntegratorConfig(t_end=3.0, rtol=1e-8, atol=1e-10)
     rates = np.array([1.0, 2.0, 1.0, 0.5])
@@ -740,10 +746,11 @@ def test_rows_leave_the_batch_as_they_fail_or_finish():
         assert_allclose(Y[0], np.exp(-rates[i] * times), rtol=1e-6)
     assert str(batch[1]).startswith("fixed-point solve broke down at t=0.3")
     assert str(batch[1]).endswith("toy breakdown")
-    # y' = y^2 from 1 blows up at t = 1: the step size underflows just before
-    assert re.fullmatch(
-        r"integration failed near t=(0\.9+\d*|1) \(Required step size is less than spacing "
-        r"between numbers\.\); state norm \S+", str(batch[2])
+    # y' = y^2 from 1 blows up at t = 1: the row reports SciPy's last accepted t and state
+    sol = solve_ivp(lambda t, y: y * y, (0, 3), [1.0, 1.0], rtol=1e-8, atol=1e-10)
+    assert str(batch[2]) == (
+        f"integration failed near t={sol.t[-1]:.6g} ({sol.message}); "
+        f"state norm {np.linalg.norm(sol.y[:, -1]):.6g}"
     )
 
 

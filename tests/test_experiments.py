@@ -208,6 +208,19 @@ def test_run_fig3_h_sweep():
     assert series["h1"].values.shape == (3, 11)
 
 
+def test_numpy_scalars_in_the_config_reach_the_manifest(tmp_path):
+    # the config checks accept numpy integers; json.dumps once failed on them after every trial ran
+    cfg = exp.ExperimentConfig(n_states=8, n_trials=2, seed=np.int64(3), h_values=(np.int64(1),),
+                               outdir=tmp_path, integrator=dyn.IntegratorConfig(t_end=1.0, log_points=3))
+    exp.run_experiment("fig3", cfg)
+    manifest = json.loads((tmp_path / "fig3" / "manifest.json").read_text())
+    assert manifest["curves"]["h1"]["trial_seeds"] == [3, 4]
+    assert exp.config_from_json(manifest["config"]) == exp.ExperimentConfig(
+        n_states=8, n_trials=2, seed=3, h_values=(1,), outdir=str(tmp_path),
+        integrator=dyn.IntegratorConfig(t_end=1.0, log_points=3),
+    )
+
+
 def test_unknown_experiment_is_rejected(monkeypatch):
     monkeypatch.setattr(exp, "_map_trials", lambda *args: pytest.fail("a trial ran"))
     with pytest.raises(ValueError, match="unknown experiment 'fig9'"):
