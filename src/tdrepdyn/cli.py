@@ -238,7 +238,8 @@ def _run_config(args: argparse.Namespace, command: str, **overlay) -> exp.Experi
     if "h" in typed:
         doc["h_values"] = [int(h) for h in np.atleast_1d(args.h)]
     doc.update(overlay)
-    doc.setdefault("outdir", str(default_out_root()))
+    if doc.get("outdir") is None:  # a manifest's block writes an absent outdir as null
+        doc["outdir"] = str(default_out_root())
     section = doc.get("integrator", {})
     if isinstance(section, dict):  # config_from_json reports any other shape
         fields = [f.name for f in dataclasses.fields(dyn.IntegratorConfig)]
@@ -276,15 +277,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             sub.exit(EXIT_IO, f"cannot load MDP from {args.mdp}: {exc}\n")
         overlay["n_states"] = mrp.n  # k is checked against the loaded chain
     config = _run_config(args, "simulate", **overlay)
+    out = args.out if args.out is not None else default_out_root() / "trajectory.csv"
+    out.parent.mkdir(parents=True, exist_ok=True)  # before any work, so an unwritable -o fails fast
     if args.mdp is None:
         mrp = mdp_mod.make_mdp(args.symmetric, config.h_values[0], n=config.n_states,
                                gamma=config.gamma, alpha=config.alpha, seed=config.seed)
 
     phi0 = exp.initial_representation(config.seed, mrp.n, config.k)
     log = dyn.integrate(mrp, spec, phi0, config=config.integrator, store_states=args.store_states)
-
-    out = args.out if args.out is not None else default_out_root() / "trajectory.csv"
-    out.parent.mkdir(parents=True, exist_ok=True)
     log.to_csv(out)
     if args.store_states:
         log.states_to_json(out.with_suffix(".states.json"))
@@ -297,7 +297,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    sub = args.command_parser
     for dest, names in _EXPERIMENT_FLAG_SCOPE.items():
         if args.name not in names:
             _reject_typed(args, (dest,), f"only applies to {', '.join(names)}")
@@ -316,10 +315,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         print(f"all {len(reports)} invariant checks passed")
         return EXIT_OK
 
-    try:
-        exp._curves(args.name, config)  # curve labels must be distinct
-    except ValueError as exc:
-        sub.error(str(exc))
     series = exp.run_experiment(args.name, config)
     outdir = Path(config.outdir) / args.name
     print(f"wrote {outdir}")

@@ -161,6 +161,8 @@ class IntegratorConfig:
             raise ValueError(f"rtol and atol must be finite and > 0, got {self.rtol}, {self.atol}")
         if self.log_points < 2:
             raise ValueError("log_points must be >= 2")
+        if not (np.diff(np.linspace(0.0, self.t_end, self.log_points)) > 0).all():
+            raise ValueError(f"t_end={self.t_end} is too small for {self.log_points} distinct log_points")
 
 
 @dataclass(frozen=True)

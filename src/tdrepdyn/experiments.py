@@ -61,12 +61,17 @@ class ExperimentConfig:
             raise ValueError(f"need 1 <= k <= n_states, got k={self.k}, n={self.n_states}")
         if not self.h_values or min(self.h_values) < 1:  # the message names the config key
             raise ValueError("h_values must be a non-empty list of positive integers")
+        if len(set(self.h_values)) < len(self.h_values):  # fig3 names one curve per h
+            raise ValueError(f"h_values are not distinct: {list(self.h_values)}")
         mdp_mod.check_chain_args(self.n_states, min(self.h_values), self.gamma, self.alpha, self.seed)
         if not self.dynamics:
             raise ValueError("at least one dynamics variant is required")
         for spec in self.dynamics:
             if not isinstance(spec, dyn.DynamicsSpec):
                 raise TypeError(f"dynamics entries must be DynamicsSpec, got {type(spec)}")
+        labels = [_dynamics_label(spec) for spec in self.dynamics]  # fig1 names one curve per label
+        if len(set(labels)) < len(labels):
+            raise ValueError(f"dynamics are not distinct: {labels}")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
 
@@ -184,22 +189,18 @@ def _curves(experiment: str, config: ExperimentConfig) -> list[tuple]:
     weighted value error; fig2 (three named chains) and fig3 (one mixed chain
     per h) run the two-time-scale flow and log the normalized trace objective.
     Every row of a trial with the same ``(symmetric, h)`` shares one chain.
+    The config's checks make the labels distinct.
     """
     if experiment == "fig1":
-        rows = [(_dynamics_label(spec), (False, 1), spec, "E") for spec in config.dynamics]
+        return [(_dynamics_label(spec), (False, 1), spec, "E") for spec in config.dynamics]
+    if experiment == "fig2":
+        chains = [("h5_general", (False, 5)), ("h1_symmetric", (True, 1)), ("h1_general", (False, 1))]
+    elif experiment == "fig3":
+        chains = [(f"h{h}", (False, h)) for h in config.h_values]
     else:
-        if experiment == "fig2":
-            chains = [("h5_general", (False, 5)), ("h1_symmetric", (True, 1)), ("h1_general", (False, 1))]
-        elif experiment == "fig3":
-            chains = [(f"h{h}", (False, h)) for h in config.h_values]
-        else:
-            raise ValueError(f"unknown experiment {experiment!r}")
-        spec = next((s for s in config.dynamics if s.kind == dyn.TWO_TIME_SCALE), dyn.two_time_scale())
-        rows = [(label, chain, spec, "f_norm") for label, chain in chains]
-    labels = [label for label, *_ in rows]
-    if len(set(labels)) != len(labels):
-        raise ValueError(f"{experiment} curves are not distinct: {labels}")
-    return rows
+        raise ValueError(f"unknown experiment {experiment!r}")
+    spec = next((s for s in config.dynamics if s.kind == dyn.TWO_TIME_SCALE), dyn.two_time_scale())
+    return [(label, chain, spec, "f_norm") for label, chain in chains]
 
 
 # Numerical failures a trial may end in; they count against the abort
@@ -308,10 +309,8 @@ def _output_dir(config: ExperimentConfig, experiment: str) -> Path | None:
     return out
 
 
-def _write_outputs(config: ExperimentConfig, experiment: str, series: dict[str, AggregateSeries]) -> None:
-    if config.outdir is None:
-        return
-    exp_dir = Path(config.outdir) / experiment
+def _write_outputs(exp_dir: Path, config: ExperimentConfig, experiment: str,
+                   series: dict[str, AggregateSeries]) -> None:
     for name, agg in series.items():
         agg.to_csv(exp_dir / f"{name}.csv")
     manifest = {
@@ -339,7 +338,9 @@ def run_experiment(name: str, config: ExperimentConfig) -> dict[str, AggregateSe
     fig2: normalized trace objective for three reward/transition scenarios;
     fig3: normalized trace objective as the reward count h sweeps.
     """
-    _output_dir(config, name)
+    _curves(name, config)  # an unknown name raises before the directory is made
+    out = _output_dir(config, name)
     series = _aggregate(name, config)
-    _write_outputs(config, name, series)
+    if out is not None:
+        _write_outputs(out, config, name, series)
     return series

@@ -103,6 +103,14 @@ MUTANTS = (
            '(exp.TooManyFailedTrials, EXIT_NUMERIC, "experiment failed")',
            '(RuntimeError, EXIT_NUMERIC, "experiment failed")',
            _TCLI + "test_broken_process_pool_propagates"),
+    # the config's rules: one curve per h and per label, distinct log times
+    Mutant("repeated_h_values_accepted", _EXP, "if len(set(self.h_values)) < len(self.h_values):",
+           "if False:", _TCLI + "test_repeated_fig3_h_values_are_a_usage_error"),
+    Mutant("repeated_curve_labels_accepted", _EXP, "if len(set(labels)) < len(labels):", "if False:",
+           _TCLI + "test_duplicate_fig1_curves_are_a_usage_error"),
+    Mutant("repeated_log_times_accepted", _DYN,
+           "if not (np.diff(np.linspace(0.0, self.t_end, self.log_points)) > 0).all():", "if False:",
+           _TCLI + "test_log_times_that_repeat_are_a_usage_error"),
     # the parser policy
     Mutant("abbreviated_flags_allowed", _CLI, "_formatter, allow_abbrev=False,", "_formatter,",
            _TCLI + "test_abbreviated_flags_exit_1"),

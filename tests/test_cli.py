@@ -290,6 +290,15 @@ def test_simulate_unwritable_out_exits_2(tmp_path, capsys):
     assert err.startswith("cannot write outputs: ") and str(blocker) in err
 
 
+def test_simulate_makes_its_output_directory_before_it_integrates(tmp_path, monkeypatch, capsys):
+    # the trajectory was integrated first, then the write failed
+    monkeypatch.setattr(cli.dyn, "integrate", _no_trials)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    assert run_cli(["simulate", "--t-end", "3000", "-o", str(blocker / "x.csv")]) == 2
+    assert capsys.readouterr().err.startswith("cannot write outputs: ")
+
+
 def test_non_finite_mdp_file_exits_2(tmp_path, capsys):
     path = tmp_path / "m.json"
     assert run_cli(["gen-mdp", "--n", "5", "--seed", "2", "-o", str(path)]) == 0
@@ -490,6 +499,20 @@ def test_repeated_fig3_h_values_are_a_usage_error(source, tmp_path, monkeypatch,
     assert "not distinct" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate", "--t-end", "1e-323"],
+    ["experiment", "fig1", "--trials", "1", "--t-end", "5e-324", "--log-points", "3"],
+])
+def test_log_times_that_repeat_are_a_usage_error(command, tmp_path, monkeypatch, capsys):
+    # np.linspace(0, t_end, log_points) repeated times: the run integrated and then
+    # died in TrajectoryLog with a ValueError traceback
+    monkeypatch.setattr(exp, "_map_trials", _no_trials)
+    monkeypatch.setattr(cli.dyn, "integrate", _no_trials)
+    assert run_cli([*command, "-o", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "t_end=" in err and "log_points" in err
+
+
 @pytest.mark.parametrize("command", [["simulate"], ["experiment", "fig1"]])
 @pytest.mark.parametrize("doc", [
     {"gamma": 1.5}, {"integrator": {"rtol": -1.0}}, {"k": 0},
@@ -518,6 +541,17 @@ def test_simulate_accepts_experiment_manifest_config(tmp_path):
     assert table["t"].tolist() == [0.0, 1.0, 2.0]  # t_end and log_points from the manifest
     doc = json.loads((tmp_path / "traj.states.json").read_text())
     assert np.asarray(doc["phi"]).shape == (3, 6, 2)  # n_states and k from the manifest
+
+
+@pytest.mark.parametrize("figure", ["fig1", "fig2", "fig3"])
+def test_a_golden_manifest_block_runs_again(figure, tmp_path, monkeypatch):
+    # the block's "outdir": null reached Path(None) after every trial had run
+    manifest = json.loads((DATA / "golden" / figure / "manifest.json").read_text())
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(manifest["config"]))
+    monkeypatch.setenv("TDREPDYN_OUT", str(tmp_path / "out"))
+    assert run_cli(["experiment", figure, "-c", str(config)]) == 0
+    assert (tmp_path / "out" / figure / "manifest.json").exists()
 
 
 def test_simulate_checks_k_against_loaded_mdp(tmp_path):

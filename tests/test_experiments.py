@@ -51,6 +51,26 @@ def test_config_validation():
         exp.ExperimentConfig(dynamics=())
 
 
+@pytest.mark.parametrize("overrides", [
+    {"h_values": (2, 2)},
+    {"dynamics": (dyn.end_to_end(), dyn.end_to_end())},
+    # labels print rates with %g, so these two specs name one curve
+    {"dynamics": (dyn.two_time_scale(1.0), dyn.two_time_scale(1.0000001))},
+])
+def test_curves_that_are_not_distinct_are_rejected(overrides):
+    with pytest.raises(ValueError, match="not distinct"):
+        exp.ExperimentConfig(**overrides)
+
+
+def test_a_run_that_cannot_start_leaves_no_directory(tmp_path):
+    # an unknown name left outdir/fig9 behind, and a repeated h an empty outdir/fig3
+    with pytest.raises(ValueError, match="unknown experiment"):
+        exp.run_experiment("fig9", tiny_config(outdir=tmp_path))
+    with pytest.raises(ValueError, match="not distinct"):
+        exp.run_experiment("fig3", tiny_config(outdir=tmp_path, h_values=(2, 2)))
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("value", [2.5, 2.0, True, "2"])
 @pytest.mark.parametrize("name", ["n_states", "k", "n_trials", "seed", "jobs", "h_values"])
 def test_config_rejects_non_integer_counts(name, value):
@@ -99,8 +119,8 @@ def _configs(draw):
         gamma=draw(st.floats(0.0, 1.0, exclude_max=True)),
         alpha=draw(st.floats(0.0, 1.0)),
         n_trials=draw(st.integers(1, 1000)),
-        h_values=tuple(draw(st.lists(st.integers(1, 16), min_size=1, max_size=5))),
-        dynamics=tuple(draw(st.lists(specs, min_size=1, max_size=4))),
+        h_values=tuple(draw(st.lists(st.integers(1, 16), min_size=1, max_size=5, unique=True))),
+        dynamics=tuple(draw(st.lists(specs, min_size=1, max_size=4, unique_by=exp._dynamics_label))),
         integrator=integrator,
         seed=draw(st.integers(0, 2**63)),
         outdir=draw(st.none() | st.text(min_size=1, max_size=20)),
