@@ -457,10 +457,11 @@ def integrate_batch(
 
     Uses the adaptive Dormand-Prince 5(4) pair; metric samples come from its
     dense output at ``log_points`` times so that different dynamics share a
-    comparable time axis. Problems of the same dynamics kind and state shape
-    are stepped as one batch (two-time-scale problems also share one across
-    h, see ``_padded_h``). Each trajectory keeps its own steps, so its result
-    is bitwise the same whichever problems share its batch.
+    comparable time axis. Problems with the same ``_batch_key``, that is the
+    same dynamics kind and state shape, are stepped as one batch
+    (two-time-scale problems also share one across h, see ``_padded_h``).
+    Each trajectory keeps its own steps, so its result is bitwise the same
+    whichever problems share its batch.
 
     A trajectory whose integration breaks down gets its IntegrationError
     instead of a log, and one whose logged metrics need a fixed-point or
@@ -475,8 +476,7 @@ def integrate_batch(
     problems = [_validated(Problem(*p)) for p in problems]
     groups: dict[tuple, list[int]] = {}
     for i, p in enumerate(problems):
-        h = _padded_h(p.mrp.h) if p.spec.kind == TWO_TIME_SCALE else p.mrp.h
-        groups.setdefault((p.spec.kind, p.phi0.shape, h), []).append(i)
+        groups.setdefault(_batch_key(p.spec.kind, p.phi0.shape, p.mrp.h), []).append(i)
 
     times = np.linspace(0.0, config.t_end, config.log_points)
     results: list = [None] * len(problems)
@@ -517,6 +517,12 @@ def _initial_state(p: Problem) -> np.ndarray:
     return p.phi0.ravel()
 
 
+def _batch_key(kind: str, shape: tuple[int, int], h: int) -> tuple:
+    """The batch ``integrate_batch`` steps a trajectory in: its dynamics kind, the
+    shape of phi and the reward columns it is integrated with (``_padded_h``)."""
+    return kind, shape, _padded_h(h) if kind == TWO_TIME_SCALE else h
+
+
 def _padded_h(h: int) -> int:
     """Reward columns a two-time-scale trajectory is integrated with.
 
@@ -543,8 +549,7 @@ class _StackedField:
 
     @classmethod
     def build(cls, kind: str, rows: list[Problem]) -> "_StackedField":
-        n, k = rows[0].phi0.shape
-        h = _padded_h(rows[0].mrp.h) if kind == TWO_TIME_SCALE else rows[0].mrp.h
+        _, (n, k), h = _batch_key(kind, rows[0].phi0.shape, rows[0].mrp.h)
         mrps = [row.mrp for row in rows]
 
         def padded(mats):

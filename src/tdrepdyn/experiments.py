@@ -2,10 +2,15 @@
 
 Each figure experiment integrates many trajectories on independently sampled
 Markov reward processes and reports pointwise medians (with quartile bands)
-over trials. Trials are embarrassingly parallel; aggregation happens after
-all trials complete, ordered by trial index, so results do not depend on the
-number of workers. Output is one CSV per curve plus a manifest JSON; plotting
-is left to external tools. The invariant suite lives in ``invariants``.
+over trials. With ``jobs`` > 1 a run is split into units, each one
+integrator batch (the curves whose rows are stepped together) over a chunk
+of trials, because a batch costs about as much per step for one row as for
+many: splitting batches by trial would make every worker pay every batch's
+slowest row. A row's bits do not depend on its batch-mates, and aggregation
+happens after all units complete, ordered by trial index, so results do not
+depend on the number of workers. Output is one CSV per curve plus a manifest
+JSON; plotting is left to external tools. The invariant suite lives in
+``invariants``.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import dataclasses
 import json
 import logging
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -215,21 +221,27 @@ class TooManyFailedTrials(RuntimeError):
     """More than MAX_FAILURE_FRACTION of one curve's trials ended in a numerical failure."""
 
 
-def _run_one(payload: tuple[str, ExperimentConfig, range]) -> list[dict]:
-    """Run one worker's contiguous chunk of trials, in trial order.
+def _run_one(
+    payload: tuple[str, ExperimentConfig, tuple[str, ...], range],
+) -> tuple[list[dict], float, int]:
+    """Run one unit: the rows of curves ``labels`` over a contiguous chunk of trials.
 
-    Every curve row of every trial in the chunk, each started from its
-    trial's shared ``phi0``, goes into one ``integrate_batch`` call. A trial
-    whose chains cannot be built fails under each of its curves; a row whose
-    trajectory fails, under its own.
+    Every chain of each trial is built, other units' chains too, so a trial
+    whose chains cannot be built fails under each of its curves in every
+    unit, whichever chain failed; a row whose trajectory fails, under its own
+    curve. The unit's rows, each started from
+    its trial's shared ``phi0``, go into one ``integrate_batch`` call. Returns
+    one ``curves``/``errors`` dict pair per trial, in trial order, with the
+    unit's wall seconds and the largest nfev among its rows.
     """
-    experiment, config, indices = payload
+    start = time.perf_counter()
+    experiment, config, labels, indices = payload
     curves = _curves(experiment, config)
     chains = {chain for _, chain, _, _ in curves}
     results, rows = [], []
     for index in indices:
         seed = trial_seed(config, index)
-        result = {"seed": seed, "curves": {}, "errors": {}}
+        result = {"curves": {}, "errors": {}}
         results.append(result)
         try:
             phi0 = initial_representation(seed, config.n_states, config.k)
@@ -237,10 +249,10 @@ def _run_one(payload: tuple[str, ExperimentConfig, range]) -> list[dict]:
                                             alpha=config.alpha, seed=seed)
                     for chain in chains}
         except _TRIAL_FAILURES as exc:  # failures are aggregated, not raised per trial
-            result["errors"] = {label: str(exc) for label, *_ in curves}
+            result["errors"] = dict.fromkeys(labels, str(exc))
             continue
         rows += [(result, label, metric, dyn.Problem(mrps[chain], spec, phi0))
-                 for label, chain, spec, metric in curves]
+                 for label, chain, spec, metric in curves if label in labels]
     metric_set = tuple(sorted({metric for _, _, metric, _ in rows}))
     logs = dyn.integrate_batch([p for *_, p in rows], config.integrator, metric_set=metric_set)
     for (result, label, metric, _), log in zip(rows, logs):
@@ -248,26 +260,62 @@ def _run_one(payload: tuple[str, ExperimentConfig, range]) -> list[dict]:
             result["errors"][label] = str(log)
         else:
             result["curves"][label] = log.metrics[metric]
-    return results
+    max_nfev = max((log.stats.nfev for log in logs if not isinstance(log, Exception)), default=0)
+    return results, time.perf_counter() - start, max_nfev
 
 
 def _pool_workers(config: ExperimentConfig) -> int:
-    """Worker processes a run starts: ``jobs``, capped by the trial count and the CPUs
-    this process may run on (its affinity mask, where the platform has one)."""
+    """Workers a run may use: ``jobs``, capped by the CPUs this process may run on
+    (its affinity mask, where the platform has one)."""
     affinity = getattr(os, "sched_getaffinity", None)  # Linux and some BSDs only
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    return min(config.jobs, config.n_trials, cpus)
+    return min(config.jobs, cpus)
+
+
+def _units(experiment: str, config: ExperimentConfig) -> list[tuple[tuple[str, ...], range]]:
+    """The ``(curve labels, trial indices)`` units a run's workers share out.
+
+    With one usable worker, one unit runs every curve of every trial. Otherwise
+    each unit is one integrator batch (the curves whose rows share a
+    ``dynamics._batch_key``) over a contiguous chunk of trials. A batch steps
+    until its slowest row ends, at about the same cost per step for one row as
+    for forty, so a worker given a share of every batch would pay nearly every
+    batch's whole tail. Each batch is cut into as few chunks as fill the
+    workers, and never into more than there are trials.
+    """
+    workers, n = _pool_workers(config), config.n_trials
+    curves = _curves(experiment, config)
+    if workers == 1:
+        return [(tuple(label for label, *_ in curves), range(n))]
+    batches: dict[tuple, list[str]] = {}
+    for label, (_, h), spec, _ in curves:
+        key = dyn._batch_key(spec.kind, (config.n_states, config.k), h)
+        batches.setdefault(key, []).append(label)
+    chunks = min(-(-workers // len(batches)), n)
+    return [(tuple(labels), range(n * i // chunks, n * (i + 1) // chunks))
+            for labels in batches.values() for i in range(chunks)]
 
 
 def _map_trials(experiment: str, config: ExperimentConfig) -> list[dict]:
-    """Each worker gets one contiguous chunk of trial indices; in process for one worker."""
-    workers, n = _pool_workers(config), config.n_trials
-    payloads = [(experiment, config, range(n * i // workers, n * (i + 1) // workers))
-                for i in range(workers)]
-    if workers == 1:
-        return _run_one(payloads[0])
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [result for chunk in pool.map(_run_one, payloads) for result in chunk]
+    """Every trial's ``seed``, ``curves`` and ``errors``, in trial order, merged from
+    the units of ``_units``: in process for one unit, else in a pool of at most one
+    worker per unit. Each unit is logged at INFO with its time and largest nfev."""
+    units = _units(experiment, config)
+    payloads = [(experiment, config, *unit) for unit in units]
+    if len(units) == 1:
+        outcomes = [_run_one(payloads[0])]
+    else:
+        with ProcessPoolExecutor(max_workers=min(_pool_workers(config), len(units))) as pool:
+            outcomes = list(pool.map(_run_one, payloads))
+    trials = [{"seed": trial_seed(config, i), "curves": {}, "errors": {}}
+              for i in range(config.n_trials)]
+    for (labels, indices), (results, seconds, max_nfev) in zip(units, outcomes):
+        logger.info("%s %s trials %d-%d: %.3f s, max nfev %d", experiment, ",".join(labels),
+                    indices[0], indices[-1], seconds, max_nfev)
+        for trial, result in zip(trials[indices.start:indices.stop], results):
+            trial["curves"].update(result["curves"])
+            trial["errors"].update(result["errors"])
+    return trials
 
 
 def _aggregate(experiment: str, config: ExperimentConfig) -> dict[str, AggregateSeries]:

@@ -3,6 +3,7 @@ import inspect
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -794,6 +795,25 @@ def test_experiment_fig1_tiny_run(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert f"wrote {outdir}" in stdout
     assert stdout.count("median") == 3
+
+
+def test_verbose_logs_one_line_per_unit(tmp_path):
+    # through the module entry point, so the real logging setup and pool workers run
+    argv = ["experiment", "fig1", "--trials", "3", "--t-end", "2", "--log-points", "3", "--jobs", "2"]
+    runs = {
+        flags: subprocess.run([sys.executable, "-m", "tdrepdyn.cli", *argv, *flags,
+                               "-o", str(tmp_path / str(len(flags)))], capture_output=True, text=True)
+        for flags in ((), ("-v",))
+    }
+    assert [run.returncode for run in runs.values()] == [0, 0]
+    assert runs[()].stderr == ""
+    units = exp._units("fig1", exp.ExperimentConfig(n_trials=3, jobs=2))
+    lines = runs[("-v",)].stderr.splitlines()
+    assert len(lines) == len(units)
+    for line, (labels, trials) in zip(lines, units):
+        pattern = (rf"INFO tdrepdyn\.experiments: fig1 {','.join(labels)} "
+                   rf"trials {trials[0]}-{trials[-1]}: \d+\.\d{{3}} s, max nfev [1-9]\d*")
+        assert re.fullmatch(pattern, line), line
 
 
 def test_experiment_attached_short_out_wins(tmp_path, monkeypatch):

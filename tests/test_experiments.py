@@ -320,8 +320,9 @@ def test_a_rows_own_failure_fails_only_its_curve(monkeypatch):
     monkeypatch.setattr(dyn, "MAX_STEPS", 100)
     cfg = tiny_config(dynamics=(dyn.end_to_end(1e3, 1e3), dyn.end_to_end(1.0, 1.0)),
                       integrator=dyn.IntegratorConfig(t_end=1.0, log_points=5), n_trials=2)
-    results = exp._run_one(("fig1", cfg, range(2)))
-    assert [r["seed"] for r in results] == [7, 8]
+    labels = ("end_to_end_w1000_phi1000", "end_to_end_w1_phi1")
+    results, seconds, max_nfev = exp._run_one(("fig1", cfg, labels, range(2)))
+    assert len(results) == 2 and seconds > 0 and max_nfev > 0
     for result in results:
         assert list(result["curves"]) == ["end_to_end_w1_phi1"]
         (label, msg), = result["errors"].items()
@@ -342,32 +343,128 @@ def test_bug_in_a_trial_propagates(monkeypatch):
 
 def test_pool_size_is_clamped_without_starting_processes(monkeypatch):
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    assert exp._pool_workers(tiny_config(jobs=10_000)) == min(3, cpus)
-    assert exp._pool_workers(tiny_config(jobs=10_000, n_trials=10_000)) == cpus
+    assert exp._pool_workers(tiny_config(jobs=10_000)) == cpus
     assert exp._pool_workers(tiny_config(jobs=2, n_trials=20)) == min(2, cpus)
     # under taskset or a cpuset the process may run on fewer CPUs than the host has
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert exp._pool_workers(tiny_config(jobs=10_000, n_trials=10_000)) == 1
 
     def no_pool(*args, **kwargs):
-        raise AssertionError("a one-worker run must stay in process")
+        raise AssertionError("a one-unit run must stay in process")
 
+    # on 4 CPUs one batch of one trial is still a single unit
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     monkeypatch.setattr(exp, "ProcessPoolExecutor", no_pool)
     results = exp._map_trials("fig3", tiny_config(jobs=10_000, n_trials=1, h_values=(1,)))
     assert len(results) == 1 and set(results[0]["curves"]) == {"h1"}
 
 
-@pytest.mark.parametrize("experiment", ["fig1", "fig3"])
-def test_parallel_trials_match_sequential(experiment):
-    seq = exp.run_experiment(experiment, tiny_config(h_values=(1,), jobs=1))
-    par = exp.run_experiment(experiment, tiny_config(h_values=(1,), jobs=2))
+class _InlinePool:
+    """A ProcessPoolExecutor stand-in that runs each unit in this process, in order."""
+
+    def __init__(self, max_workers, sizes):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    map = staticmethod(map)
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Run units inline on a faked affinity mask; record the payloads and pool sizes."""
+    record = {"units": [], "pools": []}
+    real_run_one = exp._run_one
+
+    def run_one(payload):
+        record["units"].append(payload[2:])
+        return real_run_one(payload)
+
+    def use_cpus(cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        return record
+
+    monkeypatch.setattr(exp, "_run_one", run_one)
+    monkeypatch.setattr(exp, "ProcessPoolExecutor",
+                        lambda max_workers: _InlinePool(max_workers, record["pools"]))
+    return use_cpus
+
+
+_E2E, _TTS = ("end_to_end_w1_phi1", "end_to_end_w10_phi1"), ("two_time_scale_phi1",)
+_THREE_KINDS = (dyn.linear_td(), dyn.end_to_end(), dyn.two_time_scale())
+
+
+@pytest.mark.parametrize("experiment,overrides,cpus,units,pools", [
+    # one usable worker: today's single in-process call over every curve and trial
+    ("fig1", {"jobs": 1}, 4, [(_E2E + _TTS, range(3))], []),
+    # two workers (jobs above the CPU count): one unit per batch, each over all trials
+    ("fig1", {"jobs": 8}, 2, [(_E2E, range(3)), (_TTS, range(3))], [2]),
+    # four workers: 2 batches x 2 trial chunks
+    ("fig1", {"jobs": 4}, 4,
+     [(_E2E, range(1)), (_E2E, range(1, 3)), (_TTS, range(1)), (_TTS, range(1, 3))], [4]),
+    # three batches share two workers
+    ("fig1", {"jobs": 2, "dynamics": _THREE_KINDS}, 2,
+     [(("linear_td_w1",), range(3)), (("end_to_end_w1_phi1",), range(3)), (_TTS, range(3))], [2]),
+    # h = 4 and 8 pad to one batch, so the units fall back to trial chunks
+    ("fig3", {"jobs": 2, "h_values": (4, 8)}, 2,
+     [(("h4", "h8"), range(1)), (("h4", "h8"), range(1, 3))], [2]),
+], ids=["one_worker", "two_workers", "four_workers", "three_kinds", "one_batch"])
+def test_units_split_batches_then_trials(experiment, overrides, cpus, units, pools, inline_pool):
+    record = inline_pool(cpus)
+    series = exp.run_experiment(experiment, tiny_config(**overrides))
+    assert record["units"] == units and record["pools"] == pools
+    seq = exp.run_experiment(experiment, tiny_config(**{**overrides, "jobs": 1}))
+    for name in seq:
+        assert np.array_equal(seq[name].values, series[name].values)
+
+
+def test_a_chain_that_cannot_be_built_fails_its_trial_in_every_unit(monkeypatch, inline_pool):
+    # fig2's h5_general rows form a unit of their own; that unit must still
+    # fail the trial whose h1_symmetric chain cannot be built, as one worker does
+    monkeypatch.setattr(exp, "MAX_FAILURE_FRACTION", 0.5)
+    cfg = tiny_config(jobs=2)
+    bad_seed = exp.trial_seed(cfg, 1)
+    message = str(mdp.ConvergenceError("synthetic symmetric chain", 5, 1.0))
+
+    def make_mdp(symmetric, h, *, seed, **kwargs):
+        if symmetric and seed == bad_seed:
+            raise mdp.ConvergenceError("synthetic symmetric chain", 5, 1.0)
+        return _make_mdp(symmetric, h, seed=seed, **kwargs)
+
+    monkeypatch.setattr(mdp, "make_mdp", make_mdp)
+    record = inline_pool(2)
+    series = exp.run_experiment("fig2", cfg)
+    assert record["units"] == [(("h5_general",), range(3)),
+                               (("h1_symmetric", "h1_general"), range(3))]
+    for agg in series.values():
+        assert agg.trial_seeds == (7, 9)
+        assert agg.failures == ((bad_seed, message),)
+
+
+@pytest.mark.parametrize("experiment,overrides,jobs", [
+    pytest.param(experiment, overrides, jobs, id=name if jobs == 2 else f"{name}-jobs{jobs}")
+    for name, experiment, overrides in (
+        ("fig1", "fig1", {}), ("fig2", "fig2", {}), ("fig3", "fig3", {"h_values": (1,)}),
+        ("three_kinds", "fig1", {"dynamics": _THREE_KINDS}),
+    )
+    for jobs in (2, 3)
+])
+def test_parallel_trials_match_sequential(experiment, overrides, jobs):
+    seq = exp.run_experiment(experiment, tiny_config(**overrides, jobs=1))
+    par = exp.run_experiment(experiment, tiny_config(**overrides, jobs=jobs))
     assert seq.keys() == par.keys()
     for name in seq:
         assert np.array_equal(seq[name].values, par[name].values)
+        assert seq[name].trial_seeds == par[name].trial_seeds
+        assert seq[name].failures == par[name].failures
 
 
 def test_chunked_batches_match_across_job_counts():
-    # each worker integrates its chunk of trials as batches that mix trials and h
+    # fig3's h = 2 and h = 8 rows share a padded batch, the h = 1 rows have their own
     seq = exp.run_experiment("fig3", tiny_config(h_values=(1, 2, 8), n_trials=5, jobs=1))
     par = exp.run_experiment("fig3", tiny_config(h_values=(1, 2, 8), n_trials=5, jobs=2))
     for name in seq:
