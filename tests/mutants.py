@@ -107,6 +107,8 @@ MUTANTS = (
     Mutant("unit_builds_only_its_own_chains", _EXP, "chains = {chain for _, chain, _, _ in curves}",
            "chains = {chain for label, chain, _, _ in curves if label in labels}",
            _TEXP + "test_a_chain_that_cannot_be_built_fails_its_trial_in_every_unit"),
+    Mutant("large_batches_stay_whole", _EXP, "n * len(labels) // _MIN_CHUNK_ROWS", "0",
+           _TEXP + "test_large_batches_are_cut_into_a_chunk_per_worker"),
     # the config's rules: one curve per h and per label, distinct log times
     Mutant("repeated_h_values_accepted", _EXP, "if len(set(self.h_values)) < len(self.h_values):",
            "if False:", _TCLI + "test_repeated_fig3_h_values_are_a_usage_error"),

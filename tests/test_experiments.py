@@ -1,5 +1,6 @@
 import json
 import os
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -420,6 +421,25 @@ def test_units_split_batches_then_trials(experiment, overrides, cpus, units, poo
     seq = exp.run_experiment(experiment, tiny_config(**{**overrides, "jobs": 1}))
     for name in seq:
         assert np.array_equal(seq[name].values, series[name].values)
+
+
+@pytest.mark.parametrize("experiment,n_trials,cpus,chunks", [
+    # 40 end-to-end and 20 two-time-scale rows: each batch stays whole
+    ("fig1", 20, 2, {_E2E: 1, _TTS: 1}),
+    # 200 and 100 rows: a chunk per worker
+    ("fig1", 100, 2, {_E2E: 2, _TTS: 2}),
+    ("fig1", 100, 4, {_E2E: 4, _TTS: 4}),
+    # 80 rows make three chunks of 25 or more; 40 rows make the two that fill the workers
+    ("fig1", 40, 4, {_E2E: 3, _TTS: 2}),
+    # the padded h2-h8 batch has three rows a trial, the h1 batch one
+    ("fig3", 30, 2, {("h2", "h4", "h8"): 2, ("h1",): 1}),
+], ids=["small_batches", "two_workers", "four_workers", "uneven_batches", "fig3"])
+def test_large_batches_are_cut_into_a_chunk_per_worker(monkeypatch, experiment, n_trials, cpus, chunks):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    units = exp._units(experiment, tiny_config(jobs=cpus, n_trials=n_trials))
+    assert Counter(labels for labels, _ in units) == chunks
+    for labels in chunks:  # each batch's chunks cover its trials once, in order
+        assert [i for unit, trials in units if unit == labels for i in trials] == list(range(n_trials))
 
 
 def test_a_chain_that_cannot_be_built_fails_its_trial_in_every_unit(monkeypatch, inline_pool):
