@@ -9,10 +9,13 @@ on a fixed Markov reward process:
 - ``two_time_scale``: the weights are pinned to their fixed point for the
   current representation while the representation drifts slowly.
 
-Each drift is formed by one semi-gradient kernel, which the public
-``expected_semi_gradients`` calls on one process and the batched integrator
-calls on stacks of processes. ``gradient_check`` compares those
-semi-gradients with finite differences of the weighted value error.
+The linear-TD and end-to-end drifts are formed by one semi-gradient kernel,
+which the public ``expected_semi_gradients`` calls on one process and the
+batched integrator calls on stacks of processes. The two-time-scale drift
+needs the weights only at their fixed point, so it is formed through
+C = diag(d) R R^T diag(d) instead; its cost does not depend on the number of
+rewards h. ``gradient_check`` compares the semi-gradients with finite
+differences of the weighted value error.
 
 Trajectories are integrated by one adaptive Dormand-Prince 5(4) loop
 (Dormand & Prince 1980; step control as in Hairer, Norsett & Wanner, *Solving
@@ -22,12 +25,12 @@ exactly as SciPy's ``RK45`` solver would step it alone, while the drift
 fields evaluate on the stacked states with one numpy call per operation
 (``np.matmul``; the LAPACK gufuncs behind ``np.linalg.det`` and
 ``np.linalg.solve``, called directly by the fixed-point condition guard; and
-``np.linalg.svd`` when that guard cannot certify a stack), each making one
-BLAS or LAPACK call per trajectory. A trajectory's result therefore does not
-depend on which others share its batch. Dense output gives the state at every
-log time, and each logged metric is evaluated once over the trajectory's whole
-stack of snapshots. With ``store_states=True`` a ``TrajectoryLog`` keeps those
-stacks as ``phis`` (T, n, k) and ``ws`` (T, k, h).
+``np.linalg.svd`` when that guard cannot certify a stack), each making its
+own BLAS or LAPACK calls for each trajectory. A trajectory's result therefore
+does not depend on which others share its batch. Dense output gives the state
+at every log time, and each logged metric is evaluated once over the
+trajectory's whole stack of snapshots. With ``store_states=True`` a
+``TrajectoryLog`` keeps those stacks as ``phis`` (T, n, k) and ``ws`` (T, k, h).
 """
 
 from __future__ import annotations
@@ -63,7 +66,9 @@ class IntegrationError(RuntimeError):
 
 
 class FixedPointResidualError(np.linalg.LinAlgError):
-    """The TD fixed-point solve passed the condition guard but missed its residual bound."""
+    """A solve with phi^T A phi, for the TD fixed point or for the inverse the
+    two-time-scale drift is formed with, passed the condition guard but missed
+    its residual bound."""
 
 
 # Every numerical failure a trajectory may end in (the fixed-point guard's
@@ -97,7 +102,6 @@ _MIN_FACTOR = 0.2  # smallest step-size decrease
 _MAX_FACTOR = 10  # largest step-size increase
 _ERROR_EXPONENT = -1 / 5  # -1 / (order of the embedded error estimate + 1)
 _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
-_H_BLOCK = 8  # two-time-scale rewards are padded to a multiple of this many columns
 _MIN_SV = 1e-10  # smallest singular value a representation may have
 # Steps (accepted plus rejected) a trajectory may take, 13x a criterion-4 row's 14.9k;
 # a flow made stiff by a large eta would otherwise step ever shorter without end.
@@ -322,13 +326,19 @@ def _fixed_points(
 ) -> tuple[np.ndarray, dict[int, np.linalg.LinAlgError]]:
     """``td_fixed_point`` for a stack of representations ``phi`` (B x n x k).
 
-    ``A`` and ``dR`` are one process's key matrix and diag(d) R, or stacks of
-    them. Returns the weights (NaN where a slice failed) and, per failed slice
-    index, the error ``td_fixed_point`` raises for that slice.
+    ``A`` and ``dR`` are one process's key matrix and diag(d) R. Returns the
+    weights (NaN where a slice failed) and, per failed slice index, the error
+    ``td_fixed_point`` raises for that slice.
     """
     phi_t = phi.swapaxes(1, 2)
-    G = phi_t @ A @ phi
-    b = phi_t @ dR
+    return _checked_solve(phi_t @ A @ phi, phi_t @ dR)
+
+
+def _checked_solve(
+    G: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, dict[int, np.linalg.LinAlgError]]:
+    """Solve each phi^T A phi slice of ``G`` against ``b`` under the condition
+    guard and residual bound of ``td_fixed_point``; returns as ``_fixed_points``."""
     w, failures = _solve_guarded_stack(G, b, "phi^T A phi")
     residual = np.abs(G @ w - b).max(axis=(1, 2))
     bound = 1e-10 * np.abs(b).max(axis=(1, 2), initial=1.0)
@@ -388,7 +398,7 @@ def gradient_check(mrp: MarkovRewardProcess, phi: np.ndarray, w: np.ndarray) -> 
     return float(err / scale)
 
 
-def _semi_gradients(P, R, gamma, d, phi, w, slots=(True, True)):
+def _semi_gradients(P, R, gamma, d, phi, w, with_phi=True):
     """The descent directions (phi^T diag(d) Z, diag(d) Z w^T), on one process or stacks.
 
     These are the negated ``expected_semi_gradients``, so the drift fields
@@ -398,21 +408,16 @@ def _semi_gradients(P, R, gamma, d, phi, w, slots=(True, True)):
     sign of the operands; a zero's sign changes no norm or logged metric.
 
     ``d`` is a column; it and ``gamma`` may also come repeated to the shape
-    they broadcast to, which gives the same bits.
-
-    ``slots`` says which of the two to form, so a drift that moves only w or
-    only phi pays for one product; a skipped one is None.
+    they broadcast to, which gives the same bits. ``with_phi=False`` skips
+    the representation's direction, which linear TD does not move; it is
+    then None.
     """
     pred = phi @ w
     weighted = d * (R - (pred - gamma * (P @ pred)))
-    descent_w = descent_phi = None
-    if slots[0]:
-        # phi^T as a view of a C-ordered phi: each snapshot of a strided stack
-        # then takes the BLAS product one C-ordered 2-D snapshot takes, bit for bit
-        descent_w = np.ascontiguousarray(phi).swapaxes(-1, -2) @ weighted
-    if slots[1]:
-        descent_phi = weighted @ w.swapaxes(-1, -2)
-    return descent_w, descent_phi
+    # phi^T as a view of a C-ordered phi: each snapshot of a strided stack
+    # then takes the BLAS product one C-ordered 2-D snapshot takes, bit for bit
+    descent_w = np.ascontiguousarray(phi).swapaxes(-1, -2) @ weighted
+    return descent_w, weighted @ w.swapaxes(-1, -2) if with_phi else None
 
 
 class Problem(NamedTuple):
@@ -458,8 +463,8 @@ def integrate_batch(
     Uses the adaptive Dormand-Prince 5(4) pair; metric samples come from its
     dense output at ``log_points`` times so that different dynamics share a
     comparable time axis. Problems with the same ``_batch_key``, that is the
-    same dynamics kind and state shape, are stepped as one batch
-    (two-time-scale problems also share one across h, see ``_padded_h``).
+    same dynamics kind and state shape, are stepped as one batch; for the
+    two-time-scale flow that holds problems of every h.
     Each trajectory keeps its own steps, so its result is bitwise the same
     whichever problems share its batch.
 
@@ -480,7 +485,7 @@ def integrate_batch(
 
     times = np.linspace(0.0, config.t_end, config.log_points)
     results: list = [None] * len(problems)
-    for (kind, _, _), members in groups.items():
+    for (kind, *_), members in groups.items():
         rows = [problems[i] for i in members]
         y0 = np.stack([_initial_state(row) for row in rows])
         outcomes = _dopri45(_StackedField.build(kind, rows), y0, times, config)
@@ -519,23 +524,9 @@ def _initial_state(p: Problem) -> np.ndarray:
 
 def _batch_key(kind: str, shape: tuple[int, int], h: int) -> tuple:
     """The batch ``integrate_batch`` steps a trajectory in: its dynamics kind, the
-    shape of phi and the reward columns it is integrated with (``_padded_h``)."""
-    return kind, shape, _padded_h(h) if kind == TWO_TIME_SCALE else h
-
-
-def _padded_h(h: int) -> int:
-    """Reward columns a two-time-scale trajectory is integrated with.
-
-    h >= 2 is rounded up to a multiple of 8, so rows with h = 2..8 share one
-    batch: zero reward columns give exactly-zero weight columns. BLAS picks
-    its kernels by matrix width, so padding can move the drift by rounding;
-    because the width depends on h alone, a trajectory's bits still do not
-    depend on the other rows of its batch. A single reward column stays
-    unpadded, as numpy takes a matrix-vector (gemv) path for it: the
-    single-reward trajectories of fig1 and fig2 then keep the rounding of the
-    unbatched field, and cost one more batch only where h varies.
-    """
-    return h if h == 1 else -(-h // _H_BLOCK) * _H_BLOCK
+    shape of phi and its number of reward columns h, save for the two-time-scale
+    flow, whose drift sees the rewards only through the n x n matrix ``C``."""
+    return (kind, shape) if kind == TWO_TIME_SCALE else (kind, shape, h)
 
 
 class _StackedField:
@@ -543,17 +534,13 @@ class _StackedField:
 
     def __init__(self, kind: str, shape: tuple[int, int, int], arrays: dict[str, np.ndarray]):
         self.kind = kind
-        self.n, self.k, self.h = shape
+        self.n, self.k, self.h = shape  # two-time-scale rows may differ in h and never read it
         self.arrays = arrays
-        self.slots = (kind != TWO_TIME_SCALE, kind != LINEAR_TD)
 
     @classmethod
     def build(cls, kind: str, rows: list[Problem]) -> "_StackedField":
-        _, (n, k), h = _batch_key(kind, rows[0].phi0.shape, rows[0].mrp.h)
+        (n, k), h = rows[0].phi0.shape, rows[0].mrp.h
         mrps = [row.mrp for row in rows]
-
-        def padded(mats):
-            return np.stack([np.pad(m, ((0, 0), (0, h - m.shape[1]))) for m in mats])
 
         def full(per_row, shape):
             # each row's scalar or column, repeated to (rows, *shape): numpy multiplies
@@ -562,18 +549,19 @@ class _StackedField:
             columns = np.array(per_row, dtype=float).reshape(len(rows), -1, 1)
             return np.ascontiguousarray(np.broadcast_to(columns, (len(rows), *shape)))
 
-        arrays = {
-            "P": np.stack([m.P for m in mrps]),
-            "R": padded([m.R for m in mrps]),
-            "gamma": full([m.gamma for m in mrps], (n, h)),
-            "d": full([m.d for m in mrps], (n, h)),
-            "eta_w": full([row.spec.eta_w for row in rows], (k, h)),
-            "eta_phi": full([row.spec.eta_phi for row in rows], (n, k)),
-        }
+        arrays = {"eta_phi": full([row.spec.eta_phi for row in rows], (n, k))}
         if kind == TWO_TIME_SCALE:
-            arrays["A"] = np.stack([m.A for m in mrps])
-            arrays["dR"] = padded([m.dR for m in mrps])
-        elif kind == LINEAR_TD:
+            arrays["AC"] = np.stack([(m.A, m.C) for m in mrps]).reshape(len(rows), 2 * n, n)
+            arrays["eye"] = np.tile(np.eye(k), (len(rows), 1, 1))
+        else:
+            arrays |= {
+                "P": np.stack([m.P for m in mrps]),
+                "R": np.stack([m.R for m in mrps]),
+                "gamma": full([m.gamma for m in mrps], (n, h)),
+                "d": full([m.d for m in mrps], (n, h)),
+                "eta_w": full([row.spec.eta_w for row in rows], (k, h)),
+            }
+        if kind == LINEAR_TD:
             arrays["phi0"] = np.stack([row.phi0 for row in rows])
         return cls(kind, (n, k, h), arrays)
 
@@ -585,21 +573,27 @@ class _StackedField:
         """Drift at the stacked states ``y``, plus the fixed-point failures by row."""
         a, rows = self.arrays, len(y)
         n, k, h = self.n, self.k, self.h
-        failures = {}
+        if self.kind == TWO_TIME_SCALE:
+            # With G = phi^T A phi, M = phi^T C phi and the fixed point w = G^-1 phi^T dR,
+            # the descent direction diag(d) (R - (I - gamma P) phi w) w^T is
+            # (C phi - A phi G^-1 M) G^-T: one product gives [A phi; C phi], one [G, M]
+            phi = y.reshape(rows, n, k)
+            AC_phi = a["AC"] @ phi
+            G, M = (phi.swapaxes(1, 2)[:, None] @ AC_phi.reshape(rows, 2, n, k)).swapaxes(0, 1)
+            G_inv, failures = _checked_solve(G, a["eye"])
+            # numpy multiplies by a C-ordered copy of G^-T faster than by the transposed view
+            G_inv_t = np.ascontiguousarray(G_inv.swapaxes(1, 2))
+            descent = (AC_phi[:, n:] - AC_phi[:, :n] @ (G_inv @ M)) @ G_inv_t
+            return (a["eta_phi"] * descent).reshape(rows, -1), failures
         if self.kind == LINEAR_TD:
             phi, w = a["phi0"], y.reshape(rows, k, h)
-        elif self.kind == END_TO_END:
-            phi, w = y[:, k * h :].reshape(rows, n, k), y[:, : k * h].reshape(rows, k, h)
         else:
-            phi = y.reshape(rows, n, k)
-            w, failures = _fixed_points(a["A"], a["dR"], phi)
-        dw, dphi = _semi_gradients(a["P"], a["R"], a["gamma"], a["d"], phi, w, self.slots)
+            phi, w = y[:, k * h :].reshape(rows, n, k), y[:, : k * h].reshape(rows, k, h)
+        dw, dphi = _semi_gradients(a["P"], a["R"], a["gamma"], a["d"], phi, w, self.kind == END_TO_END)
         if dphi is None:
-            return (a["eta_w"] * dw).reshape(rows, -1), failures
-        if dw is None:
-            return (a["eta_phi"] * dphi).reshape(rows, -1), failures
+            return (a["eta_w"] * dw).reshape(rows, -1), {}
         parts = (a["eta_w"] * dw, a["eta_phi"] * dphi)
-        return np.concatenate([part.reshape(rows, -1) for part in parts], axis=1), failures
+        return np.concatenate([part.reshape(rows, -1) for part in parts], axis=1), {}
 
 
 def _norms(x: np.ndarray) -> np.ndarray:

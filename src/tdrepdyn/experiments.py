@@ -227,13 +227,12 @@ def _run_one(
 ) -> tuple[list[dict], float, int]:
     """Run one unit: the rows of curves ``labels`` over a contiguous chunk of trials.
 
-    Every chain of each trial is built, other units' chains too, so a trial
-    whose chains cannot be built fails under each of its curves in every
-    unit, whichever chain failed; a row whose trajectory fails, under its own
-    curve. The unit's rows, each started from
-    its trial's shared ``phi0``, go into one ``integrate_batch`` call. Returns
-    one ``curves``/``errors`` dict pair per trial, in trial order, with the
-    unit's wall seconds and the largest nfev among its rows.
+    A trial whose chains cannot be built fails under each of the unit's
+    curves; a row whose trajectory fails, under its own curve. The unit's
+    rows, each started from its trial's shared ``phi0``, go into one
+    ``integrate_batch`` call. Returns one ``curves``/``errors`` dict pair per
+    trial, in trial order, with the unit's wall seconds and the largest nfev
+    among its rows.
     """
     start = time.perf_counter()
     experiment, config, labels, indices = payload

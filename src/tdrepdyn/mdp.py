@@ -11,11 +11,11 @@ This module provides:
 - A reversibility residual and a checked JSON round trip.
 
 Every quantity that depends only on the process (I - gamma P, the key matrix
-``A`` = diag(d) (I - gamma P), ``dR`` = diag(d) R, the value function ``V``,
-the resolvent and its symmetrized spectrum) is a cached read-only attribute of
-the instance, computed on first use; callers read it there. The instance and
-its input arrays are frozen, so a cached value can never go stale;
-``with_rewards`` builds a new instance with an empty cache.
+``A`` = diag(d) (I - gamma P), ``dR`` = diag(d) R, ``C`` = dR dR^T, the value
+function ``V``, the resolvent and its symmetrized spectrum) is a cached
+read-only attribute of the instance, computed on first use; callers read it
+there. The instance and its input arrays are frozen, so a cached value can
+never go stale; ``with_rewards`` builds a new instance with an empty cache.
 
 All randomness is threaded through a counter-based Philox generator so that
 identical seeds give bit-identical output across platforms.
@@ -154,6 +154,11 @@ class MarkovRewardProcess:
     def dR(self) -> np.ndarray:
         """diag(d) R, the right-hand side of the TD fixed point before projection."""
         return _frozen(self.d[:, None] * self.R)
+
+    @cached_property
+    def C(self) -> np.ndarray:
+        """diag(d) R R^T diag(d), through which the two-time-scale flow sees the rewards."""
+        return _frozen(self.dR @ self.dR.T)
 
     @cached_property
     def V(self) -> np.ndarray:

@@ -58,8 +58,7 @@ MUTANTS = (
            _ACC + "test_criterion_7_reward_concentration"),
     Mutant("semi_gradients_drop_d", _DYN, "weighted = d * (R - ", "weighted = (R - ",
            _ACC + "test_criterion_1_gradient_flow_identity"),
-    Mutant("fixed_point_uses_A_transpose", _DYN, "G = phi_t @ A @ phi",
-           "G = phi_t @ A.swapaxes(-1, -2) @ phi",
+    Mutant("fixed_point_uses_A_transpose", _DYN, "_checked_solve(G, ", "_checked_solve(G.swapaxes(1, 2), ",
            _ACC + "test_criterion_3_covariance_constancy"),
     Mutant("stacked_field_negates_eta_phi", _DYN, 'full([row.spec.eta_phi for row in rows]',
            'full([-row.spec.eta_phi for row in rows]',
@@ -79,10 +78,10 @@ MUTANTS = (
            _TDYN + "test_cond_guard_rejects_exactly_what_numpy_cond_rejects"),
     Mutant("certificate_square_root", _MET, "** (G.shape[-1] / 2)", "** 0.5",
            _TDYN + "test_cond_guard_rejects_exactly_what_numpy_cond_rejects"),
-    # the key matrix, the stacked field's padding and the step-size control
+    # the key matrix, the two-time-scale flow's reward matrix and the step-size control
     Mutant("key_matrix_drops_d", _MDP, "_frozen(self.d[:, None] * self.system)", "_frozen(self.system)",
            "tests/test_mdp.py::test_key_matrix_positive_definite"),
-    Mutant("padding_with_ones", _DYN, "(0, h - m.shape[1])))", "(0, h - m.shape[1])), constant_values=1.0)",
+    Mutant("C_drops_d", _MDP, "self.dR @ self.dR.T", "self.R @ self.R.T",
            _TDYN + "test_stacked_field_rows_are_bitwise_the_public_drifts"),
     Mutant("growth_after_rejection", _DYN,
            "        factor = np.where(~fresh & ~(factor < 1), 1.0, factor)\n", "",
@@ -103,10 +102,7 @@ MUTANTS = (
            '(exp.TooManyFailedTrials, EXIT_NUMERIC, "experiment failed")',
            '(RuntimeError, EXIT_NUMERIC, "experiment failed")',
            _TCLI + "test_broken_process_pool_propagates"),
-    # a pool unit builds every chain of its trials, not only its own curves' chains
-    Mutant("unit_builds_only_its_own_chains", _EXP, "chains = {chain for _, chain, _, _ in curves}",
-           "chains = {chain for label, chain, _, _ in curves if label in labels}",
-           _TEXP + "test_a_chain_that_cannot_be_built_fails_its_trial_in_every_unit"),
+    # the pool's plan cuts a large batch into a chunk per worker
     Mutant("large_batches_stay_whole", _EXP, "n * len(labels) // _MIN_CHUNK_ROWS", "0",
            _TEXP + "test_large_batches_are_cut_into_a_chunk_per_worker"),
     # the config's rules: one curve per h and per label, distinct log times

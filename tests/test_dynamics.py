@@ -668,11 +668,10 @@ def _public_drift(row: dyn.Problem) -> np.ndarray:
     if spec.kind == dyn.END_TO_END:
         dw, dphi = _drift(mrp, spec, phi, w)
         return np.concatenate([dw.ravel(), dphi.ravel()])
-    padded = mrp.with_rewards(np.pad(mrp.R, ((0, 0), (0, dyn._padded_h(mrp.h) - mrp.h))))
-    return _drift(padded, spec, phi)[1].ravel()
+    return _drift(mrp, spec, phi)[1].ravel()
 
 
-@pytest.mark.parametrize("h", [1, 3, 8, 9])
+@pytest.mark.parametrize("h", [1, 3, 8, 9, 256])
 @pytest.mark.parametrize("kind", dyn.KINDS)
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**16), etas=st.lists(st.sampled_from((0.5, 1.0, 2.0)), min_size=3, max_size=3))
@@ -686,7 +685,13 @@ def test_stacked_field_rows_are_bitwise_the_public_drifts(kind, h, seed, etas):
     f, failures = dyn._StackedField.build(kind, rows)(np.stack([dyn._initial_state(row) for row in rows]))
     assert not failures
     for row, got in zip(rows, f, strict=True):
-        assert got.tobytes() == _public_drift(row).tobytes()
+        want = _public_drift(row)
+        if kind == dyn.TWO_TIME_SCALE:
+            # the field forms the drift through C = dR dR^T, not through w, so it
+            # rounds apart; test_batch_rows_are_bitwise_their_solo_runs pins its bits
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        else:
+            assert got.tobytes() == want.tobytes()
 
 
 def test_rejected_metric_solve_is_the_rows_result(monkeypatch):
@@ -825,8 +830,8 @@ def test_zero_drift_takes_scipys_initial_step():
 
 
 def test_rejected_logged_fixed_point_is_the_rows_result(monkeypatch):
-    # the integrator solves the batch's stacked fixed points, and _log_trajectory
-    # one row's logged snapshots against that row's own key matrix
+    # the field inverts the batch's stacked phi^T A phi, and _log_trajectory solves
+    # one row's logged snapshots for their fixed points with that row's key matrix
     real = dyn._fixed_points
     injected = np.linalg.LinAlgError("rejected snapshot")
     problems = [dyn.Problem(make_mdp(False, 2, n=8, seed=s), dyn.two_time_scale(),

@@ -410,7 +410,7 @@ _THREE_KINDS = (dyn.linear_td(), dyn.end_to_end(), dyn.two_time_scale())
     # three batches share two workers
     ("fig1", {"jobs": 2, "dynamics": _THREE_KINDS}, 2,
      [(("linear_td_w1",), range(3)), (("end_to_end_w1_phi1",), range(3)), (_TTS, range(3))], [2]),
-    # h = 4 and 8 pad to one batch, so the units fall back to trial chunks
+    # the two-time-scale rows of every h are one batch, so the units fall back to trial chunks
     ("fig3", {"jobs": 2, "h_values": (4, 8)}, 2,
      [(("h4", "h8"), range(1)), (("h4", "h8"), range(1, 3))], [2]),
 ], ids=["one_worker", "two_workers", "four_workers", "three_kinds", "one_batch"])
@@ -431,8 +431,8 @@ def test_units_split_batches_then_trials(experiment, overrides, cpus, units, poo
     ("fig1", 100, 4, {_E2E: 4, _TTS: 4}),
     # 80 rows make three chunks of 25 or more; 40 rows make the two that fill the workers
     ("fig1", 40, 4, {_E2E: 3, _TTS: 2}),
-    # the padded h2-h8 batch has three rows a trial, the h1 batch one
-    ("fig3", 30, 2, {("h2", "h4", "h8"): 2, ("h1",): 1}),
+    # every h is one batch of 120 rows
+    ("fig3", 30, 2, {("h1", "h2", "h4", "h8"): 2}),
 ], ids=["small_batches", "two_workers", "four_workers", "uneven_batches", "fig3"])
 def test_large_batches_are_cut_into_a_chunk_per_worker(monkeypatch, experiment, n_trials, cpus, chunks):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
@@ -443,8 +443,8 @@ def test_large_batches_are_cut_into_a_chunk_per_worker(monkeypatch, experiment, 
 
 
 def test_a_chain_that_cannot_be_built_fails_its_trial_in_every_unit(monkeypatch, inline_pool):
-    # fig2's h5_general rows form a unit of their own; that unit must still
-    # fail the trial whose h1_symmetric chain cannot be built, as one worker does
+    # fig2's one batch is cut into two trial chunks; the trial whose
+    # h1_symmetric chain cannot be built fails under every curve, as with one worker
     monkeypatch.setattr(exp, "MAX_FAILURE_FRACTION", 0.5)
     cfg = tiny_config(jobs=2)
     bad_seed = exp.trial_seed(cfg, 1)
@@ -458,8 +458,8 @@ def test_a_chain_that_cannot_be_built_fails_its_trial_in_every_unit(monkeypatch,
     monkeypatch.setattr(mdp, "make_mdp", make_mdp)
     record = inline_pool(2)
     series = exp.run_experiment("fig2", cfg)
-    assert record["units"] == [(("h5_general",), range(3)),
-                               (("h1_symmetric", "h1_general"), range(3))]
+    curves = ("h5_general", "h1_symmetric", "h1_general")
+    assert record["units"] == [(curves, range(1)), (curves, range(1, 3))]
     for agg in series.values():
         assert agg.trial_seeds == (7, 9)
         assert agg.failures == ((bad_seed, message),)
@@ -484,7 +484,7 @@ def test_parallel_trials_match_sequential(experiment, overrides, jobs):
 
 
 def test_chunked_batches_match_across_job_counts():
-    # fig3's h = 2 and h = 8 rows share a padded batch, the h = 1 rows have their own
+    # fig3's rows of every h share one batch, which two workers cut into trial chunks
     seq = exp.run_experiment("fig3", tiny_config(h_values=(1, 2, 8), n_trials=5, jobs=1))
     par = exp.run_experiment("fig3", tiny_config(h_values=(1, 2, 8), n_trials=5, jobs=2))
     for name in seq:

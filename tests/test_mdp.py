@@ -299,13 +299,14 @@ def test_value_function_residual_bound_scales_with_rewards():
 
 
 def test_derived_matrices_are_cached_and_read_only(small_mixed):
-    for get in (lambda m: m.A, lambda m: m.V, lambda m: m.system, lambda m: m.dR):
+    for get in (lambda m: m.A, lambda m: m.V, lambda m: m.system, lambda m: m.dR, lambda m: m.C):
         arr = get(small_mixed)
         assert get(small_mixed) is arr
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0, 0] = 1.0
     assert np.array_equal(small_mixed.dR, small_mixed.d[:, None] * small_mixed.R)
+    assert np.array_equal(small_mixed.C, small_mixed.dR @ small_mixed.dR.T)
 
 
 def test_with_rewards_gets_a_fresh_value_function(small_mixed):
