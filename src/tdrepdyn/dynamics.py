@@ -86,6 +86,7 @@ _RK_A = np.array([
     [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
     [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
 ])
+_RK_STAGES = tuple(_RK_A[s, :s] for s in range(1, 6))  # each stage's weights on the earlier ones
 _RK_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
 _RK_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
 _RK_P = np.array([
@@ -335,21 +336,34 @@ def _fixed_points(
 
 
 def _checked_solve(
-    G: np.ndarray, b: np.ndarray
+    G: np.ndarray, b: np.ndarray, bound: np.ndarray | None = None
 ) -> tuple[np.ndarray, dict[int, np.linalg.LinAlgError]]:
     """Solve each phi^T A phi slice of ``G`` against ``b`` under the condition
-    guard and residual bound of ``td_fixed_point``; returns as ``_fixed_points``."""
+    guard and residual bound of ``td_fixed_point``; returns as ``_fixed_points``.
+
+    ``bound`` holds each slice's ``_residual_bound(b)``, passed by a caller
+    that solves against the same ``b`` many times; it is worked out here if
+    None. The reductions call the ufuncs' ``reduce`` directly, as in
+    ``_solve_guarded_stack``: the two-time-scale drift calls this six times
+    per step.
+    """
     w, failures = _solve_guarded_stack(G, b, "phi^T A phi")
-    residual = np.abs(G @ w - b).max(axis=(1, 2))
-    bound = 1e-10 * np.abs(b).max(axis=(1, 2), initial=1.0)
+    residual = np.maximum.reduce(np.abs(G @ w - b), axis=(1, 2))
+    if bound is None:
+        bound = _residual_bound(b)
     missed = ~(residual <= bound)  # a NaN residual misses too
-    if missed.any():
+    if np.logical_or.reduce(missed):
         for i in np.flatnonzero(missed):
             # a slice the guard rejected (NaN weights) keeps its IllConditionedError
             failures.setdefault(int(i), FixedPointResidualError(
                 f"fixed-point residual {residual[i]:.3e} exceeds {bound[i]:.3e}"
             ))
     return w, failures
+
+
+def _residual_bound(b: np.ndarray) -> np.ndarray:
+    """The largest residual a solve against each slice of ``b`` may leave: 1e-10 max(1, max|b|)."""
+    return 1e-10 * np.maximum.reduce(np.abs(b), axis=(1, 2), initial=1.0)
 
 
 def expected_semi_gradients(
@@ -553,6 +567,7 @@ class _StackedField:
         if kind == TWO_TIME_SCALE:
             arrays["AC"] = np.stack([(m.A, m.C) for m in mrps]).reshape(len(rows), 2 * n, n)
             arrays["eye"] = np.tile(np.eye(k), (len(rows), 1, 1))
+            arrays["eye_bound"] = _residual_bound(arrays["eye"])
         else:
             arrays |= {
                 "P": np.stack([m.P for m in mrps]),
@@ -580,7 +595,7 @@ class _StackedField:
             phi = y.reshape(rows, n, k)
             AC_phi = a["AC"] @ phi
             G, M = (phi.swapaxes(1, 2)[:, None] @ AC_phi.reshape(rows, 2, n, k)).swapaxes(0, 1)
-            G_inv, failures = _checked_solve(G, a["eye"])
+            G_inv, failures = _checked_solve(G, a["eye"], a["eye_bound"])
             # numpy multiplies by a C-ordered copy of G^-T faster than by the transposed view
             G_inv_t = np.ascontiguousarray(G_inv.swapaxes(1, 2))
             descent = (AC_phi[:, n:] - AC_phi[:, :n] @ (G_inv @ M)) @ G_inv_t
@@ -625,7 +640,6 @@ def _dopri45(field: _StackedField, y0: np.ndarray, times: np.ndarray, config: In
     atol = config.atol
     Y = np.empty((n_rows, size, len(times)))
     results: list = [None] * n_rows
-    accepted = np.zeros(n_rows, dtype=int)
 
     ids = np.arange(n_rows)  # the row in each slot of the active batch
     t = np.zeros(n_rows)
@@ -669,38 +683,43 @@ def _dopri45(field: _StackedField, y0: np.ndarray, times: np.ndarray, config: In
 
     fresh = np.ones(n_rows, dtype=bool)  # starting a step, not retrying a rejected attempt
     emitted = np.zeros(n_rows, dtype=int)  # entries of ``times`` already written
+    accepted = np.zeros(n_rows, dtype=int)  # accepted steps of the row in each slot
     taken = 0  # steps each row in the batch has taken, as all rows start together
+    K = np.empty((n_rows, 7, size))  # the stages of the current attempt
     while True:
-        if leaving.any():
+        if np.logical_or.reduce(leaving):
             keep = ~leaving
-            ids, t, y, f, h_abs, fresh, emitted = (a[keep] for a in (ids, t, y, f, h_abs, fresh, emitted))
+            ids, t, y, f, h_abs, fresh, emitted, accepted = (
+                a[keep] for a in (ids, t, y, f, h_abs, fresh, emitted, accepted)
+            )
             field = field.take(keep)
             leaving = np.zeros(ids.size, dtype=bool)
+            K = np.empty((ids.size, 7, size))
         if not ids.size:
             break
 
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
-        h_abs = np.where(fresh & (h_abs < min_step), min_step, h_abs)
-        for slot in np.flatnonzero(~(h_abs >= min_step)):  # a NaN step fails here too
-            leave(slot, IntegrationError(
-                f"integration failed near t={t[slot]:.6g} ({_TOO_SMALL_STEP}); "
-                f"state norm {np.linalg.norm(y[slot]):.6g}"
-            ))
-        if leaving.any():
-            continue
+        # SciPy's floor 10 |nextafter(t, inf) - t|, which is 10 spacing(t) as t >= 0
+        min_step = 10 * np.spacing(t)
+        if not np.logical_and.reduce(h_abs >= min_step):  # a NaN step fails this too
+            h_abs = np.where(fresh & (h_abs < min_step), min_step, h_abs)
+            for slot in np.flatnonzero(~(h_abs >= min_step)):
+                leave(slot, IntegrationError(
+                    f"integration failed near t={t[slot]:.6g} ({_TOO_SMALL_STEP}); "
+                    f"state norm {np.linalg.norm(y[slot]):.6g}"
+                ))
+            if np.logical_or.reduce(leaving):
+                continue
 
-        t_new = t + h_abs
-        t_new = np.where(t_new - t_bound > 0, t_bound, t_new)
+        t_new = np.minimum(t + h_abs, t_bound)
         h = h_abs = t_new - t  # never negative: t_new is at least t
-        K = np.empty((ids.size, 7, size))
+        h_col = h[:, None]
         K[:, 0] = f
-        for s in range(1, 6):
-            dy = (_RK_A[s, :s] @ K[:, :s]) * h[:, None]
-            K[:, s] = evaluate(y + dy, _RK_C[s])
-        y_new = y + h[:, None] * (_RK_B @ K[:, :6])
+        for s, weights in enumerate(_RK_STAGES, start=1):
+            K[:, s] = evaluate(y + (weights @ K[:, :s]) * h_col, _RK_C[s])
+        y_new = y + h_col * (_RK_B @ K[:, :6])
         f_new = K[:, 6] = evaluate(y_new, 1.0)
         scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-        error_norm = _rms((_RK_E @ K) * h[:, None] / scale)
+        error_norm = _rms((_RK_E @ K) * h_col / scale)
 
         # the scalar power keeps SciPy's rounding (numpy's array power may differ by an ulp)
         growth = np.array(
@@ -717,12 +736,14 @@ def _dopri45(field: _StackedField, y0: np.ndarray, times: np.ndarray, config: In
             lo, hi = emitted[slot], reached[slot]
             Y[ids[slot], :, lo:hi] = _dense_output(K[slot], t[slot], h[slot], y[slot], times[lo:hi])
             emitted[slot] = hi
-        accepted[ids[accept]] += 1
+        accepted += accept
         taken += 1
-        for slot in np.flatnonzero(accept & (t_new - t_bound >= 0)):
-            i = ids[slot]
-            leave(slot, (Y[i], SolverStats(2 + 6 * taken, int(accepted[i]), taken - int(accepted[i]))))
-        if accept.all():
+        done = accept & (t_new >= t_bound)
+        if np.logical_or.reduce(done):
+            for slot in np.flatnonzero(done):
+                steps = int(accepted[slot])
+                leave(slot, (Y[ids[slot]], SolverStats(2 + 6 * taken, steps, taken - steps)))
+        if np.logical_and.reduce(accept):
             t, y, f = t_new, y_new, f_new
         else:
             t = np.where(accept, t_new, t)

@@ -59,6 +59,9 @@ def _solve_guarded_stack(
     without the wrappers' per-call type and shape checks, which the float64
     stacks built here never need. Like ``svd`` they make one LAPACK call per
     slice, so a slice's solution does not depend on the others in the stack.
+    The certified path's reductions call the ufuncs' ``reduce`` directly: the
+    ndarray methods (``.sum``, ``.all``) give the same bits through a Python
+    wrapper that costs more than a reduction over a few slices.
     One departure from ``np.linalg.cond``: where ``np.linalg.solve`` would
     raise "Singular matrix" the gufunc returns NaN, so a finite slice that
     the SVD accepts but whose solution comes back non-finite is rejected
@@ -72,10 +75,10 @@ def _solve_guarded_stack(
     slice and NaN for one with a non-finite entry.
     """
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        certified = (G * G).sum(axis=(1, 2)) ** (G.shape[-1] / 2) < (
+        certified = np.add.reduce(G * G, axis=(1, 2)) ** (G.shape[-1] / 2) < (
             0.1 * COND_LIMIT * np.abs(_umath_linalg.det(G, signature="d->d"))
         )
-        if certified.all():
+        if np.logical_and.reduce(certified):
             return _umath_linalg.solve(G, rhs, signature="dd->d"), {}
         # LAPACK's SVD fails on a NaN and returns NaN for an inf, so those slices skip it
         finite = np.isfinite(G).all(axis=(1, 2))
@@ -200,7 +203,7 @@ def critical_point_residual(mrp: MarkovRewardProcess, phi: np.ndarray) -> float 
     """
     A = mrp.A
     phi_t = phi.swapaxes(-1, -2)
-    target = mrp.dR @ (mrp.dR.T @ phi)
+    target = mrp.C @ phi
     G = phi_t @ A @ phi
     projected = (A @ phi) @ _solve_or_raise(G, phi_t @ target, "phi^T A phi")
     return np.abs(target - projected).max(axis=(-2, -1))

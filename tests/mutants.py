@@ -72,9 +72,9 @@ MUTANTS = (
     Mutant("value_error_gamma_squared", _MET, "mrp.gamma * (mrp.P @ err)",
            "mrp.gamma ** 2 * (mrp.P @ err)",
            "tests/test_metrics.py::test_weighted_value_error_matches_enumerated_sum"),
-    Mutant("certificate_never_certifies", _MET, "if certified.all():", "if False:",
+    Mutant("certificate_never_certifies", _MET, "if np.logical_and.reduce(certified):", "if False:",
            _TDYN + "test_certified_solves_skip_the_svd"),
-    Mutant("certificate_always_certifies", _MET, "if certified.all():", "if True:",
+    Mutant("certificate_always_certifies", _MET, "if np.logical_and.reduce(certified):", "if True:",
            _TDYN + "test_cond_guard_rejects_exactly_what_numpy_cond_rejects"),
     Mutant("certificate_square_root", _MET, "** (G.shape[-1] / 2)", "** 0.5",
            _TDYN + "test_cond_guard_rejects_exactly_what_numpy_cond_rejects"),
@@ -93,6 +93,16 @@ MUTANTS = (
            _TDYN + "test_batch_rows_are_bitwise_their_solo_runs"),
     Mutant("step_budget_never_fires", _DYN, "if taken >= MAX_STEPS:", "if False:",
            _TDYN + "test_step_budget_ends_only_the_row_that_spends_it"),
+    # the work the integrator's hot path skips or keeps once: the two-time-scale
+    # inverse's stored residual bound, the step floor's fast path, per-slot counts
+    Mutant("inverse_residual_bound_looser", _DYN, 'arrays["eye_bound"] = _residual_bound(',
+           'arrays["eye_bound"] = 1e6 * _residual_bound(',
+           _TDYN + "test_fixed_point_residual_failure_has_its_own_type"),
+    Mutant("step_floor_check_always_skipped", _DYN,
+           "if not np.logical_and.reduce(h_abs >= min_step):", "if False:",
+           _TDYN + "test_nan_step_fails_instead_of_spinning"),
+    Mutant("accepted_not_compacted", _DYN, "emitted, accepted = (", "emitted, _ = (",
+           _TDYN + "test_rows_leave_the_batch_as_they_fail_or_finish"),
     # the abort threshold and the one failure type the CLI reports as an abort
     Mutant("abort_never_fires", _EXP, "if len(failures) > MAX_FAILURE_FRACTION * config.n_trials:",
            "if False:", _TEXP + "test_failure_threshold_aborts"),

@@ -314,6 +314,32 @@ def test_fixed_point_residual_failure_has_its_own_type(small_mixed, monkeypatch)
                       config=dyn.IntegratorConfig(t_end=1.0, log_points=2))
 
 
+def test_two_time_scale_inverse_misses_the_fixed_point_residual_bound(monkeypatch):
+    # the field keeps its inverse's residual bound from build; a miss must read as the
+    # one _checked_solve(G, I) reports when it works the bound out from I itself
+    real = met._solve_guarded_stack
+    seen = []
+
+    def off_by_1e9_relative(G, rhs, name):
+        x, rejected = real(G, rhs, name)
+        seen.append(G.copy())
+        return x * (1 + 1e-9), rejected
+
+    monkeypatch.setattr(dyn, "_solve_guarded_stack", off_by_1e9_relative)
+    rows = [
+        dyn.Problem(make_mdp(False, h, n=8, seed=h), dyn.two_time_scale(), dyn.orthonormal_init(8, 2, seed=h))
+        for h in (1, 3, 8)
+    ]
+    _, failures = dyn._StackedField.build(dyn.TWO_TIME_SCALE, rows)(
+        np.stack([dyn._initial_state(row) for row in rows])
+    )
+    _, want = dyn._checked_solve(seen[0], np.tile(np.eye(2), (len(rows), 1, 1)))
+    assert list(failures) == list(want) == [0, 1, 2]
+    for i, exc in failures.items():
+        assert type(exc) is dyn.FixedPointResidualError and str(exc) == str(want[i])
+        assert str(exc).endswith("exceeds 1.000e-10")
+
+
 def test_semi_gradients_match_hand_formula(small_mixed):
     rng = make_rng(1)
     phi = rng.standard_normal((8, 2))
