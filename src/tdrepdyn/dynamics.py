@@ -9,9 +9,10 @@ on a fixed Markov reward process:
 - ``two_time_scale``: the weights are pinned to their fixed point for the
   current representation while the representation drifts slowly.
 
-The linear-TD and end-to-end drifts are formed by one semi-gradient kernel,
-which the public ``expected_semi_gradients`` calls on one process and the
-batched integrator calls on stacks of processes. The two-time-scale drift
+The linear-TD and end-to-end drifts are formed by one semi-gradient kernel
+on the key matrix A and diag(d) R, which the public
+``expected_semi_gradients`` calls on one process and the batched integrator
+calls on stacks of processes. The two-time-scale drift
 needs the weights only at their fixed point, so it is formed through
 C = diag(d) R R^T diag(d) instead; its cost does not depend on the number of
 rewards h. ``gradient_check`` compares the semi-gradients with finite
@@ -380,7 +381,7 @@ def expected_semi_gradients(
         raise ValueError(f"phi has {phi.shape[-2]} rows, expected {mrp.n}")
     if w.shape[-2:] != (phi.shape[-1], mrp.h):
         raise ValueError(f"w has shape {w.shape}, expected (..., {phi.shape[-1]}, {mrp.h})")
-    descent_w, descent_phi = _semi_gradients(mrp.P, mrp.R, mrp.gamma, mrp.d[:, None], phi, w)
+    descent_w, descent_phi = _semi_gradients(mrp.A, mrp.dR, phi, w)
     return -descent_w, -descent_phi
 
 
@@ -412,22 +413,20 @@ def gradient_check(mrp: MarkovRewardProcess, phi: np.ndarray, w: np.ndarray) -> 
     return float(err / scale)
 
 
-def _semi_gradients(P, R, gamma, d, phi, w, with_phi=True):
+def _semi_gradients(A, dR, phi, w, with_phi=True):
     """The descent directions (phi^T diag(d) Z, diag(d) Z w^T), on one process or stacks.
 
+    ``A`` and ``dR`` are the key matrix and diag(d) R, so diag(d) Z = dR - A phi w.
     These are the negated ``expected_semi_gradients``, so the drift fields
     scale them by the rates as they are. Rounding is symmetric in sign, so
     negating an operand negates the rounded product exactly. The one
     exception is a sum that cancels to exactly zero, which is +0 for either
     sign of the operands; a zero's sign changes no norm or logged metric.
 
-    ``d`` is a column; it and ``gamma`` may also come repeated to the shape
-    they broadcast to, which gives the same bits. ``with_phi=False`` skips
-    the representation's direction, which linear TD does not move; it is
-    then None.
+    ``with_phi=False`` skips the representation's direction, which linear
+    TD does not move; it is then None.
     """
-    pred = phi @ w
-    weighted = d * (R - (pred - gamma * (P @ pred)))
+    weighted = dR - A @ (phi @ w)
     # phi^T as a view of a C-ordered phi: each snapshot of a strided stack
     # then takes the BLAS product one C-ordered 2-D snapshot takes, bit for bit
     descent_w = np.ascontiguousarray(phi).swapaxes(-1, -2) @ weighted
@@ -557,9 +556,9 @@ class _StackedField:
         mrps = [row.mrp for row in rows]
 
         def full(per_row, shape):
-            # each row's scalar or column, repeated to (rows, *shape): numpy multiplies
-            # two contiguous operands of one shape several times faster than it
-            # broadcasts a (rows, 1, 1) or (rows, n, 1) one, bit for bit
+            # each row's scalar, repeated to (rows, *shape): numpy multiplies two
+            # contiguous operands of one shape several times faster than it
+            # broadcasts a (rows, 1, 1) one, bit for bit
             columns = np.array(per_row, dtype=float).reshape(len(rows), -1, 1)
             return np.ascontiguousarray(np.broadcast_to(columns, (len(rows), *shape)))
 
@@ -570,10 +569,8 @@ class _StackedField:
             arrays["eye_bound"] = _residual_bound(arrays["eye"])
         else:
             arrays |= {
-                "P": np.stack([m.P for m in mrps]),
-                "R": np.stack([m.R for m in mrps]),
-                "gamma": full([m.gamma for m in mrps], (n, h)),
-                "d": full([m.d for m in mrps], (n, h)),
+                "A": np.stack([m.A for m in mrps]),
+                "dR": np.stack([m.dR for m in mrps]),
                 "eta_w": full([row.spec.eta_w for row in rows], (k, h)),
             }
         if kind == LINEAR_TD:
@@ -604,7 +601,7 @@ class _StackedField:
             phi, w = a["phi0"], y.reshape(rows, k, h)
         else:
             phi, w = y[:, k * h :].reshape(rows, n, k), y[:, : k * h].reshape(rows, k, h)
-        dw, dphi = _semi_gradients(a["P"], a["R"], a["gamma"], a["d"], phi, w, self.kind == END_TO_END)
+        dw, dphi = _semi_gradients(a["A"], a["dR"], phi, w, self.kind == END_TO_END)
         if dphi is None:
             return (a["eta_w"] * dw).reshape(rows, -1), {}
         parts = (a["eta_w"] * dw, a["eta_phi"] * dphi)

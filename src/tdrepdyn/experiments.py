@@ -4,13 +4,12 @@ Each figure experiment integrates many trajectories on independently sampled
 Markov reward processes and reports pointwise medians (with quartile bands)
 over trials. With ``jobs`` > 1 a run is split into units, each one
 integrator batch (the curves whose rows are stepped together) over a chunk
-of trials. A batch of a few dozen rows costs about as much per step as a
-batch of one, so a small batch stays whole rather than make every worker pay
-its slowest row; a large one is cut into a chunk per worker (see
-``_units``). A row's bits do not depend on its batch-mates, and aggregation
-happens after all units complete, ordered by trial index, so results do not
-depend on the number of workers. Output is one CSV per curve plus a manifest
-JSON; plotting is left to external tools. The invariant suite lives in
+of trials. Batches are cut only as far as it takes to fill the workers, so a
+worker does not pay the slowest row of every batch (see ``_units``). A row's
+bits do not depend on its batch-mates, and aggregation happens after all
+units complete, ordered by trial index, so results do not depend on the
+number of workers. Output is one CSV per curve plus a manifest JSON;
+plotting is left to external tools. The invariant suite lives in
 ``invariants``.
 """
 
@@ -272,26 +271,16 @@ def _pool_workers(config: ExperimentConfig) -> int:
     return min(config.jobs, cpus)
 
 
-# The fewest rows worth a chunk of their own: measured one batch at a time on
-# fig1, fig2 and fig3 (n = 30, k = 2), a batch's time per trial falls as it
-# grows to 25 to 50 rows and stays about level beyond.
-_MIN_CHUNK_ROWS = 25
-
-
 def _units(experiment: str, config: ExperimentConfig) -> list[tuple[tuple[str, ...], range]]:
     """The ``(curve labels, trial indices)`` units a run's workers share out.
 
     With one usable worker, one unit runs every curve of every trial. Otherwise
     each unit is one integrator batch (the curves whose rows share a
     ``dynamics._batch_key``) over a contiguous chunk of trials. A batch steps
-    until its slowest row ends, and while it has fewer than a few dozen rows
-    a step costs about the same whatever their number, so a worker given a
-    share of every small batch would pay nearly every batch's whole tail. With
-    W workers and B batches, a batch is cut into ceil(W / B) chunks, which
-    fill the workers, or, if it has rows enough, into more chunks of at least
-    ``_MIN_CHUNK_ROWS`` rows, up to W, so that a large batch does not keep one
-    worker busy while the others wait. It is never cut into more chunks than
-    there are trials.
+    until its slowest row ends, so a worker given a share of every batch
+    would pay nearly every batch's whole tail. With W workers and B batches,
+    a batch is cut into ceil(W / B) chunks, which fill the workers, and never
+    into more chunks than there are trials.
     """
     workers, n = _pool_workers(config), config.n_trials
     curves = _curves(experiment, config)
@@ -303,7 +292,7 @@ def _units(experiment: str, config: ExperimentConfig) -> list[tuple[tuple[str, .
         batches.setdefault(key, []).append(label)
     units = []
     for labels in batches.values():
-        chunks = min(workers, n, max(-(-workers // len(batches)), n * len(labels) // _MIN_CHUNK_ROWS))
+        chunks = min(workers, n, -(-workers // len(batches)))
         units += [(tuple(labels), range(n * i // chunks, n * (i + 1) // chunks)) for i in range(chunks)]
     return units
 

@@ -136,14 +136,13 @@ def reports_to_csv(reports: list[MetricReport]) -> str:
 def weighted_value_error(
     mrp: MarkovRewardProcess, phi: np.ndarray, w: np.ndarray
 ) -> float | np.ndarray:
-    """Value approximation error 0.5 Tr((phi w - V)^T diag(d)(I - gamma P)(phi w - V)).
+    """Value approximation error 0.5 Tr((phi w - V)^T A (phi w - V)), A the cached key matrix.
 
-    Non-negative because the weighting matrix is positive definite, and zero
+    Non-negative because A = diag(d)(I - gamma P) is positive definite, and zero
     exactly when phi w reproduces the value function.
     """
     err = phi @ w - mrp.V
-    weighted = mrp.d[:, None] * (err - mrp.gamma * (mrp.P @ err))
-    return 0.5 * np.sum(err * weighted, axis=(-2, -1))
+    return 0.5 * np.sum(err * (mrp.A @ err), axis=(-2, -1))
 
 
 def weighted_error_gradients(

@@ -56,21 +56,19 @@ MUTANTS = (
     Mutant("rewards_scaled_by_1_over_sqrt_h", _MDP, "make_rng(reward_seed).standard_normal((n, h))",
            "make_rng(reward_seed).standard_normal((n, h)) / np.sqrt(h)",
            _ACC + "test_criterion_7_reward_concentration"),
-    Mutant("semi_gradients_drop_d", _DYN, "weighted = d * (R - ", "weighted = (R - ",
+    Mutant("semi_gradients_drop_d", _DYN, "_semi_gradients(mrp.A, mrp.dR, ",
+           "_semi_gradients(mrp.system, mrp.R, ",
            _ACC + "test_criterion_1_gradient_flow_identity"),
     Mutant("fixed_point_uses_A_transpose", _DYN, "_checked_solve(G, ", "_checked_solve(G.swapaxes(1, 2), ",
            _ACC + "test_criterion_3_covariance_constancy"),
     Mutant("stacked_field_negates_eta_phi", _DYN, 'full([row.spec.eta_phi for row in rows]',
            'full([-row.spec.eta_phi for row in rows]',
            "tests/test_experiments.py::test_invariant_suite_all_green"),
-    # P for P^T, gamma for gamma^2, and the fixed-point guard's certificate
-    Mutant("semi_gradients_P_transpose", _DYN, "gamma * (P @ pred)",
-           "gamma * (P.swapaxes(-1, -2) @ pred)",
+    # A for A^T, I - gamma P for the key matrix, and the fixed-point guard's certificate
+    Mutant("semi_gradients_P_transpose", _DYN, "weighted = dR - A @ (phi @ w)",
+           "weighted = dR - A.swapaxes(-1, -2) @ (phi @ w)",
            _TDYN + "test_semi_gradients_match_enumerated_td_updates"),
-    Mutant("value_error_P_transpose", _MET, "mrp.gamma * (mrp.P @ err)", "mrp.gamma * (mrp.P.T @ err)",
-           "tests/test_metrics.py::test_weighted_value_error_matches_enumerated_sum"),
-    Mutant("value_error_gamma_squared", _MET, "mrp.gamma * (mrp.P @ err)",
-           "mrp.gamma ** 2 * (mrp.P @ err)",
+    Mutant("value_error_P_transpose", _MET, "err * (mrp.A @ err)", "err * (mrp.system @ err)",
            "tests/test_metrics.py::test_weighted_value_error_matches_enumerated_sum"),
     Mutant("certificate_never_certifies", _MET, "if np.logical_and.reduce(certified):", "if False:",
            _TDYN + "test_certified_solves_skip_the_svd"),
@@ -112,8 +110,8 @@ MUTANTS = (
            '(exp.TooManyFailedTrials, EXIT_NUMERIC, "experiment failed")',
            '(RuntimeError, EXIT_NUMERIC, "experiment failed")',
            _TCLI + "test_broken_process_pool_propagates"),
-    # the pool's plan cuts a large batch into a chunk per worker
-    Mutant("large_batches_stay_whole", _EXP, "n * len(labels) // _MIN_CHUNK_ROWS", "0",
+    # the pool's plan cuts batches only as far as it takes to fill the workers
+    Mutant("every_batch_cut_per_worker", _EXP, "-(-workers // len(batches))", "workers",
            _TEXP + "test_large_batches_are_cut_into_a_chunk_per_worker"),
     # the config's rules: one curve per h and per label, distinct log times
     Mutant("repeated_h_values_accepted", _EXP, "if len(set(self.h_values)) < len(self.h_values):",

@@ -424,17 +424,19 @@ def test_units_split_batches_then_trials(experiment, overrides, cpus, units, poo
 
 
 @pytest.mark.parametrize("experiment,n_trials,cpus,chunks", [
-    # 40 end-to-end and 20 two-time-scale rows: each batch stays whole
+    # W workers and B batches cut each batch into min(W, trials, ceil(W / B))
+    # chunks, however many rows it has: fig1 has two batches, fig3 one
     ("fig1", 20, 2, {_E2E: 1, _TTS: 1}),
-    # 200 and 100 rows: a chunk per worker
-    ("fig1", 100, 2, {_E2E: 2, _TTS: 2}),
-    ("fig1", 100, 4, {_E2E: 4, _TTS: 4}),
-    # 80 rows make three chunks of 25 or more; 40 rows make the two that fill the workers
-    ("fig1", 40, 4, {_E2E: 3, _TTS: 2}),
-    # every h is one batch of 120 rows
+    # 200 end-to-end and 100 two-time-scale rows still make one unit per batch
+    ("fig1", 100, 2, {_E2E: 1, _TTS: 1}),
+    ("fig1", 100, 4, {_E2E: 2, _TTS: 2}),
+    # batches of 80 and 40 rows get the same chunks
+    ("fig1", 40, 4, {_E2E: 2, _TTS: 2}),
     ("fig3", 30, 2, {("h1", "h2", "h4", "h8"): 2}),
-], ids=["small_batches", "two_workers", "four_workers", "uneven_batches", "fig3"])
+    ("fig3", 1, 2, {("h1", "h2", "h4", "h8"): 1}),
+], ids=["small_batches", "two_workers", "four_workers", "uneven_batches", "fig3", "fewer_trials"])
 def test_large_batches_are_cut_into_a_chunk_per_worker(monkeypatch, experiment, n_trials, cpus, chunks):
+    """A run's batches, large or small, make about one unit per worker, and no more than the trials."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     units = exp._units(experiment, tiny_config(jobs=cpus, n_trials=n_trials))
     assert Counter(labels for labels, _ in units) == chunks
