@@ -25,7 +25,8 @@ trajectory keeps its own step size, error norm and accept/reject decisions,
 exactly as SciPy's ``RK45`` solver would step it alone, while the drift
 fields evaluate on the stacked states with one numpy call per operation
 (``np.matmul``; the LAPACK gufuncs behind ``np.linalg.det`` and
-``np.linalg.solve``, called directly by the fixed-point condition guard; and
+``np.linalg.solve``, called directly by the condition guard of
+``metrics._checked_solve``, through which every fixed-point solve goes; and
 ``np.linalg.svd`` when that guard cannot certify a stack), each making its
 own BLAS or LAPACK calls for each trajectory. A trajectory's result therefore
 does not depend on which others share its batch. Dense output gives the state
@@ -44,7 +45,8 @@ import numpy as np
 
 from . import metrics as _metrics
 from .mdp import MarkovRewardProcess, _check_int, _check_real, make_rng
-from .metrics import _solve_guarded_stack
+# FixedPointResidualError is also a public name of this module, the class metrics defines
+from .metrics import FixedPointResidualError, _checked_solve, _residual_bound, _solve_or_raise
 
 LINEAR_TD = "linear_td"
 END_TO_END = "end_to_end"
@@ -66,14 +68,9 @@ class IntegrationError(RuntimeError):
     """Trajectory integration failed (step-size underflow or a solve broke down)."""
 
 
-class FixedPointResidualError(np.linalg.LinAlgError):
-    """A solve with phi^T A phi, for the TD fixed point or for the inverse the
-    two-time-scale drift is formed with, passed the condition guard but missed
-    its residual bound."""
-
-
-# Every numerical failure a trajectory may end in (the fixed-point guard's
-# errors are LinAlgErrors); any other exception is a bug.
+# Every numerical failure a trajectory may end in (IllConditionedError and
+# FixedPointResidualError, the solve's errors, are LinAlgErrors); any other
+# exception is a bug.
 NUMERICAL_FAILURES = (IntegrationError, np.linalg.LinAlgError)
 
 # The Dormand-Prince 5(4) pair with Shampine's quartic dense output, and the
@@ -309,62 +306,17 @@ def td_fixed_point(mrp: MarkovRewardProcess, phi: np.ndarray) -> np.ndarray:
     """Weights solving phi^T A (phi w - V) = 0, with A the key matrix.
 
     Equivalently (phi^T A phi) w = phi^T diag(d) R, with A and diag(d) R
-    taken from the process's cache. The guard is the 2-norm condition number
-    of the k x k system: beyond 1e12 it raises IllConditionedError instead of
-    returning an untrustworthy solution. A system with ||G||_F^k < 1e11 |det G|
-    is certified without computing it; any other takes s_max / s_min from
-    ``np.linalg.svd``, and one whose LU factorization breaks down all the same
-    is rejected as singular. A solution whose residual exceeds
-    1e-10 max(1, max|rhs|), or is NaN, raises FixedPointResidualError.
+    taken from the process's cache. ``phi`` may carry leading batch axes, such
+    as a trajectory's (T, n, k) stack; the weights then carry them too, and
+    each snapshot's are bitwise its own call's. The k x k solve is
+    ``metrics._checked_solve``: a singular phi^T A phi, or one whose 2-norm
+    condition number exceeds 1e12, raises IllConditionedError instead of
+    returning an untrustworthy solution, and a solution whose residual
+    exceeds 1e-10 max(1, max|rhs|), or is NaN, raises FixedPointResidualError.
+    On a stack, the first failing snapshot raises.
     """
-    w, failures = _fixed_points(mrp.A, mrp.dR, phi[None])
-    if failures:
-        raise failures[0]
-    return w[0]
-
-
-def _fixed_points(
-    A: np.ndarray, dR: np.ndarray, phi: np.ndarray
-) -> tuple[np.ndarray, dict[int, np.linalg.LinAlgError]]:
-    """``td_fixed_point`` for a stack of representations ``phi`` (B x n x k).
-
-    ``A`` and ``dR`` are one process's key matrix and diag(d) R. Returns the
-    weights (NaN where a slice failed) and, per failed slice index, the error
-    ``td_fixed_point`` raises for that slice.
-    """
-    phi_t = phi.swapaxes(1, 2)
-    return _checked_solve(phi_t @ A @ phi, phi_t @ dR)
-
-
-def _checked_solve(
-    G: np.ndarray, b: np.ndarray, bound: np.ndarray | None = None
-) -> tuple[np.ndarray, dict[int, np.linalg.LinAlgError]]:
-    """Solve each phi^T A phi slice of ``G`` against ``b`` under the condition
-    guard and residual bound of ``td_fixed_point``; returns as ``_fixed_points``.
-
-    ``bound`` holds each slice's ``_residual_bound(b)``, passed by a caller
-    that solves against the same ``b`` many times; it is worked out here if
-    None. The reductions call the ufuncs' ``reduce`` directly, as in
-    ``_solve_guarded_stack``: the two-time-scale drift calls this six times
-    per step.
-    """
-    w, failures = _solve_guarded_stack(G, b, "phi^T A phi")
-    residual = np.maximum.reduce(np.abs(G @ w - b), axis=(1, 2))
-    if bound is None:
-        bound = _residual_bound(b)
-    missed = ~(residual <= bound)  # a NaN residual misses too
-    if np.logical_or.reduce(missed):
-        for i in np.flatnonzero(missed):
-            # a slice the guard rejected (NaN weights) keeps its IllConditionedError
-            failures.setdefault(int(i), FixedPointResidualError(
-                f"fixed-point residual {residual[i]:.3e} exceeds {bound[i]:.3e}"
-            ))
-    return w, failures
-
-
-def _residual_bound(b: np.ndarray) -> np.ndarray:
-    """The largest residual a solve against each slice of ``b`` may leave: 1e-10 max(1, max|b|)."""
-    return 1e-10 * np.maximum.reduce(np.abs(b), axis=(1, 2), initial=1.0)
+    phi_t = phi.swapaxes(-1, -2)
+    return _solve_or_raise(phi_t @ mrp.A @ phi, phi_t @ mrp.dR, "phi^T A phi")
 
 
 def expected_semi_gradients(
@@ -592,7 +544,7 @@ class _StackedField:
             phi = y.reshape(rows, n, k)
             AC_phi = a["AC"] @ phi
             G, M = (phi.swapaxes(1, 2)[:, None] @ AC_phi.reshape(rows, 2, n, k)).swapaxes(0, 1)
-            G_inv, failures = _checked_solve(G, a["eye"], a["eye_bound"])
+            G_inv, failures = _checked_solve(G, a["eye"], "phi^T A phi", a["eye_bound"])
             # numpy multiplies by a C-ordered copy of G^-T faster than by the transposed view
             G_inv_t = np.ascontiguousarray(G_inv.swapaxes(1, 2))
             descent = (AC_phi[:, n:] - AC_phi[:, :n] @ (G_inv @ M)) @ G_inv_t
@@ -780,9 +732,7 @@ def _log_trajectory(row: Problem, times, Y, stats, metric_set, store_states) -> 
         ws = Y[:split].T.reshape(-1, k, mrp.h)
     else:
         phis = Y.T.reshape(-1, n, k)
-        ws, failures = _fixed_points(mrp.A, mrp.dR, phis)
-        if failures:
-            raise failures[min(failures)]
+        ws = td_fixed_point(mrp, phis)
     wanted = set(metric_set)
     logged = {}
     if "E" in wanted:

@@ -9,8 +9,10 @@ also take phi and w with leading batch axes, such as a whole trajectory's
 snapshot; a single 2-D snapshot gives a scalar ``np.float64``. Span
 membership is always tested through weighted projection residuals with
 explicit tolerances rather than rank computations; matrix drift norms are max
-absolute entry throughout. Every linear solve goes through one guard,
-``_solve_guarded_stack``.
+absolute entry throughout. Every linear solve of the library, here and in
+``dynamics``, goes through ``_checked_solve``: one condition guard,
+``_solve_guarded_stack``, and one residual bound, ``_residual_bound``, whose
+failures raise IllConditionedError and FixedPointResidualError.
 """
 
 from __future__ import annotations
@@ -35,6 +37,12 @@ class IllConditionedError(np.linalg.LinAlgError):
         )
         self.matrix_name = matrix_name
         self.cond = cond
+
+
+class FixedPointResidualError(np.linalg.LinAlgError):
+    """A solve passed the condition guard but missed its residual bound: the TD
+    fixed point, the inverse the two-time-scale drift is formed with, or a
+    metric's projection."""
 
 
 def _solve_guarded_stack(
@@ -96,13 +104,43 @@ def _solve_guarded_stack(
     return x, {int(i): IllConditionedError(name, float(cond[i])) for i in np.flatnonzero(~ok)}
 
 
+def _checked_solve(
+    G: np.ndarray, b: np.ndarray, name: str, bound: np.ndarray | None = None
+) -> tuple[np.ndarray, dict[int, np.linalg.LinAlgError]]:
+    """Solve each G[i] x = b[i] of a stack under the condition guard and the residual bound.
+
+    Returns ``_solve_guarded_stack``'s solutions and rejections, plus a
+    FixedPointResidualError for each accepted slice whose residual
+    max|G x - b| exceeds its bound, or is NaN. ``bound`` holds each slice's
+    ``_residual_bound(b)``, passed by a caller that solves against the same
+    ``b`` many times; it is worked out here if None. The reductions call the
+    ufuncs' ``reduce`` directly, as in ``_solve_guarded_stack``: the
+    two-time-scale drift calls this six times per step.
+    """
+    x, failures = _solve_guarded_stack(G, b, name)
+    residual = np.maximum.reduce(np.abs(G @ x - b), axis=(1, 2))
+    if bound is None:
+        bound = _residual_bound(b)
+    missed = ~(residual <= bound)  # a NaN residual misses too
+    if np.logical_or.reduce(missed):
+        for i in np.flatnonzero(missed):
+            # a slice the guard rejected (NaN solution) keeps its IllConditionedError
+            failures.setdefault(int(i), FixedPointResidualError(
+                f"fixed-point residual {residual[i]:.3e} exceeds {bound[i]:.3e}"
+            ))
+    return x, failures
+
+
+def _residual_bound(b: np.ndarray) -> np.ndarray:
+    """The largest residual a solve against each slice of ``b`` may leave: 1e-10 max(1, max|b|)."""
+    return 1e-10 * np.maximum.reduce(np.abs(b), axis=(1, 2), initial=1.0)
+
+
 def _solve_or_raise(G: np.ndarray, rhs: np.ndarray, name: str) -> np.ndarray:
-    """``_solve_guarded_stack`` over any leading axes; raises the first rejected slice's error."""
-    x, rejected = _solve_guarded_stack(
-        G.reshape(-1, *G.shape[-2:]), rhs.reshape(-1, *rhs.shape[-2:]), name
-    )
-    if rejected:
-        raise rejected[min(rejected)]
+    """``_checked_solve`` over any leading axes; raises the first failed slice's error."""
+    x, failures = _checked_solve(G.reshape(-1, *G.shape[-2:]), rhs.reshape(-1, *rhs.shape[-2:]), name)
+    if failures:
+        raise failures[min(failures)]
     return x.reshape(rhs.shape)
 
 
@@ -198,7 +236,8 @@ def critical_point_residual(mrp: MarkovRewardProcess, phi: np.ndarray) -> float 
     A phi (phi^T A phi)^{-1} phi^T. Returns the max-abs-entry of the part
     left outside the span; zero (up to tolerance) iff phi is stationary
     once w sits at its fixed point. On a stack, the first snapshot whose
-    phi^T A phi fails the guard raises its IllConditionedError.
+    solve with phi^T A phi fails raises: IllConditionedError past the
+    condition guard, FixedPointResidualError past the residual bound.
     """
     A = mrp.A
     phi_t = phi.swapaxes(-1, -2)
@@ -211,7 +250,9 @@ def critical_point_residual(mrp: MarkovRewardProcess, phi: np.ndarray) -> float 
 def invariant_subspace_residual(P: np.ndarray, phi: np.ndarray) -> float:
     """Max-abs-entry of the part of P phi outside span(phi).
 
-    Zero iff span(phi) is invariant under P. Raises on rank-deficient phi.
+    Zero iff span(phi) is invariant under P. Raises LinAlgError on
+    rank-deficient phi, IllConditionedError if phi^T phi fails the condition
+    guard and FixedPointResidualError if its solve misses the residual bound.
     """
     sv = np.linalg.svd(phi, compute_uv=False)
     if sv[-1] <= 1e-12 * max(sv[0], 1.0):

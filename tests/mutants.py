@@ -64,11 +64,11 @@ MUTANTS = (
     Mutant("stacked_field_negates_eta_phi", _DYN, 'full([row.spec.eta_phi for row in rows]',
            'full([-row.spec.eta_phi for row in rows]',
            "tests/test_experiments.py::test_invariant_suite_all_green"),
-    # A for A^T, I - gamma P for the key matrix, and the fixed-point guard's certificate
-    Mutant("semi_gradients_P_transpose", _DYN, "weighted = dR - A @ (phi @ w)",
+    # A^T for A, I - gamma P for the key matrix, and the condition guard's certificate
+    Mutant("semi_gradients_A_transpose", _DYN, "weighted = dR - A @ (phi @ w)",
            "weighted = dR - A.swapaxes(-1, -2) @ (phi @ w)",
            _TDYN + "test_semi_gradients_match_enumerated_td_updates"),
-    Mutant("value_error_P_transpose", _MET, "err * (mrp.A @ err)", "err * (mrp.system @ err)",
+    Mutant("value_error_drops_d", _MET, "err * (mrp.A @ err)", "err * (mrp.system @ err)",
            "tests/test_metrics.py::test_weighted_value_error_matches_enumerated_sum"),
     Mutant("certificate_never_certifies", _MET, "if np.logical_and.reduce(certified):", "if False:",
            _TDYN + "test_certified_solves_skip_the_svd"),
@@ -91,6 +91,10 @@ MUTANTS = (
            _TDYN + "test_batch_rows_are_bitwise_their_solo_runs"),
     Mutant("step_budget_never_fires", _DYN, "if taken >= MAX_STEPS:", "if False:",
            _TDYN + "test_step_budget_ends_only_the_row_that_spends_it"),
+    # every solve a metric raises on meets the residual bound, not the guard alone
+    Mutant("raising_solve_skips_residual", _MET, "x, failures = _checked_solve(",
+           "x, failures = _solve_guarded_stack(",
+           "tests/test_metrics.py::test_critical_point_residual_raises_for_an_ill_conditioned_snapshot"),
     # the work the integrator's hot path skips or keeps once: the two-time-scale
     # inverse's stored residual bound, the step floor's fast path, per-slot counts
     Mutant("inverse_residual_bound_looser", _DYN, 'arrays["eye_bound"] = _residual_bound(',

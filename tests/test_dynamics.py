@@ -105,6 +105,18 @@ def test_fixed_point_is_bit_identical_to_reference_formula():
         mrp = make_mdp(False, h, n=n, seed=i)
         phi = rng.standard_normal((n, k))
         assert np.array_equal(dyn.td_fixed_point(mrp, phi), _reference_fixed_point(mrp, phi))
+    # a (T, n, k) stack: each snapshot's weights are its own call's, bit for bit,
+    # and the first snapshot that fails raises its own call's error
+    phis = rng.standard_normal((7, n, k))
+    ws = dyn.td_fixed_point(mrp, phis)
+    assert ws.shape == (7, k, h)
+    assert ws.tobytes() == np.array([dyn.td_fixed_point(mrp, p) for p in phis]).tobytes()
+    phis[2, 0, 0], phis[5, :, 0] = np.nan, 0.0  # cond NaN, then a singular snapshot
+    with pytest.raises(IllConditionedError) as first:
+        dyn.td_fixed_point(mrp, phis[2])
+    with pytest.raises(IllConditionedError) as info:
+        dyn.td_fixed_point(mrp, phis)
+    assert np.isnan(info.value.cond) and str(info.value) == str(first.value)
 
 
 @pytest.mark.parametrize("factor", [1 - 1e-9, 1 + 1e-9])
@@ -284,11 +296,14 @@ def test_nan_fixed_point_solution_misses_its_residual_bound(monkeypatch):
         x[1] = np.nan
         return x, rejected
 
-    monkeypatch.setattr(dyn, "_solve_guarded_stack", nan_in_slice_1)
+    monkeypatch.setattr(met, "_solve_guarded_stack", nan_in_slice_1)
     mrp = make_mdp(False, 2, n=8, seed=1)
     phi = np.stack([dyn.orthonormal_init(8, 2, seed=s) for s in range(3)])
-    _, failures = dyn._fixed_points(mrp.A, mrp.dR, phi)
+    phi_t = phi.swapaxes(1, 2)
+    _, failures = met._checked_solve(phi_t @ mrp.A @ phi, phi_t @ mrp.dR, "phi^T A phi")
     assert list(failures) == [1] and type(failures[1]) is dyn.FixedPointResidualError
+    with pytest.raises(dyn.FixedPointResidualError):
+        dyn.td_fixed_point(mrp, phi)
 
 
 def test_fixed_point_residual_bound_scales_with_rewards():
@@ -303,7 +318,7 @@ def test_fixed_point_residual_failure_has_its_own_type(small_mixed, monkeypatch)
     def off_by_a_bit(G, rhs, name):
         return np.linalg.solve(G, rhs) + 1e-6, {}
 
-    monkeypatch.setattr(dyn, "_solve_guarded_stack", off_by_a_bit)
+    monkeypatch.setattr(met, "_solve_guarded_stack", off_by_a_bit)
     phi0 = dyn.orthonormal_init(8, 2, seed=12)
     with pytest.raises(dyn.FixedPointResidualError) as info:
         dyn.td_fixed_point(small_mixed, phi0)
@@ -316,7 +331,7 @@ def test_fixed_point_residual_failure_has_its_own_type(small_mixed, monkeypatch)
 
 def test_two_time_scale_inverse_misses_the_fixed_point_residual_bound(monkeypatch):
     # the field keeps its inverse's residual bound from build; a miss must read as the
-    # one _checked_solve(G, I) reports when it works the bound out from I itself
+    # one _checked_solve(G, I, name) reports when it works the bound out from I itself
     real = met._solve_guarded_stack
     seen = []
 
@@ -325,7 +340,7 @@ def test_two_time_scale_inverse_misses_the_fixed_point_residual_bound(monkeypatc
         seen.append(G.copy())
         return x * (1 + 1e-9), rejected
 
-    monkeypatch.setattr(dyn, "_solve_guarded_stack", off_by_1e9_relative)
+    monkeypatch.setattr(met, "_solve_guarded_stack", off_by_1e9_relative)
     rows = [
         dyn.Problem(make_mdp(False, h, n=8, seed=h), dyn.two_time_scale(), dyn.orthonormal_init(8, 2, seed=h))
         for h in (1, 3, 8)
@@ -333,7 +348,7 @@ def test_two_time_scale_inverse_misses_the_fixed_point_residual_bound(monkeypatc
     _, failures = dyn._StackedField.build(dyn.TWO_TIME_SCALE, rows)(
         np.stack([dyn._initial_state(row) for row in rows])
     )
-    _, want = dyn._checked_solve(seen[0], np.tile(np.eye(2), (len(rows), 1, 1)))
+    _, want = met._checked_solve(seen[0], np.tile(np.eye(2), (len(rows), 1, 1)), "phi^T A phi")
     assert list(failures) == list(want) == [0, 1, 2]
     for i, exc in failures.items():
         assert type(exc) is dyn.FixedPointResidualError and str(exc) == str(want[i])
@@ -858,21 +873,21 @@ def test_zero_drift_takes_scipys_initial_step():
 def test_rejected_logged_fixed_point_is_the_rows_result(monkeypatch):
     # the field inverts the batch's stacked phi^T A phi, and _log_trajectory solves
     # one row's logged snapshots for their fixed points with that row's key matrix
-    real = dyn._fixed_points
+    real = dyn.td_fixed_point
     injected = np.linalg.LinAlgError("rejected snapshot")
     problems = [dyn.Problem(make_mdp(False, 2, n=8, seed=s), dyn.two_time_scale(),
                             dyn.orthonormal_init(8, 2, seed=s)) for s in (1, 2)]
     doomed = problems[0].mrp
 
-    def reject_a_logged_snapshot(A, dR, phi):
-        w, failures = real(A, dR, phi)
-        if A is doomed.A:
-            failures = {**failures, 3: injected}
-        return w, failures
+    def reject_a_logged_snapshot(mrp, phi):
+        w = real(mrp, phi)
+        if mrp is doomed:
+            raise injected
+        return w
 
     config = dyn.IntegratorConfig(t_end=2.0, log_points=9)
     solo = dyn.integrate(*problems[1], config=config)
-    monkeypatch.setattr(dyn, "_fixed_points", reject_a_logged_snapshot)
+    monkeypatch.setattr(dyn, "td_fixed_point", reject_a_logged_snapshot)
     first, second = dyn.integrate_batch(problems, config)
     assert first is injected
     assert second.stats == solo.stats

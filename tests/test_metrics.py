@@ -232,7 +232,7 @@ def test_stacked_metrics_equal_their_2d_calls_slice_by_slice(h):
                               got[:6].reshape(2, 3, *got.shape[1:])), name
 
 
-def test_critical_point_residual_raises_for_an_ill_conditioned_snapshot():
+def test_critical_point_residual_raises_for_an_ill_conditioned_snapshot(monkeypatch):
     mrp = make_mdp(False, 2, n=8, seed=14)
     phis, _ = _snapshot_stacks(mrp, 4, 2, seed=15)
     phis = phis.copy()
@@ -240,7 +240,22 @@ def test_critical_point_residual_raises_for_an_ill_conditioned_snapshot():
     with pytest.raises(met.IllConditionedError) as info:
         met.critical_point_residual(mrp, phis)
     assert info.value.matrix_name == "phi^T A phi"
-    assert np.isfinite(met.critical_point_residual(mrp, phis[[0, 1, 3]])).all()
+    good = phis[[0, 1, 3]]
+    assert np.isfinite(met.critical_point_residual(mrp, good)).all()
+
+    # a solve the guard accepts but that is off by 1e-9 relative misses the
+    # residual bound 1e-10 max(1, max|b|), in both metrics that solve
+    real = met._solve_guarded_stack
+
+    def off_by_1e9_relative(G, rhs, name):
+        x, rejected = real(G, rhs, name)
+        return x * (1 + 1e-9), rejected
+
+    monkeypatch.setattr(met, "_solve_guarded_stack", off_by_1e9_relative)
+    with pytest.raises(met.FixedPointResidualError):
+        met.critical_point_residual(mrp, good)
+    with pytest.raises(met.FixedPointResidualError):
+        met.invariant_subspace_residual(mrp.P, good[0])
 
 
 def test_stacked_solve_raises_the_first_rejected_slice(monkeypatch):
