@@ -427,9 +427,10 @@ def integrate_batch(
 
     Uses the adaptive Dormand-Prince 5(4) pair; metric samples come from its
     dense output at ``log_points`` times so that different dynamics share a
-    comparable time axis. Problems with the same ``_batch_key``, that is the
-    same dynamics kind and state shape, are stepped as one batch; for the
-    two-time-scale flow that holds problems of every h.
+    comparable time axis. Problems of the same dynamics kind, shape of phi and
+    number of reward columns h are stepped as one batch, save that the
+    two-time-scale flow, whose drift sees the rewards only through the n x n
+    matrix ``C``, batches problems of every h.
     Each trajectory keeps its own steps, so its result is bitwise the same
     whichever problems share its batch.
 
@@ -446,7 +447,8 @@ def integrate_batch(
     problems = [_validated(Problem(*p)) for p in problems]
     groups: dict[tuple, list[int]] = {}
     for i, p in enumerate(problems):
-        groups.setdefault(_batch_key(p.spec.kind, p.phi0.shape, p.mrp.h), []).append(i)
+        h = None if p.spec.kind == TWO_TIME_SCALE else p.mrp.h
+        groups.setdefault((p.spec.kind, p.phi0.shape, h), []).append(i)
 
     times = np.linspace(0.0, config.t_end, config.log_points)
     results: list = [None] * len(problems)
@@ -485,13 +487,6 @@ def _initial_state(p: Problem) -> np.ndarray:
     if p.spec.kind == END_TO_END:
         return np.concatenate([p.w0.ravel(), p.phi0.ravel()])
     return p.phi0.ravel()
-
-
-def _batch_key(kind: str, shape: tuple[int, int], h: int) -> tuple:
-    """The batch ``integrate_batch`` steps a trajectory in: its dynamics kind, the
-    shape of phi and its number of reward columns h, save for the two-time-scale
-    flow, whose drift sees the rewards only through the n x n matrix ``C``."""
-    return (kind, shape) if kind == TWO_TIME_SCALE else (kind, shape, h)
 
 
 class _StackedField:

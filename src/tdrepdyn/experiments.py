@@ -275,9 +275,10 @@ def _units(experiment: str, config: ExperimentConfig) -> list[tuple[tuple[str, .
     """The ``(curve labels, trial indices)`` units a run's workers share out.
 
     With one usable worker, one unit runs every curve of every trial. Otherwise
-    each unit is one integrator batch (the curves whose rows share a
-    ``dynamics._batch_key``) over a contiguous chunk of trials. A batch steps
-    until its slowest row ends, so a worker given a share of every batch
+    each unit is one integrator batch over a contiguous chunk of trials. A
+    batch is the curves of one dynamics kind: every fig1 row runs on the
+    h = 1 chain, and the two-time-scale flow batches rows of every h. A batch
+    steps until its slowest row ends, so a worker given a share of every batch
     would pay nearly every batch's whole tail. With W workers and B batches,
     a batch is cut into ceil(W / B) chunks, which fill the workers, and never
     into more chunks than there are trials.
@@ -286,10 +287,9 @@ def _units(experiment: str, config: ExperimentConfig) -> list[tuple[tuple[str, .
     curves = _curves(experiment, config)
     if workers == 1:
         return [(tuple(label for label, *_ in curves), range(n))]
-    batches: dict[tuple, list[str]] = {}
-    for label, (_, h), spec, _ in curves:
-        key = dyn._batch_key(spec.kind, (config.n_states, config.k), h)
-        batches.setdefault(key, []).append(label)
+    batches: dict[str, list[str]] = {}
+    for label, _, spec, _ in curves:
+        batches.setdefault(spec.kind, []).append(label)
     units = []
     for labels in batches.values():
         chunks = min(workers, n, -(-workers // len(batches)))

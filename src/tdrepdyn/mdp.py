@@ -16,6 +16,8 @@ function ``V``, the resolvent and its symmetrized spectrum) is a cached
 read-only attribute of the instance, computed on first use; callers read it
 there. The instance and its input arrays are frozen, so a cached value can
 never go stale; ``with_rewards`` builds a new instance with an empty cache.
+``V`` and the resolvent are solved with ``metrics._solve_or_raise``, the
+library's one guarded solve.
 
 All randomness is threaded through a counter-based Philox generator so that
 identical seeds give bit-identical output across platforms.
@@ -29,6 +31,8 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+
+from .metrics import _solve_or_raise
 
 ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-10
@@ -164,21 +168,16 @@ class MarkovRewardProcess:
     def V(self) -> np.ndarray:
         """Discounted values solving (I - gamma P) V = R, one column per reward.
 
-        The solve is rejected when its residual exceeds 1e-10 max(1, max|R|).
+        The library's guarded solve: IllConditionedError past cond 1e12 or for
+        a non-finite solution, such as one that huge rewards overflow, and
+        FixedPointResidualError for a residual above 1e-10 max(1, max|R|).
         """
-        V = np.linalg.solve(self.system, self.R)
-        residual = np.abs(self.system @ V - self.R).max()
-        bound = 1e-10 * max(1.0, np.abs(self.R).max())
-        if residual > bound:
-            raise np.linalg.LinAlgError(
-                f"value-function solve residual {residual:.3e} exceeds {bound:.3e}"
-            )
-        return _frozen(V)
+        return _frozen(_solve_or_raise(self.system, self.R, "I - gamma P"))
 
     @cached_property
     def resolvent(self) -> np.ndarray:
-        """(I - gamma P)^{-1}, the discounted state-occupancy matrix."""
-        return _frozen(np.linalg.solve(self.system, np.eye(self.n)))
+        """(I - gamma P)^{-1}, the discounted state-occupancy matrix, guarded as ``V`` is."""
+        return _frozen(_solve_or_raise(self.system, np.eye(self.n), "I - gamma P"))
 
     @cached_property
     def resolvent_eigvals(self) -> np.ndarray:

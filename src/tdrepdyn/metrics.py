@@ -9,20 +9,24 @@ also take phi and w with leading batch axes, such as a whole trajectory's
 snapshot; a single 2-D snapshot gives a scalar ``np.float64``. Span
 membership is always tested through weighted projection residuals with
 explicit tolerances rather than rank computations; matrix drift norms are max
-absolute entry throughout. Every linear solve of the library, here and in
-``dynamics``, goes through ``_checked_solve``: one condition guard,
-``_solve_guarded_stack``, and one residual bound, ``_residual_bound``, whose
-failures raise IllConditionedError and FixedPointResidualError.
+absolute entry throughout. Every linear solve of the library, here, in
+``dynamics`` and for the process's ``V`` and resolvent in ``mdp``, goes
+through ``_checked_solve``: one condition guard, ``_solve_guarded_stack``,
+and one residual bound, ``_residual_bound``, whose failures raise
+IllConditionedError and FixedPointResidualError. ``mdp`` imports from here,
+so this module imports ``MarkovRewardProcess`` for its annotations only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .mdp import MarkovRewardProcess
+if TYPE_CHECKING:
+    from .mdp import MarkovRewardProcess
 
 COND_LIMIT = 1e12
 
@@ -40,9 +44,9 @@ class IllConditionedError(np.linalg.LinAlgError):
 
 
 class FixedPointResidualError(np.linalg.LinAlgError):
-    """A solve passed the condition guard but missed its residual bound: the TD
-    fixed point, the inverse the two-time-scale drift is formed with, or a
-    metric's projection."""
+    """A solve passed the condition guard but missed its residual bound: the
+    process's value function or resolvent, the TD fixed point, the inverse the
+    two-time-scale drift is formed with, or a metric's projection."""
 
 
 def _solve_guarded_stack(
@@ -126,7 +130,7 @@ def _checked_solve(
         for i in np.flatnonzero(missed):
             # a slice the guard rejected (NaN solution) keeps its IllConditionedError
             failures.setdefault(int(i), FixedPointResidualError(
-                f"fixed-point residual {residual[i]:.3e} exceeds {bound[i]:.3e}"
+                f"{name} residual {residual[i]:.3e} exceeds {bound[i]:.3e}"
             ))
     return x, failures
 

@@ -79,6 +79,10 @@ MUTANTS = (
     # the key matrix, the two-time-scale flow's reward matrix and the step-size control
     Mutant("key_matrix_drops_d", _MDP, "_frozen(self.d[:, None] * self.system)", "_frozen(self.system)",
            "tests/test_mdp.py::test_key_matrix_positive_definite"),
+    Mutant("value_function_skips_guard", _MDP,
+           '_frozen(_solve_or_raise(self.system, self.R, "I - gamma P"))',
+           "_frozen(np.linalg.solve(self.system, self.R))",
+           "tests/test_mdp.py::test_value_function_rejects_an_overflowed_solve"),
     Mutant("C_drops_d", _MDP, "self.dR @ self.dR.T", "self.R @ self.R.T",
            _TDYN + "test_stacked_field_rows_are_bitwise_the_public_drifts"),
     Mutant("growth_after_rejection", _DYN,

@@ -729,8 +729,8 @@ def test_simulate_spent_step_budget_exits_4(tmp_path, monkeypatch, capsys):
 
 
 def test_simulate_value_function_failure_exits_4(tmp_path, capsys):
-    # the process's value-function residual check raises a plain LinAlgError,
-    # which exited 1 with a traceback
+    # the process's guarded value-function solve misses its residual bound and
+    # raises FixedPointResidualError, a LinAlgError, which once exited 1 with a traceback
     code = run_cli(["simulate", "--dynamics", "end-to-end", "--gamma", "0.999999999",
                     "--t-end", "0.1", "--log-points", "2", "-o", str(tmp_path / "t.csv")])
     assert code == 4

@@ -19,6 +19,7 @@ from tdrepdyn.mdp import (
     make_mdp,
     reversibility_residual,
 )
+from tdrepdyn.metrics import IllConditionedError
 
 
 # ---------------------------------------------------------------- generators
@@ -296,6 +297,28 @@ def test_value_function_residual_bound_scales_with_rewards():
     m = make_mdp(False, 1, n=30, seed=0)
     big = m.with_rewards(1e5 * m.R)
     assert_allclose(big.V, 1e5 * m.V, rtol=1e-12)
+
+
+def test_value_function_rejects_an_overflowed_solve():
+    # the hand-written residual check passed a NaN residual and kept an infinite V
+    big = make_mdp(False, 1, n=30).with_rewards(np.full((30, 1), 1e308))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
+        big.V
+
+
+def test_resolvent_names_an_ill_conditioned_system():
+    # the resolvent was solved with no check at all
+    with pytest.raises(IllConditionedError, match="I - gamma P"):
+        make_mdp(False, 1, n=30, gamma=1 - 1e-12).resolvent
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+@pytest.mark.parametrize("n, h, gamma", [(2, 1, 0.0), (9, 3, 0.5), (30, 8, 0.99)])
+def test_value_function_and_resolvent_are_numpy_solves_bit_for_bit(symmetric, n, h, gamma):
+    for seed in range(3):
+        mrp = make_mdp(symmetric, h, n=n, gamma=gamma, seed=seed)
+        assert np.array_equal(mrp.V, np.linalg.solve(mrp.system, mrp.R))
+        assert np.array_equal(mrp.resolvent, np.linalg.solve(mrp.system, np.eye(n)))
 
 
 def test_derived_matrices_are_cached_and_read_only(small_mixed):
