@@ -15,6 +15,7 @@ from .mdp import (
 from .metrics import (
     IllConditionedError,
     MetricReport,
+    SolutionOverflowError,
     covariance_drift,
     critical_point_residual,
     invariant_subspace_residual,

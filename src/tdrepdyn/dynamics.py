@@ -20,19 +20,19 @@ differences of the weighted value error.
 
 Trajectories are integrated by one adaptive Dormand-Prince 5(4) loop
 (Dormand & Prince 1980; step control as in Hairer, Norsett & Wanner, *Solving
-ODEs I*, II.4) that steps a whole batch of trajectories together. Each
-trajectory keeps its own step size, error norm and accept/reject decisions,
-exactly as SciPy's ``RK45`` solver would step it alone, while the drift
-fields evaluate on the stacked states with one numpy call per operation
-(``np.matmul``; the LAPACK gufuncs behind ``np.linalg.det`` and
-``np.linalg.solve``, called directly by the condition guard of
-``metrics._checked_solve``, through which every fixed-point solve goes; and
-``np.linalg.svd`` when that guard cannot certify a stack), each making its
-own BLAS or LAPACK calls for each trajectory. A trajectory's result therefore
-does not depend on which others share its batch. Dense output gives the state
-at every log time, and each logged metric is evaluated once over the
-trajectory's whole stack of snapshots. With ``store_states=True`` a
-``TrajectoryLog`` keeps those stacks as ``phis`` (T, n, k) and ``ws`` (T, k, h).
+ODEs I*, II.4) that steps a whole batch of trajectories together: the batch
+driver ``_dopri45`` owns the active set, each row's exit, the dense output
+and the stats, and calls the method's rules, ``_initial_step``,
+``_rk_attempt``, ``_step_factor`` and ``_dense_output``, beside the tableau.
+Each trajectory keeps its own step size, error norm and accept/reject
+decisions, exactly as SciPy's ``RK45`` solver would step it alone, while the
+drift fields evaluate on the stacked states with one numpy call per operation
+(``np.matmul`` and the LAPACK gufuncs of ``metrics._checked_solve``, through
+which every fixed-point solve goes), each making its own BLAS or LAPACK calls
+for each trajectory, so a trajectory's result does not depend on which others
+share its batch. Each logged metric is evaluated once over the trajectory's
+stack of dense-output snapshots, which ``store_states=True`` keeps in its
+``TrajectoryLog`` as ``phis`` (T, n, k) and ``ws`` (T, k, h).
 """
 
 from __future__ import annotations
@@ -68,38 +68,11 @@ class IntegrationError(RuntimeError):
     """Trajectory integration failed (step-size underflow or a solve broke down)."""
 
 
-# Every numerical failure a trajectory may end in (IllConditionedError and
-# FixedPointResidualError, the solve's errors, are LinAlgErrors); any other
-# exception is a bug.
+# Every numerical failure a trajectory may end in (the solve's errors,
+# IllConditionedError, SolutionOverflowError and FixedPointResidualError, are
+# LinAlgErrors); any other exception is a bug.
 NUMERICAL_FAILURES = (IntegrationError, np.linalg.LinAlgError)
 
-# The Dormand-Prince 5(4) pair with Shampine's quartic dense output, and the
-# step-size controller constants, as in SciPy's RK45.
-_RK_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
-_RK_A = np.array([
-    [0, 0, 0, 0, 0],
-    [1/5, 0, 0, 0, 0],
-    [3/40, 9/40, 0, 0, 0],
-    [44/45, -56/15, 32/9, 0, 0],
-    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
-    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
-])
-_RK_STAGES = tuple(_RK_A[s, :s] for s in range(1, 6))  # each stage's weights on the earlier ones
-_RK_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
-_RK_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
-_RK_P = np.array([
-    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
-    [0, 0, 0, 0],
-    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
-    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
-    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875 / 199316789632],
-    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
-    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
-])
-_SAFETY = 0.9
-_MIN_FACTOR = 0.2  # smallest step-size decrease
-_MAX_FACTOR = 10  # largest step-size increase
-_ERROR_EXPONENT = -1 / 5  # -1 / (order of the embedded error estimate + 1)
 _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 _MIN_SV = 1e-10  # smallest singular value a representation may have
 # Steps (accepted plus rejected) a trajectory may take, 13x a criterion-4 row's 14.9k;
@@ -565,18 +538,97 @@ def _rms(x: np.ndarray) -> np.ndarray:
     return _norms(x) / x.shape[-1] ** 0.5
 
 
+# The Dormand-Prince 5(4) pair with Shampine's quartic dense output, and the
+# step-size controller constants, as in SciPy's RK45.
+_RK_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_RK_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
+])
+_RK_STAGES = tuple(_RK_A[s, :s] for s in range(1, 6))  # each stage's weights on the earlier ones
+_RK_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_RK_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_RK_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875 / 199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
+])
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2  # smallest step-size decrease
+_MAX_FACTOR = 10  # largest step-size increase
+_ERROR_EXPONENT = -1 / 5  # -1 / (order of the embedded error estimate + 1)
+
+
+def _initial_step(evaluate, y, f, rtol, atol, t_bound):
+    """SciPy's ``select_initial_step`` for each row of ``y``, whose drift is ``f``."""
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = np.minimum(np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1), t_bound)
+    f1 = evaluate(y + h0[:, None] * f, 1.0, h0)
+    d2 = _rms((f1 - f) / scale) / h0
+    h_abs = np.empty(len(y))
+    for i in range(len(y)):
+        if d1[i] <= 1e-15 and d2[i] <= 1e-15:
+            h1 = max(1e-6, h0[i] * 1e-3)
+        else:
+            h1 = (0.01 / max(d1[i], d2[i])) ** (1 / 5)
+        h_abs[i] = min(100 * h0[i], h1, t_bound)
+    return h_abs
+
+
+def _rk_attempt(evaluate, y, f, h, K, rtol, atol):
+    """One attempt of each row's step ``h``: fills ``K``, returns y_new, f_new and the RMS error norm."""
+    h_col = h[:, None]
+    K[:, 0] = f
+    for s, weights in enumerate(_RK_STAGES, start=1):
+        K[:, s] = evaluate(y + (weights @ K[:, :s]) * h_col, _RK_C[s], h)
+    y_new = y + h_col * (_RK_B @ K[:, :6])
+    f_new = K[:, 6] = evaluate(y_new, 1.0, h)
+    scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+    return y_new, f_new, _rms((_RK_E @ K) * h_col / scale)
+
+
+def _step_factor(error_norm, accept, fresh):
+    """What each row's step is multiplied by: no growth right after a rejection (``~fresh``)."""
+    # the scalar power keeps SciPy's rounding (numpy's array power may differ by an ulp)
+    growth = np.array([_SAFETY * e ** _ERROR_EXPONENT if e else np.inf for e in error_norm.tolist()])
+    factor = np.where(growth < _MAX_FACTOR, growth, _MAX_FACTOR)
+    factor = np.where(~fresh & ~(factor < 1), 1.0, factor)
+    shrink = np.where(growth > _MIN_FACTOR, growth, _MIN_FACTOR)
+    return np.where(accept, factor, shrink)
+
+
+def _dense_output(K, t_old, h, y_old, t):
+    """SciPy's RK45 dense output (Shampine's quartic) of one step of size ``h``, at the times ``t``."""
+    Q = K.T.dot(_RK_P)
+    x = (t - t_old) / h
+    p = np.multiply.accumulate(np.repeat(x[None], Q.shape[1], axis=0), axis=0)  # x, x^2, ...
+    y = h * np.dot(Q, p)
+    y += y_old[:, None]
+    return y
+
+
 def _dopri45(field: _StackedField, y0: np.ndarray, times: np.ndarray, config: IntegratorConfig) -> list:
     """Integrate y' = field(y) for every row of ``y0`` from t = 0 to ``config.t_end``.
 
-    Each row takes the steps SciPy's ``RK45`` solver takes for it alone: the
-    same initial step (``select_initial_step``), min_step floor, clipping at
-    t_end, RMS error norm over the row's own state, step-size factors (with no
-    growth right after a rejection) and dense output at the ``times`` in
-    (t_old, t_new]. Rows that finish or fail leave the batch, which is
-    compacted; so does a row that has taken ``MAX_STEPS`` steps. A row that
-    fails at the min_step floor reports its last accepted t and state, as
-    SciPy does. Returns per row either ``(Y, SolverStats)``, with Y holding
-    the state at each of ``times`` as a column, or its IntegrationError.
+    The batch driver: rows that finish or fail leave through ``leave``, and
+    the batch and its field (``field.take``) are compacted, as is a row that
+    has taken ``MAX_STEPS`` steps. It owns SciPy's min_step floor, the clip
+    at t_end, the dense output at the ``times`` in (t_old, t_new] and the
+    ``SolverStats``, and it calls the Dormand-Prince rules beside the tableau
+    (``_initial_step``, ``_rk_attempt``, ``_step_factor``, ``_dense_output``),
+    so each row takes the steps SciPy's ``RK45`` takes for it alone. A row
+    that fails at the min_step floor reports its last accepted t and state,
+    as SciPy does. Returns per row either ``(Y, SolverStats)``, with Y
+    holding the state at each of ``times`` as a column, or its IntegrationError.
     """
     n_rows, size = y0.shape
     t_bound = float(config.t_end)
@@ -587,7 +639,6 @@ def _dopri45(field: _StackedField, y0: np.ndarray, times: np.ndarray, config: In
 
     ids = np.arange(n_rows)  # the row in each slot of the active batch
     t = np.zeros(n_rows)
-    h = np.zeros(n_rows)  # the attempt's step, set before its first stage: stage times are t + c h
     leaving = np.zeros(n_rows, dtype=bool)  # slots that leave at the next compaction
 
     def leave(slot: int, result) -> None:
@@ -596,40 +647,28 @@ def _dopri45(field: _StackedField, y0: np.ndarray, times: np.ndarray, config: In
             leaving[slot] = True
             results[ids[slot]] = result
 
-    def evaluate(y: np.ndarray, c: float) -> np.ndarray:
+    def evaluate(y: np.ndarray, c: float, step) -> np.ndarray:
         f, failures = field(y)
         for slot, exc in failures.items():
             error = IntegrationError(
-                f"fixed-point solve broke down at t={t[slot] + c * h[slot]:.6g}: {exc}"
+                f"fixed-point solve broke down at t={(t + c * step)[slot]:.6g}: {exc}"
             )
             error.__cause__ = exc
             leave(slot, error)
         return f
 
-    # select_initial_step, per row; where a huge drift overflows the estimate,
-    # the row starts from the min_step floor and MAX_STEPS ends it
+    # where a huge drift overflows the initial-step estimate, the row starts
+    # from the min_step floor and MAX_STEPS ends it
     y = y0
     with np.errstate(all="ignore"):
-        f = evaluate(y, 0.0)
-        scale = atol + np.abs(y) * rtol
-        d0, d1 = _rms(y / scale), _rms(f / scale)
-        h0 = np.minimum(np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1), t_bound)
-        h = h0
-        f1 = evaluate(y + h0[:, None] * f, 1.0)
-        d2 = _rms((f1 - f) / scale) / h0
-        h_abs = np.empty(n_rows)
-        for i in range(n_rows):
-            if d1[i] <= 1e-15 and d2[i] <= 1e-15:
-                h1 = max(1e-6, h0[i] * 1e-3)
-            else:
-                h1 = (0.01 / max(d1[i], d2[i])) ** (1 / 5)
-            h_abs[i] = min(100 * h0[i], h1, t_bound)
+        f = evaluate(y, 0.0, 0.0)
+        h_abs = _initial_step(evaluate, y, f, rtol, atol, t_bound)
 
     fresh = np.ones(n_rows, dtype=bool)  # starting a step, not retrying a rejected attempt
     emitted = np.zeros(n_rows, dtype=int)  # entries of ``times`` already written
     accepted = np.zeros(n_rows, dtype=int)  # accepted steps of the row in each slot
     taken = 0  # steps each row in the batch has taken, as all rows start together
-    K = np.empty((n_rows, 7, size))  # the stages of the current attempt
+    K = np.empty((n_rows, _RK_E.size, size))  # the stages of the current attempt
     while True:
         if np.logical_or.reduce(leaving):
             keep = ~leaving
@@ -638,7 +677,7 @@ def _dopri45(field: _StackedField, y0: np.ndarray, times: np.ndarray, config: In
             )
             field = field.take(keep)
             leaving = np.zeros(ids.size, dtype=bool)
-            K = np.empty((ids.size, 7, size))
+            K = np.empty((ids.size, *K.shape[1:]))
         if not ids.size:
             break
 
@@ -656,24 +695,9 @@ def _dopri45(field: _StackedField, y0: np.ndarray, times: np.ndarray, config: In
 
         t_new = np.minimum(t + h_abs, t_bound)
         h = h_abs = t_new - t  # never negative: t_new is at least t
-        h_col = h[:, None]
-        K[:, 0] = f
-        for s, weights in enumerate(_RK_STAGES, start=1):
-            K[:, s] = evaluate(y + (weights @ K[:, :s]) * h_col, _RK_C[s])
-        y_new = y + h_col * (_RK_B @ K[:, :6])
-        f_new = K[:, 6] = evaluate(y_new, 1.0)
-        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-        error_norm = _rms((_RK_E @ K) * h_col / scale)
-
-        # the scalar power keeps SciPy's rounding (numpy's array power may differ by an ulp)
-        growth = np.array(
-            [_SAFETY * e ** _ERROR_EXPONENT if e else np.inf for e in error_norm.tolist()]
-        )
+        y_new, f_new, error_norm = _rk_attempt(evaluate, y, f, h, K, rtol, atol)
         accept = error_norm < 1
-        factor = np.where(growth < _MAX_FACTOR, growth, _MAX_FACTOR)
-        factor = np.where(~fresh & ~(factor < 1), 1.0, factor)
-        shrink = np.where(growth > _MIN_FACTOR, growth, _MIN_FACTOR)
-        h_abs = h_abs * np.where(accept, factor, shrink)
+        h_abs = h_abs * _step_factor(error_norm, accept, fresh)
 
         reached = np.searchsorted(times, t_new, side="right")
         for slot in np.flatnonzero(accept & (reached > emitted) & ~leaving):
@@ -700,16 +724,6 @@ def _dopri45(field: _StackedField, y0: np.ndarray, times: np.ndarray, config: In
     return results
 
 
-def _dense_output(K, t_old, h, y_old, t):
-    """SciPy's RK45 dense output (Shampine's quartic) of one step of size ``h``, at the times ``t``."""
-    Q = K.T.dot(_RK_P)
-    x = (t - t_old) / h
-    p = np.multiply.accumulate(np.repeat(x[None], Q.shape[1], axis=0), axis=0)  # x, x^2, ...
-    y = h * np.dot(Q, p)
-    y += y_old[:, None]
-    return y
-
-
 def _log_trajectory(row: Problem, times, Y, stats, metric_set, store_states) -> TrajectoryLog:
     """Metrics (and states) at each column of ``Y``, the integrated state at ``times``.
 
@@ -719,6 +733,7 @@ def _log_trajectory(row: Problem, times, Y, stats, metric_set, store_states) -> 
     mrp, phi0 = row.mrp, row.phi0
     n, k = phi0.shape
     split = k * mrp.h
+    wanted = set(metric_set)
     if row.spec.kind == LINEAR_TD:
         phis = np.broadcast_to(phi0, (len(times), n, k))
         ws = Y.T.reshape(-1, k, mrp.h)
@@ -727,8 +742,8 @@ def _log_trajectory(row: Problem, times, Y, stats, metric_set, store_states) -> 
         ws = Y[:split].T.reshape(-1, k, mrp.h)
     else:
         phis = Y.T.reshape(-1, n, k)
-        ws = td_fixed_point(mrp, phis)
-    wanted = set(metric_set)
+        reads_w = store_states or wanted & {"E", "grad_norm_w", "grad_norm_phi"}
+        ws = td_fixed_point(mrp, phis) if reads_w else None  # unread, a rejected fixed point fails no row
     logged = {}
     if "E" in wanted:
         logged["E"] = _metrics.weighted_value_error(mrp, phis, ws)

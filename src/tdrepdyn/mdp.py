@@ -17,7 +17,8 @@ read-only attribute of the instance, computed on first use; callers read it
 there. The instance and its input arrays are frozen, so a cached value can
 never go stale; ``with_rewards`` builds a new instance with an empty cache.
 ``V`` and the resolvent are solved with ``metrics._solve_or_raise``, the
-library's one guarded solve.
+library's one guarded solve; a rejected solve's error is kept and raised
+again on every later read, not solved for again.
 
 All randomness is threaded through a counter-based Philox generator so that
 identical seeds give bit-identical output across platforms.
@@ -126,6 +127,7 @@ class MarkovRewardProcess:
         for name, arr in (("P", P), ("R", R), ("d", d)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "_rejected", {})  # the error of each solve the guard rejected
 
     @property
     def n(self) -> int:
@@ -168,16 +170,27 @@ class MarkovRewardProcess:
     def V(self) -> np.ndarray:
         """Discounted values solving (I - gamma P) V = R, one column per reward.
 
-        The library's guarded solve: IllConditionedError past cond 1e12 or for
-        a non-finite solution, such as one that huge rewards overflow, and
-        FixedPointResidualError for a residual above 1e-10 max(1, max|R|).
+        The library's guarded solve: IllConditionedError past cond 1e12,
+        SolutionOverflowError for a non-finite solution, such as one that huge
+        rewards overflow, and FixedPointResidualError for a residual above
+        1e-10 max(1, max|R|). A rejection is raised again on every read.
         """
-        return _frozen(_solve_or_raise(self.system, self.R, "I - gamma P"))
+        return self._solved("V", self.R)
 
     @cached_property
     def resolvent(self) -> np.ndarray:
         """(I - gamma P)^{-1}, the discounted state-occupancy matrix, guarded as ``V`` is."""
-        return _frozen(_solve_or_raise(self.system, np.eye(self.n), "I - gamma P"))
+        return self._solved("resolvent", np.eye(self.n))
+
+    def _solved(self, name: str, rhs: np.ndarray) -> np.ndarray:
+        # cached_property keeps no exception, so the guard's rejection is kept here
+        if name not in self._rejected:
+            try:
+                return _frozen(_solve_or_raise(self.system, rhs, "I - gamma P"))
+            except np.linalg.LinAlgError as exc:
+                self._rejected[name] = exc
+                raise
+        raise self._rejected[name].with_traceback(None)  # a fresh traceback per read, not a growing one
 
     @cached_property
     def resolvent_eigvals(self) -> np.ndarray:

@@ -13,8 +13,9 @@ absolute entry throughout. Every linear solve of the library, here, in
 ``dynamics`` and for the process's ``V`` and resolvent in ``mdp``, goes
 through ``_checked_solve``: one condition guard, ``_solve_guarded_stack``,
 and one residual bound, ``_residual_bound``, whose failures raise
-IllConditionedError and FixedPointResidualError. ``mdp`` imports from here,
-so this module imports ``MarkovRewardProcess`` for its annotations only.
+IllConditionedError, SolutionOverflowError and FixedPointResidualError.
+``mdp`` imports from here, so this module imports ``MarkovRewardProcess``
+for its annotations only.
 """
 
 from __future__ import annotations
@@ -43,6 +44,10 @@ class IllConditionedError(np.linalg.LinAlgError):
         self.cond = cond
 
 
+class SolutionOverflowError(np.linalg.LinAlgError):
+    """A linear subsystem passed the condition guard, but its solution overflowed."""
+
+
 class FixedPointResidualError(np.linalg.LinAlgError):
     """A solve passed the condition guard but missed its residual bound: the
     process's value function or resolvent, the TD fixed point, the inverse the
@@ -51,7 +56,7 @@ class FixedPointResidualError(np.linalg.LinAlgError):
 
 def _solve_guarded_stack(
     G: np.ndarray, rhs: np.ndarray, name: str
-) -> tuple[np.ndarray, dict[int, IllConditionedError]]:
+) -> tuple[np.ndarray, dict[int, np.linalg.LinAlgError]]:
     """Solve every G[i] x = rhs[i] of a stack unless G[i] is too ill-conditioned.
 
     A slice is accepted when its 2-norm condition number s_max / s_min, the
@@ -74,17 +79,18 @@ def _solve_guarded_stack(
     The certified path's reductions call the ufuncs' ``reduce`` directly: the
     ndarray methods (``.sum``, ``.all``) give the same bits through a Python
     wrapper that costs more than a reduction over a few slices.
-    One departure from ``np.linalg.cond``: where ``np.linalg.solve`` would
-    raise "Singular matrix" the gufunc returns NaN, so a finite slice that
-    the SVD accepts but whose solution comes back non-finite is rejected
-    with cond = inf. That happens when LU breaks down on a well-conditioned
-    slice, such as one of subnormal entries whose pivot underflows to zero.
-    A certified slice cannot break down: its non-zero determinant comes from
-    the same LU factorization.
+    A slice the SVD accepts may still have no finite solution: huge
+    right-hand sides overflow it, and LU breaks down on a well-conditioned
+    slice of subnormal entries whose pivot underflows to zero (where
+    ``np.linalg.solve`` would raise "Singular matrix", the gufunc returns
+    NaN). Such a slice is rejected with a SolutionOverflowError, so its
+    condition number is not misreported. A certified slice cannot break
+    down: its non-zero determinant comes from the same LU factorization.
 
-    Returns the solutions (NaN for a rejected slice) and an
-    IllConditionedError per rejected slice index: cond is inf for a singular
-    slice and NaN for one with a non-finite entry.
+    Returns the solutions (NaN for a rejected slice) and an error per
+    rejected slice index: SolutionOverflowError for an overflow, otherwise
+    IllConditionedError, whose cond is inf for a singular slice and NaN for
+    one with a non-finite entry.
     """
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         certified = np.add.reduce(G * G, axis=(1, 2)) ** (G.shape[-1] / 2) < (
@@ -102,10 +108,14 @@ def _solve_guarded_stack(
         x = np.full(rhs.shape, np.nan)
         if ok.any():
             x[ok] = _umath_linalg.solve(G[ok], rhs[ok], signature="dd->d")
-            broke = ok & ~np.isfinite(x).all(axis=(1, 2))
-            cond[broke] = np.inf
-            ok &= ~broke
-    return x, {int(i): IllConditionedError(name, float(cond[i])) for i in np.flatnonzero(~ok)}
+        overflowed = ok & ~np.isfinite(x).all(axis=(1, 2))
+        x[overflowed] = np.nan  # so that no residual is formed from an inf
+    failures = {int(i): IllConditionedError(name, float(cond[i])) for i in np.flatnonzero(~ok)}
+    for i in np.flatnonzero(overflowed):
+        failures[int(i)] = SolutionOverflowError(
+            f"solve with matrix {name} overflowed (cond = {cond[i]:.3e}, within limit {COND_LIMIT:.0e})"
+        )
+    return x, failures
 
 
 def _checked_solve(

@@ -80,18 +80,20 @@ MUTANTS = (
     Mutant("key_matrix_drops_d", _MDP, "_frozen(self.d[:, None] * self.system)", "_frozen(self.system)",
            "tests/test_mdp.py::test_key_matrix_positive_definite"),
     Mutant("value_function_skips_guard", _MDP,
-           '_frozen(_solve_or_raise(self.system, self.R, "I - gamma P"))',
-           "_frozen(np.linalg.solve(self.system, self.R))",
+           '_frozen(_solve_or_raise(self.system, rhs, "I - gamma P"))',
+           "_frozen(np.linalg.solve(self.system, rhs))",
            "tests/test_mdp.py::test_value_function_rejects_an_overflowed_solve"),
+    Mutant("rejected_solve_not_kept", _MDP, "if name not in self._rejected:", "if True:",
+           "tests/test_mdp.py::test_rejected_value_function_and_resolvent_are_kept"),
     Mutant("C_drops_d", _MDP, "self.dR @ self.dR.T", "self.R @ self.R.T",
            _TDYN + "test_stacked_field_rows_are_bitwise_the_public_drifts"),
     Mutant("growth_after_rejection", _DYN,
-           "        factor = np.where(~fresh & ~(factor < 1), 1.0, factor)\n", "",
+           "    factor = np.where(~fresh & ~(factor < 1), 1.0, factor)\n", "",
            _TDYN + "test_integrator_agrees_with_scipy_rk45"),
     Mutant("dense_output_uses_next_step", _DYN, "_dense_output(K[slot], t[slot], h[slot],",
            "_dense_output(K[slot], t[slot], h_abs[slot],", _TDYN + "test_integrator_agrees_with_scipy_rk45"),
-    Mutant("batch_wide_initial_step", _DYN, "        h = h0\n",
-           "        h0[:] = h0.min()\n        h = h0\n",
+    Mutant("batch_wide_initial_step", _DYN, "    f1 = evaluate(y + h0[:, None] * f, 1.0, h0)\n",
+           "    h0[:] = h0.min()\n    f1 = evaluate(y + h0[:, None] * f, 1.0, h0)\n",
            _TDYN + "test_batch_rows_are_bitwise_their_solo_runs"),
     Mutant("step_budget_never_fires", _DYN, "if taken >= MAX_STEPS:", "if False:",
            _TDYN + "test_step_budget_ends_only_the_row_that_spends_it"),

@@ -281,10 +281,11 @@ def test_singular_lu_of_an_svd_accepted_slice_is_rejected():
     G = np.array([_guard_slice(rng, 3, "well"), _SUBNORMAL_SINGULAR_LU, _guard_slice(rng, 3, "well")])
     b = rng.standard_normal((3, 3, 2))
     x, rejected = met._solve_guarded_stack(G, b, "G")
-    assert list(rejected) == [1] and rejected[1].cond == np.inf and np.isnan(x[1]).all()
+    assert list(rejected) == [1] and isinstance(rejected[1], met.SolutionOverflowError)
+    assert np.isnan(x[1]).all()
     for i in (0, 2):
         assert x[i].tobytes() == np.linalg.solve(G[i], b[i]).tobytes()
-    with pytest.raises(IllConditionedError):
+    with pytest.raises(met.SolutionOverflowError, match="cond = 2"):
         met._solve_or_raise(_SUBNORMAL_SINGULAR_LU, np.ones((3, 1)), "G")
 
 
@@ -894,6 +895,25 @@ def test_rejected_logged_fixed_point_is_the_rows_result(monkeypatch):
     assert second.stats == solo.stats
     for name in dyn.METRIC_COLUMNS:
         assert np.array_equal(second.metrics[name], solo.metrics[name]), name
+
+
+def test_two_time_scale_log_solves_the_fixed_point_only_where_it_is_read(monkeypatch):
+    # fig2, fig3 and the invariant rows log no metric that reads the weights
+    def rejected(mrp, phi):
+        raise np.linalg.LinAlgError("rejected fixed point")
+
+    mrp, phi0 = make_mdp(False, 2, n=8, seed=1), dyn.orthonormal_init(8, 2, seed=1)
+    config = dyn.IntegratorConfig(t_end=2.0, log_points=9)
+    want = dyn.integrate(mrp, dyn.two_time_scale(), phi0, config=config)
+    monkeypatch.setattr(dyn, "td_fixed_point", rejected)
+    unread = ("f", "f_norm", "cov_drift", "crit_residual")
+    log = dyn.integrate(mrp, dyn.two_time_scale(), phi0, config=config, metric_set=unread)
+    for name in unread:
+        assert log.metrics[name].tobytes() == want.metrics[name].tobytes(), name
+    for metric_set, store_states in ((("E",), False), (("grad_norm_phi",), False), (("f_norm",), True)):
+        with pytest.raises(np.linalg.LinAlgError, match="rejected fixed point"):
+            dyn.integrate(mrp, dyn.two_time_scale(), phi0, config=config, metric_set=metric_set,
+                          store_states=store_states)
 
 
 # --------------------------------------------------------------------- logs

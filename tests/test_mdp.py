@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from tdrepdyn import mdp as mdp_mod
+from tdrepdyn import metrics as met
 from tdrepdyn.dynamics import orthonormal_init
 from tdrepdyn.experiments import initial_representation
 from tdrepdyn.mdp import (
@@ -19,7 +20,7 @@ from tdrepdyn.mdp import (
     make_mdp,
     reversibility_residual,
 )
-from tdrepdyn.metrics import IllConditionedError
+from tdrepdyn.metrics import IllConditionedError, SolutionOverflowError
 
 
 # ---------------------------------------------------------------- generators
@@ -304,6 +305,36 @@ def test_value_function_rejects_an_overflowed_solve():
     big = make_mdp(False, 1, n=30).with_rewards(np.full((30, 1), 1e308))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
         big.V
+
+
+def test_value_function_overflow_is_its_own_error():
+    # it read as "cond = inf", and the inf solution made the residual warn
+    big = make_mdp(False, 1, n=30).with_rewards(np.full((30, 1), 1e308))
+    assert np.linalg.cond(big.system) < 20
+    with pytest.raises(SolutionOverflowError, match=r"I - gamma P overflowed \(cond = 1\.845e\+01"):
+        big.V
+    x, rejected = met._checked_solve(big.system[None], big.R[None], "I - gamma P")
+    assert list(rejected) == [0] and np.isnan(x).all()
+
+
+def test_rejected_value_function_and_resolvent_are_kept(monkeypatch):
+    # cached_property keeps no exception, so each read of a rejected V solved again
+    real, calls = met._solve_guarded_stack, []
+
+    def counted(*args):
+        calls.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(met, "_solve_guarded_stack", counted)
+    for mrp, name, error in (
+        (make_mdp(False, 1, n=30).with_rewards(np.full((30, 1), 1e308)), "V", SolutionOverflowError),
+        (make_mdp(False, 1, n=30, gamma=1 - 1e-12), "resolvent", IllConditionedError),
+    ):
+        calls.clear()
+        for _ in range(3):
+            with pytest.raises(error):
+                getattr(mrp, name)
+        assert calls == ["I - gamma P"]
 
 
 def test_resolvent_names_an_ill_conditioned_system():
