@@ -27,12 +27,15 @@ and the stats, and calls the method's rules, ``_initial_step``,
 Each trajectory keeps its own step size, error norm and accept/reject
 decisions, exactly as SciPy's ``RK45`` solver would step it alone, while the
 drift fields evaluate on the stacked states with one numpy call per operation
-(``np.matmul`` and the LAPACK gufuncs of ``metrics._checked_solve``, through
-which every fixed-point solve goes), each making its own BLAS or LAPACK calls
-for each trajectory, so a trajectory's result does not depend on which others
-share its batch. Each logged metric is evaluated once over the trajectory's
-stack of dense-output snapshots, which ``store_states=True`` keeps in its
-``TrajectoryLog`` as ``phis`` (T, n, k) and ``ws`` (T, k, h).
+(``np.matmul`` and the LAPACK gufuncs of ``metrics._solve``), each making its
+own BLAS or LAPACK calls for each trajectory, so a trajectory's result does
+not depend on which others share its batch. The two-time-scale field solves
+for G^-1 at each call and keeps it; ``_dopri45`` has it judge an attempt's
+solves together, by ``metrics._judge``'s condition guard and residual bound,
+and a row with a rejected solve fails at its first one. Each logged metric
+is evaluated once over the trajectory's stack of dense-output snapshots,
+which ``store_states=True`` keeps in its ``TrajectoryLog`` as ``phis``
+(T, n, k) and ``ws`` (T, k, h).
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ import numpy as np
 from . import metrics as _metrics
 from .mdp import MarkovRewardProcess, _check_int, _check_real, make_rng
 # FixedPointResidualError is also a public name of this module, the class metrics defines
-from .metrics import FixedPointResidualError, _checked_solve, _residual_bound, _solve_or_raise
+from .metrics import FixedPointResidualError, _residual_bound, _solve_or_raise
 
 LINEAR_TD = "linear_td"
 END_TO_END = "end_to_end"
@@ -463,12 +466,17 @@ def _initial_state(p: Problem) -> np.ndarray:
 
 
 class _StackedField:
-    """The drift field of one batch: each row's process data stacked on a leading axis."""
+    """The drift field of one batch: each row's process data stacked on a leading axis.
+
+    ``_dopri45`` calls it for the drift, ``judge`` for the rows whose solves
+    it rejects since the last judgement, and ``take`` to keep only some rows.
+    """
 
     def __init__(self, kind: str, shape: tuple[int, int, int], arrays: dict[str, np.ndarray]):
         self.kind = kind
         self.n, self.k, self.h = shape  # two-time-scale rows may differ in h and never read it
         self.arrays = arrays
+        self.solves: list[tuple[np.ndarray, np.ndarray]] = []  # (G, G^-1) of each call since ``judge``
 
     @classmethod
     def build(cls, kind: str, rows: list[Problem]) -> "_StackedField":
@@ -501,8 +509,8 @@ class _StackedField:
         arrays = {name: a[keep] for name, a in self.arrays.items()}
         return _StackedField(self.kind, (self.n, self.k, self.h), arrays)
 
-    def __call__(self, y: np.ndarray) -> tuple[np.ndarray, dict[int, np.linalg.LinAlgError]]:
-        """Drift at the stacked states ``y``, plus the fixed-point failures by row."""
+    def __call__(self, y: np.ndarray) -> np.ndarray:
+        """Drift at the stacked states ``y``; the two-time-scale kind keeps its solve for ``judge``."""
         a, rows = self.arrays, len(y)
         n, k, h = self.n, self.k, self.h
         if self.kind == TWO_TIME_SCALE:
@@ -512,20 +520,41 @@ class _StackedField:
             phi = y.reshape(rows, n, k)
             AC_phi = a["AC"] @ phi
             G, M = (phi.swapaxes(1, 2)[:, None] @ AC_phi.reshape(rows, 2, n, k)).swapaxes(0, 1)
-            G_inv, failures = _checked_solve(G, a["eye"], "phi^T A phi", a["eye_bound"])
+            G_inv = _metrics._solve(G, a["eye"])
+            self.solves.append((G, G_inv))
             # numpy multiplies by a C-ordered copy of G^-T faster than by the transposed view
             G_inv_t = np.ascontiguousarray(G_inv.swapaxes(1, 2))
             descent = (AC_phi[:, n:] - AC_phi[:, :n] @ (G_inv @ M)) @ G_inv_t
-            return (a["eta_phi"] * descent).reshape(rows, -1), failures
+            return (a["eta_phi"] * descent).reshape(rows, -1)
         if self.kind == LINEAR_TD:
             phi, w = a["phi0"], y.reshape(rows, k, h)
         else:
             phi, w = y[:, k * h :].reshape(rows, n, k), y[:, : k * h].reshape(rows, k, h)
         dw, dphi = _semi_gradients(a["A"], a["dR"], phi, w, self.kind == END_TO_END)
         if dphi is None:
-            return (a["eta_w"] * dw).reshape(rows, -1), {}
+            return (a["eta_w"] * dw).reshape(rows, -1)
         parts = (a["eta_w"] * dw, a["eta_phi"] * dphi)
-        return np.concatenate([part.reshape(rows, -1) for part in parts], axis=1), {}
+        return np.concatenate([part.reshape(rows, -1) for part in parts], axis=1)
+
+    def judge(self) -> dict[int, tuple[int, np.linalg.LinAlgError]]:
+        """Each row's first rejected solve since the last judgement: the call's index and its error.
+
+        The two-time-scale kind's inverses G^-1, solved at each call with no
+        check, meet the condition guard and the residual bound here
+        (``metrics._judge``, against the bound stored at ``build``), all
+        calls' in one stack. The other kinds solve nothing.
+        """
+        if not self.solves:
+            return {}
+        calls, rows, k = len(self.solves), len(self.solves[0][0]), self.k
+        G, G_inv = (np.concatenate(part) for part in zip(*self.solves))
+        self.solves = []
+        bound = np.concatenate([self.arrays["eye_bound"]] * calls)
+        failures = _metrics._judge(G, G_inv, np.eye(k), "phi^T A phi", bound)
+        first: dict[int, tuple[int, np.linalg.LinAlgError]] = {}
+        for i in sorted(failures):  # call by call, so a row's first rejected call comes first
+            first.setdefault(i % rows, (i // rows, failures[i]))
+        return first
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
@@ -629,6 +658,13 @@ def _dopri45(field: _StackedField, y0: np.ndarray, times: np.ndarray, config: In
     that fails at the min_step floor reports its last accepted t and state,
     as SciPy does. Returns per row either ``(Y, SolverStats)``, with Y
     holding the state at each of ``times`` as a column, or its IntegrationError.
+
+    The field's solves are judged once after ``_initial_step`` and once after
+    each ``_rk_attempt``, all the calls' together (``field.judge``). A row with
+    a rejected call fails at its first one, at that call's t + c step; its
+    later stages in the attempt feed only its own row, which is leaving, so
+    the other rows' steps and every result are those of judging each call as
+    it is made.
     """
     n_rows, size = y0.shape
     t_bound = float(config.t_end)
@@ -647,15 +683,22 @@ def _dopri45(field: _StackedField, y0: np.ndarray, times: np.ndarray, config: In
             leaving[slot] = True
             results[ids[slot]] = result
 
+    calls: list[tuple[float, object]] = []  # (c, step) of each drift call since the last judgement
+
     def evaluate(y: np.ndarray, c: float, step) -> np.ndarray:
-        f, failures = field(y)
-        for slot, exc in failures.items():
+        calls.append((c, step))
+        return field(y)
+
+    def judge() -> None:
+        # a row whose solve the field rejects at some call fails at that call's t
+        for slot, (call, exc) in field.judge().items():
+            c, step = calls[call]
             error = IntegrationError(
                 f"fixed-point solve broke down at t={(t + c * step)[slot]:.6g}: {exc}"
             )
             error.__cause__ = exc
             leave(slot, error)
-        return f
+        calls.clear()
 
     # where a huge drift overflows the initial-step estimate, the row starts
     # from the min_step floor and MAX_STEPS ends it
@@ -663,6 +706,7 @@ def _dopri45(field: _StackedField, y0: np.ndarray, times: np.ndarray, config: In
     with np.errstate(all="ignore"):
         f = evaluate(y, 0.0, 0.0)
         h_abs = _initial_step(evaluate, y, f, rtol, atol, t_bound)
+        judge()
 
     fresh = np.ones(n_rows, dtype=bool)  # starting a step, not retrying a rejected attempt
     emitted = np.zeros(n_rows, dtype=int)  # entries of ``times`` already written
@@ -696,6 +740,7 @@ def _dopri45(field: _StackedField, y0: np.ndarray, times: np.ndarray, config: In
         t_new = np.minimum(t + h_abs, t_bound)
         h = h_abs = t_new - t  # never negative: t_new is at least t
         y_new, f_new, error_norm = _rk_attempt(evaluate, y, f, h, K, rtol, atol)
+        judge()
         accept = error_norm < 1
         h_abs = h_abs * _step_factor(error_norm, accept, fresh)
 

@@ -10,10 +10,13 @@ snapshot; a single 2-D snapshot gives a scalar ``np.float64``. Span
 membership is always tested through weighted projection residuals with
 explicit tolerances rather than rank computations; matrix drift norms are max
 absolute entry throughout. Every linear solve of the library, here, in
-``dynamics`` and for the process's ``V`` and resolvent in ``mdp``, goes
-through ``_checked_solve``: one condition guard, ``_solve_guarded_stack``,
-and one residual bound, ``_residual_bound``, whose failures raise
+``dynamics`` and for the process's ``V`` and resolvent in ``mdp``, is one
+LAPACK solve, ``_solve``, judged by one condition guard, ``_guard``, and one
+residual bound, ``_residual_bound``, whose failures raise
 IllConditionedError, SolutionOverflowError and FixedPointResidualError.
+``_checked_solve`` solves and judges at once; ``_judge`` judges solutions
+made earlier, such as the two-time-scale drift's, which ``dynamics`` judges
+once per Runge-Kutta attempt rather than at each stage.
 ``mdp`` imports from here, so this module imports ``MarkovRewardProcess``
 for its annotations only.
 """
@@ -43,6 +46,10 @@ class IllConditionedError(np.linalg.LinAlgError):
         self.matrix_name = matrix_name
         self.cond = cond
 
+    def __reduce__(self):
+        # pickle rebuilds an exception from its args, here the one message
+        return IllConditionedError, (self.matrix_name, self.cond)
+
 
 class SolutionOverflowError(np.linalg.LinAlgError):
     """A linear subsystem passed the condition guard, but its solution overflowed."""
@@ -54,50 +61,61 @@ class FixedPointResidualError(np.linalg.LinAlgError):
     two-time-scale drift is formed with, or a metric's projection."""
 
 
-def _solve_guarded_stack(
-    G: np.ndarray, rhs: np.ndarray, name: str
-) -> tuple[np.ndarray, dict[int, np.linalg.LinAlgError]]:
-    """Solve every G[i] x = rhs[i] of a stack unless G[i] is too ill-conditioned.
+def _solve(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Every slice's solution of G[i] x = rhs[i], trusted or not, with no warning.
+
+    Calls the LAPACK gufunc that ``np.linalg.solve`` wraps, with the same bits
+    and without the wrapper's per-call type and shape checks, which the
+    float64 stacks built here never need. It makes one LAPACK call per slice,
+    so a slice's solution does not depend on the others in the stack. A
+    singular slice gives NaN where ``np.linalg.solve`` would raise, and one
+    with a NaN or inf entry gives NaN or inf; ``_guard`` decides which slices
+    to trust.
+    """
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        return _umath_linalg.solve(G, rhs, signature="dd->d")
+
+
+def _guard(G: np.ndarray, x: np.ndarray, name: str) -> dict[int, np.linalg.LinAlgError]:
+    """The condition guard on a stack's solutions ``x = _solve(G, rhs)``: an error per rejected slice.
 
     A slice is accepted when its 2-norm condition number s_max / s_min, the
     quantity ``np.linalg.cond`` computes, is at most COND_LIMIT. A cheap
     certificate settles the common case first: for a k x k matrix
     cond_2(G) <= s_max^k / |det G| <= ||G||_F^k / |det G| (Higham, *Accuracy
     and Stability of Numerical Algorithms*, ch. 14), so a stack in which
-    every slice has ||G||_F^k < COND_LIMIT |det G| / 10 is solved at once.
-    The factor 10 absorbs rounding: the LU determinant is off by about
-    k eps ||G||_F^k, far below the ||G||_F^k / COND_LIMIT at stake. A NaN or
-    inf makes the test false. Any other stack takes ``np.linalg.svd``, which
-    alone decides which slices are rejected and what their condition numbers
-    are, so the decisions are those of ``np.linalg.cond`` either way.
+    every slice has ||G||_F^k < COND_LIMIT |det G| / 10, and every solution
+    is finite, is accepted at once. The factor 10 absorbs rounding: the LU
+    determinant is off by about k eps ||G||_F^k, far below the
+    ||G||_F^k / COND_LIMIT at stake. A NaN or inf makes the test false. Any
+    other stack takes ``np.linalg.svd``, which alone decides which slices are
+    rejected and what their condition numbers are, so the decisions are those
+    of ``np.linalg.cond`` either way. The determinant calls the LAPACK gufunc
+    ``np.linalg.det`` wraps, and the certified path's reductions call the
+    ufuncs' ``reduce`` directly: the ndarray methods (``.sum``, ``.all``)
+    give the same bits through a Python wrapper that costs more than a
+    reduction over a few slices.
 
-    The determinant and the solves call the LAPACK gufuncs that
-    ``np.linalg.det`` and ``np.linalg.solve`` wrap, with the same bits and
-    without the wrappers' per-call type and shape checks, which the float64
-    stacks built here never need. Like ``svd`` they make one LAPACK call per
-    slice, so a slice's solution does not depend on the others in the stack.
-    The certified path's reductions call the ufuncs' ``reduce`` directly: the
-    ndarray methods (``.sum``, ``.all``) give the same bits through a Python
-    wrapper that costs more than a reduction over a few slices.
-    A slice the SVD accepts may still have no finite solution: huge
-    right-hand sides overflow it, and LU breaks down on a well-conditioned
-    slice of subnormal entries whose pivot underflows to zero (where
-    ``np.linalg.solve`` would raise "Singular matrix", the gufunc returns
-    NaN). Such a slice is rejected with a SolutionOverflowError, so its
-    condition number is not misreported. A certified slice cannot break
-    down: its non-zero determinant comes from the same LU factorization.
+    A slice the guard accepts may still have no finite solution: huge
+    right-hand sides overflow it, certified or not, and LU breaks down on a
+    well-conditioned slice of subnormal entries whose pivot underflows to
+    zero (where ``np.linalg.solve`` would raise "Singular matrix", the
+    gufunc returns NaN). Such a slice is rejected with a
+    SolutionOverflowError, so its condition number is not misreported.
 
-    Returns the solutions (NaN for a rejected slice) and an error per
-    rejected slice index: SolutionOverflowError for an overflow, otherwise
-    IllConditionedError, whose cond is inf for a singular slice and NaN for
-    one with a non-finite entry.
+    Sets each rejected slice of ``x`` to NaN, so that no residual is formed
+    from an inf, and returns an error per rejected slice index:
+    SolutionOverflowError for an overflow, otherwise IllConditionedError,
+    whose cond is inf for a singular slice and NaN for one with a non-finite
+    entry.
     """
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         certified = np.add.reduce(G * G, axis=(1, 2)) ** (G.shape[-1] / 2) < (
             0.1 * COND_LIMIT * np.abs(_umath_linalg.det(G, signature="d->d"))
         )
         if np.logical_and.reduce(certified):
-            return _umath_linalg.solve(G, rhs, signature="dd->d"), {}
+            if np.logical_and.reduce(np.isfinite(x), axis=None):
+                return {}
         # LAPACK's SVD fails on a NaN and returns NaN for an inf, so those slices skip it
         finite = np.isfinite(G).all(axis=(1, 2))
         s = np.full(G.shape[:2], np.nan)
@@ -105,17 +123,26 @@ def _solve_guarded_stack(
         cond = np.divide(s[:, 0], s[:, -1], out=np.full(len(s), np.inf), where=s[:, -1] > 0.0)
         cond[~finite] = np.nan
         ok = cond <= COND_LIMIT
-        x = np.full(rhs.shape, np.nan)
-        if ok.any():
-            x[ok] = _umath_linalg.solve(G[ok], rhs[ok], signature="dd->d")
         overflowed = ok & ~np.isfinite(x).all(axis=(1, 2))
-        x[overflowed] = np.nan  # so that no residual is formed from an inf
+        x[~ok | overflowed] = np.nan
     failures = {int(i): IllConditionedError(name, float(cond[i])) for i in np.flatnonzero(~ok)}
     for i in np.flatnonzero(overflowed):
         failures[int(i)] = SolutionOverflowError(
             f"solve with matrix {name} overflowed (cond = {cond[i]:.3e}, within limit {COND_LIMIT:.0e})"
         )
-    return x, failures
+    return failures
+
+
+def _solve_guarded_stack(
+    G: np.ndarray, rhs: np.ndarray, name: str
+) -> tuple[np.ndarray, dict[int, np.linalg.LinAlgError]]:
+    """Solve every G[i] x = rhs[i] of a stack under the condition guard.
+
+    Returns the solutions (NaN for a rejected slice) and ``_guard``'s error
+    per rejected slice index.
+    """
+    x = _solve(G, rhs)
+    return x, _guard(G, x, name)
 
 
 def _checked_solve(
@@ -123,26 +150,49 @@ def _checked_solve(
 ) -> tuple[np.ndarray, dict[int, np.linalg.LinAlgError]]:
     """Solve each G[i] x = b[i] of a stack under the condition guard and the residual bound.
 
-    Returns ``_solve_guarded_stack``'s solutions and rejections, plus a
-    FixedPointResidualError for each accepted slice whose residual
-    max|G x - b| exceeds its bound, or is NaN. ``bound`` holds each slice's
-    ``_residual_bound(b)``, passed by a caller that solves against the same
-    ``b`` many times; it is worked out here if None. The reductions call the
-    ufuncs' ``reduce`` directly, as in ``_solve_guarded_stack``: the
-    two-time-scale drift calls this six times per step.
+    Returns ``_solve_guarded_stack``'s solutions and rejections, plus the
+    FixedPointResidualErrors of ``_residual_failures``. ``bound`` holds each
+    slice's ``_residual_bound(b)``; it is worked out here if None.
     """
     x, failures = _solve_guarded_stack(G, b, name)
+    return x, _residual_failures(G, x, b, name, bound, failures)
+
+
+def _judge(
+    G: np.ndarray, x: np.ndarray, b: np.ndarray, name: str, bound: np.ndarray
+) -> dict[int, np.linalg.LinAlgError]:
+    """The rejections ``_checked_solve`` reports, for solutions ``x = _solve(G, b)`` made earlier.
+
+    Lets a caller that solves many times, as the two-time-scale drift does at
+    each Runge-Kutta stage, judge all its solves at once as one stack. ``b``
+    need only broadcast against ``G @ x``. Sets each rejected slice of ``x``
+    to NaN, as ``_guard`` does.
+    """
+    return _residual_failures(G, x, b, name, bound, _guard(G, x, name))
+
+
+def _residual_failures(
+    G: np.ndarray, x: np.ndarray, b: np.ndarray, name: str, bound: np.ndarray | None,
+    failures: dict[int, np.linalg.LinAlgError],
+) -> dict[int, np.linalg.LinAlgError]:
+    """``failures`` plus a FixedPointResidualError for each slice whose max|G x - b| exceeds its bound.
+
+    A NaN residual misses too, and a slice the guard rejected (NaN solution)
+    keeps its own error. ``bound`` holds each slice's ``_residual_bound(b)``,
+    passed by a caller that solves against the same ``b`` many times; it is
+    worked out here if None. The reductions call the ufuncs' ``reduce``
+    directly, as in ``_guard``.
+    """
     residual = np.maximum.reduce(np.abs(G @ x - b), axis=(1, 2))
     if bound is None:
         bound = _residual_bound(b)
-    missed = ~(residual <= bound)  # a NaN residual misses too
+    missed = ~(residual <= bound)
     if np.logical_or.reduce(missed):
         for i in np.flatnonzero(missed):
-            # a slice the guard rejected (NaN solution) keeps its IllConditionedError
             failures.setdefault(int(i), FixedPointResidualError(
                 f"{name} residual {residual[i]:.3e} exceeds {bound[i]:.3e}"
             ))
-    return x, failures
+    return failures
 
 
 def _residual_bound(b: np.ndarray) -> np.ndarray:

@@ -59,7 +59,8 @@ MUTANTS = (
     Mutant("semi_gradients_drop_d", _DYN, "_semi_gradients(mrp.A, mrp.dR, ",
            "_semi_gradients(mrp.system, mrp.R, ",
            _ACC + "test_criterion_1_gradient_flow_identity"),
-    Mutant("fixed_point_uses_A_transpose", _DYN, "_checked_solve(G, ", "_checked_solve(G.swapaxes(1, 2), ",
+    Mutant("fixed_point_uses_A_transpose", _DYN, '            G_inv = _metrics._solve(G, a["eye"])\n',
+           '            G = G.swapaxes(1, 2)\n            G_inv = _metrics._solve(G, a["eye"])\n',
            _ACC + "test_criterion_3_covariance_constancy"),
     Mutant("stacked_field_negates_eta_phi", _DYN, 'full([row.spec.eta_phi for row in rows]',
            'full([-row.spec.eta_phi for row in rows]',
@@ -102,10 +103,14 @@ MUTANTS = (
            "x, failures = _solve_guarded_stack(",
            "tests/test_metrics.py::test_critical_point_residual_raises_for_an_ill_conditioned_snapshot"),
     # the work the integrator's hot path skips or keeps once: the two-time-scale
-    # inverse's stored residual bound, the step floor's fast path, per-slot counts
+    # inverse's stored residual bound and its solves judged once per attempt, the
+    # step floor's fast path, per-slot counts
     Mutant("inverse_residual_bound_looser", _DYN, 'arrays["eye_bound"] = _residual_bound(',
            'arrays["eye_bound"] = 1e6 * _residual_bound(',
            _TDYN + "test_fixed_point_residual_failure_has_its_own_type"),
+    Mutant("judgement_reports_last_rejected_call", _DYN, "for i in sorted(failures):",
+           "for i in sorted(failures, reverse=True):",
+           _TDYN + "test_row_rejected_at_a_middle_stage_fails_there_alone"),
     Mutant("step_floor_check_always_skipped", _DYN,
            "if not np.logical_and.reduce(h_abs >= min_step):", "if False:",
            _TDYN + "test_nan_step_fails_instead_of_spinning"),

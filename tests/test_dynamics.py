@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -289,6 +290,19 @@ def test_singular_lu_of_an_svd_accepted_slice_is_rejected():
         met._solve_or_raise(_SUBNORMAL_SINGULAR_LU, np.ones((3, 1)), "G")
 
 
+def test_certified_solve_overflow_is_its_own_error():
+    # a certified slice's inf solution went on to the residual, which warned and
+    # reported it as a FixedPointResidualError with residual nan
+    G, b = np.array([[[0.5, 0.1], [-0.1, 0.5]]]), np.full((1, 2, 1), 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, rejected = met._checked_solve(G, b, "G")
+        assert list(rejected) == [0] and type(rejected[0]) is met.SolutionOverflowError
+        assert np.isnan(x).all()
+        with pytest.raises(met.SolutionOverflowError, match=r"G overflowed \(cond = 1\.000e\+00"):
+            met._solve_or_raise(G[0], b[0], "G")
+
+
 def test_nan_fixed_point_solution_misses_its_residual_bound(monkeypatch):
     real = met._solve_guarded_stack
 
@@ -316,10 +330,11 @@ def test_fixed_point_residual_bound_scales_with_rewards():
 
 
 def test_fixed_point_residual_failure_has_its_own_type(small_mixed, monkeypatch):
-    def off_by_a_bit(G, rhs, name):
-        return np.linalg.solve(G, rhs) + 1e-6, {}
+    # the solve both the fixed point and the two-time-scale field make before judgement
+    def off_by_a_bit(G, rhs):
+        return np.linalg.solve(G, rhs) + 1e-6
 
-    monkeypatch.setattr(met, "_solve_guarded_stack", off_by_a_bit)
+    monkeypatch.setattr(met, "_solve", off_by_a_bit)
     phi0 = dyn.orthonormal_init(8, 2, seed=12)
     with pytest.raises(dyn.FixedPointResidualError) as info:
         dyn.td_fixed_point(small_mixed, phi0)
@@ -333,22 +348,23 @@ def test_fixed_point_residual_failure_has_its_own_type(small_mixed, monkeypatch)
 def test_two_time_scale_inverse_misses_the_fixed_point_residual_bound(monkeypatch):
     # the field keeps its inverse's residual bound from build; a miss must read as the
     # one _checked_solve(G, I, name) reports when it works the bound out from I itself
-    real = met._solve_guarded_stack
+    real = met._solve
     seen = []
 
-    def off_by_1e9_relative(G, rhs, name):
-        x, rejected = real(G, rhs, name)
+    def off_by_1e9_relative(G, rhs):
         seen.append(G.copy())
-        return x * (1 + 1e-9), rejected
+        return real(G, rhs) * (1 + 1e-9)
 
-    monkeypatch.setattr(met, "_solve_guarded_stack", off_by_1e9_relative)
+    monkeypatch.setattr(met, "_solve", off_by_1e9_relative)
     rows = [
         dyn.Problem(make_mdp(False, h, n=8, seed=h), dyn.two_time_scale(), dyn.orthonormal_init(8, 2, seed=h))
         for h in (1, 3, 8)
     ]
-    _, failures = dyn._StackedField.build(dyn.TWO_TIME_SCALE, rows)(
-        np.stack([dyn._initial_state(row) for row in rows])
-    )
+    field = dyn._StackedField.build(dyn.TWO_TIME_SCALE, rows)
+    field(np.stack([dyn._initial_state(row) for row in rows]))
+    judged = field.judge()
+    assert {call for call, _ in judged.values()} == {0}
+    failures = {row: exc for row, (_, exc) in judged.items()}
     _, want = met._checked_solve(seen[0], np.tile(np.eye(2), (len(rows), 1, 1)), "phi^T A phi")
     assert list(failures) == list(want) == [0, 1, 2]
     for i, exc in failures.items():
@@ -724,7 +740,9 @@ def test_stacked_field_rows_are_bitwise_the_public_drifts(kind, h, seed, etas):
                     rng.standard_normal((8, 2)), rng.standard_normal((2, h)))
         for i, eta in enumerate(etas)
     ]
-    f, failures = dyn._StackedField.build(kind, rows)(np.stack([dyn._initial_state(row) for row in rows]))
+    field = dyn._StackedField.build(kind, rows)
+    f = field(np.stack([dyn._initial_state(row) for row in rows]))
+    failures = field.judge()
     assert not failures
     for row, got in zip(rows, f, strict=True):
         want = _public_drift(row)
@@ -760,20 +778,78 @@ def test_rejected_metric_solve_is_the_rows_result(monkeypatch):
     assert calls == [9, 9]  # one stacked solve per trajectory log
 
 
+# The second drift call of the fourth main-loop attempt (stage c = 3/10): the
+# initial step makes two calls and each attempt six.
+_MIDDLE_STAGE_CALL = 2 + 6 * 3 + 2
+
+
+_MIDDLE_STAGE_REJECTIONS = {  # how the call is rejected: the error it causes and its text
+    "injected": (dyn.FixedPointResidualError, "phi^T A phi residual 1.000e-09 exceeds 1.000e-10"),
+    "singular": (IllConditionedError, "matrix phi^T A phi is singular or ill-conditioned (cond = inf, limit 1e+12)"),
+    "cond_1e14": (IllConditionedError,
+                  "matrix phi^T A phi is singular or ill-conditioned (cond = 1.000e+14, limit 1e+12)"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MIDDLE_STAGE_REJECTIONS))
+def test_row_rejected_at_a_middle_stage_fails_there_alone(case, monkeypatch):
+    # the loop judges an attempt's solves together, after its last stage: the row
+    # still fails at the t and with the text of its first rejected call, quietly,
+    # while its later stages run on what that call returned
+    cause, text = _MIDDLE_STAGE_REJECTIONS[case]
+    rows = [
+        dyn.Problem(make_mdp(False, h, n=30, seed=s), dyn.two_time_scale(), exp.initial_representation(s, 30, 2))
+        for s, h in ((0, 1), (1, 4), (2, 8))
+    ]
+    config = dyn.IntegratorConfig(t_end=2.0, log_points=5)
+    solo = [dyn.integrate(*rows[i], config=config) for i in (0, 2)]
+    real, calls = met._solve, []
+
+    def tampered(G, rhs):
+        calls.append(len(G))
+        if len(calls) == _MIDDLE_STAGE_CALL and case == "singular":
+            G[1] = [[1.0, 0.0], [0.0, 0.0]]
+        elif len(calls) == _MIDDLE_STAGE_CALL and case == "cond_1e14":
+            G[1] = np.diag([1.0, 1e-14])
+        x = real(G, rhs)
+        if len(calls) == _MIDDLE_STAGE_CALL and case == "injected":
+            x[1] *= 1 + 1e-9
+        return x
+
+    monkeypatch.setattr(met, "_solve", tampered)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        first, failed, last = dyn.integrate_batch(rows, config)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert calls[_MIDDLE_STAGE_CALL - 1] == 3  # the field's call, with every row still in the batch
+    assert type(failed) is dyn.IntegrationError and type(failed.__cause__) is cause
+    assert str(failed) == f"fixed-point solve broke down at t=0.127958: {text}"
+    for got, want in zip((first, last), solo, strict=True):
+        assert got.stats == want.stats
+        for name in dyn.METRIC_COLUMNS:
+            assert got.metrics[name].tobytes() == want.metrics[name].tobytes(), name
+
+
 class _ToyField:
     """y' = -rate y per row, or y' = y^2 for a ``blowup`` row; a ``doomed`` row
     reports a breakdown once its first component falls below 1/2."""
 
     def __init__(self, rates, doomed, blowup):
         self.rates, self.doomed, self.blowup = rates, doomed, blowup
+        self.calls, self.failures = 0, {}
 
     def take(self, keep):
         return _ToyField(self.rates[keep], self.doomed[keep], self.blowup[keep])
 
     def __call__(self, y):
-        broken = np.flatnonzero(self.doomed & (y[:, 0] < 0.5))
-        failures = {int(i): np.linalg.LinAlgError("toy breakdown") for i in broken}
-        return np.where(self.blowup[:, None], y * y, -self.rates[:, None] * y), failures
+        for i in np.flatnonzero(self.doomed & (y[:, 0] < 0.5)):
+            self.failures.setdefault(int(i), (self.calls, np.linalg.LinAlgError("toy breakdown")))
+        self.calls += 1
+        return np.where(self.blowup[:, None], y * y, -self.rates[:, None] * y)
+
+    def judge(self):
+        failures, self.calls, self.failures = self.failures, 0, {}
+        return failures
 
 
 def test_rows_leave_the_batch_as_they_fail_or_finish():
@@ -808,7 +884,10 @@ from tdrepdyn import dynamics as dyn
 
 class NaNField:  # a drift that is NaN from t = 0, so every step size is NaN
     def __call__(self, y):
-        return np.full_like(y, np.nan), {}
+        return np.full_like(y, np.nan)
+
+    def judge(self):
+        return {}
 
     def take(self, keep):
         return self

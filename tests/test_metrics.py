@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -268,6 +270,22 @@ def test_stacked_solve_raises_the_first_rejected_slice(monkeypatch):
     with pytest.raises(met.IllConditionedError) as info:
         met._solve_or_raise(np.tile(np.eye(2), (6, 1, 1)), np.ones((6, 2, 1)), "G")
     assert info.value is first
+
+
+def test_guard_errors_survive_pickling():
+    # a worker's error reaches the parent process pickled; IllConditionedError's
+    # two-argument __init__ made unpickling it raise TypeError
+    errors = (
+        met.IllConditionedError("phi^T A phi", np.inf),
+        met.IllConditionedError("I - gamma P", 2.5e13),
+        met.SolutionOverflowError("solve with matrix G overflowed (cond = 1.000e+00, within limit 1e+12)"),
+        met.FixedPointResidualError("G residual 1.000e-09 exceeds 1.000e-10"),
+    )
+    for error in errors:
+        back = pickle.loads(pickle.dumps(error))
+        assert type(back) is type(error) and str(back) == str(error)
+        for name in ("matrix_name", "cond"):
+            assert getattr(back, name, None) == getattr(error, name, None)
 
 
 def test_metric_report_coercion_and_csv():
