@@ -30,12 +30,13 @@ drift fields evaluate on the stacked states with one numpy call per operation
 (``np.matmul`` and the LAPACK gufuncs of ``metrics._solve``), each making its
 own BLAS or LAPACK calls for each trajectory, so a trajectory's result does
 not depend on which others share its batch. The two-time-scale field solves
-for G^-1 at each call and keeps it; ``_dopri45`` has it judge an attempt's
-solves together, by ``metrics._judge``'s condition guard and residual bound,
-and a row with a rejected solve fails at its first one. Each logged metric
-is evaluated once over the trajectory's stack of dense-output snapshots,
-which ``store_states=True`` keeps in its ``TrajectoryLog`` as ``phis``
-(T, n, k) and ``ws`` (T, k, h).
+for G^-1 at each call, against one k x k identity that the gufunc broadcasts
+over the stack, and keeps it; ``_dopri45`` has it judge an attempt's solves
+together, by ``metrics._judge``'s condition guard and residual bound against
+that identity, and a row with a rejected solve fails at its first one. Each
+logged metric is evaluated once over the trajectory's stack of dense-output
+snapshots, which ``store_states=True`` keeps in its ``TrajectoryLog`` as
+``phis`` (T, n, k) and ``ws`` (T, k, h).
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import numpy as np
 from . import metrics as _metrics
 from .mdp import MarkovRewardProcess, _check_int, _check_real, make_rng
 # FixedPointResidualError is also a public name of this module, the class metrics defines
-from .metrics import FixedPointResidualError, _residual_bound, _solve_or_raise
+from .metrics import FixedPointResidualError, _solve_or_raise
 
 LINEAR_TD = "linear_td"
 END_TO_END = "end_to_end"
@@ -285,7 +286,7 @@ def td_fixed_point(mrp: MarkovRewardProcess, phi: np.ndarray) -> np.ndarray:
     taken from the process's cache. ``phi`` may carry leading batch axes, such
     as a trajectory's (T, n, k) stack; the weights then carry them too, and
     each snapshot's are bitwise its own call's. The k x k solve is
-    ``metrics._checked_solve``: a singular phi^T A phi, or one whose 2-norm
+    ``metrics._solve_or_raise``: a singular phi^T A phi, or one whose 2-norm
     condition number exceeds 1e12, raises IllConditionedError instead of
     returning an untrustworthy solution, and a solution whose residual
     exceeds 1e-10 max(1, max|rhs|), or is NaN, raises FixedPointResidualError.
@@ -476,6 +477,7 @@ class _StackedField:
         self.kind = kind
         self.n, self.k, self.h = shape  # two-time-scale rows may differ in h and never read it
         self.arrays = arrays
+        self.eye = np.eye(self.k)  # the right-hand side of every row's solve for G^-1, broadcast
         self.solves: list[tuple[np.ndarray, np.ndarray]] = []  # (G, G^-1) of each call since ``judge``
 
     @classmethod
@@ -493,8 +495,6 @@ class _StackedField:
         arrays = {"eta_phi": full([row.spec.eta_phi for row in rows], (n, k))}
         if kind == TWO_TIME_SCALE:
             arrays["AC"] = np.stack([(m.A, m.C) for m in mrps]).reshape(len(rows), 2 * n, n)
-            arrays["eye"] = np.tile(np.eye(k), (len(rows), 1, 1))
-            arrays["eye_bound"] = _residual_bound(arrays["eye"])
         else:
             arrays |= {
                 "A": np.stack([m.A for m in mrps]),
@@ -520,7 +520,7 @@ class _StackedField:
             phi = y.reshape(rows, n, k)
             AC_phi = a["AC"] @ phi
             G, M = (phi.swapaxes(1, 2)[:, None] @ AC_phi.reshape(rows, 2, n, k)).swapaxes(0, 1)
-            G_inv = _metrics._solve(G, a["eye"])
+            G_inv = _metrics._solve(G, self.eye)
             self.solves.append((G, G_inv))
             # numpy multiplies by a C-ordered copy of G^-T faster than by the transposed view
             G_inv_t = np.ascontiguousarray(G_inv.swapaxes(1, 2))
@@ -541,16 +541,15 @@ class _StackedField:
 
         The two-time-scale kind's inverses G^-1, solved at each call with no
         check, meet the condition guard and the residual bound here
-        (``metrics._judge``, against the bound stored at ``build``), all
-        calls' in one stack. The other kinds solve nothing.
+        (``metrics._judge``, against the one identity they were solved
+        with), all calls' in one stack. The other kinds solve nothing.
         """
         if not self.solves:
             return {}
-        calls, rows, k = len(self.solves), len(self.solves[0][0]), self.k
+        rows = len(self.solves[0][0])
         G, G_inv = (np.concatenate(part) for part in zip(*self.solves))
         self.solves = []
-        bound = np.concatenate([self.arrays["eye_bound"]] * calls)
-        failures = _metrics._judge(G, G_inv, np.eye(k), "phi^T A phi", bound)
+        failures = _metrics._judge(G, G_inv, self.eye, "phi^T A phi")
         first: dict[int, tuple[int, np.linalg.LinAlgError]] = {}
         for i in sorted(failures):  # call by call, so a row's first rejected call comes first
             first.setdefault(i % rows, (i // rows, failures[i]))

@@ -97,6 +97,8 @@ class MarkovRewardProcess:
             raise ValueError(f"R must be a vector or a matrix, got shape {R.shape}")
         d = np.asarray(self.d, dtype=float).ravel()
         n = P.shape[0]
+        if n == 0:  # every check below reduces over the states
+            raise ValueError("P has no states: a process needs at least one")
         if P.shape != (n, n):
             raise ValueError(f"P must be square, got shape {P.shape}")
         if R.shape[0] != n:

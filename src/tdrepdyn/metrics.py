@@ -11,12 +11,12 @@ membership is always tested through weighted projection residuals with
 explicit tolerances rather than rank computations; matrix drift norms are max
 absolute entry throughout. Every linear solve of the library, here, in
 ``dynamics`` and for the process's ``V`` and resolvent in ``mdp``, is one
-LAPACK solve, ``_solve``, judged by one condition guard, ``_guard``, and one
-residual bound, ``_residual_bound``, whose failures raise
+LAPACK solve, ``_solve``, judged by ``_judge``: the condition guard,
+``_guard``, then the residual bound, whose failures raise
 IllConditionedError, SolutionOverflowError and FixedPointResidualError.
-``_checked_solve`` solves and judges at once; ``_judge`` judges solutions
-made earlier, such as the two-time-scale drift's, which ``dynamics`` judges
-once per Runge-Kutta attempt rather than at each stage.
+``_solve_or_raise`` solves, judges and raises at once; the two-time-scale
+drift solves at each Runge-Kutta stage and ``dynamics`` judges an attempt's
+solves together.
 ``mdp`` imports from here, so this module imports ``MarkovRewardProcess``
 for its annotations only.
 """
@@ -133,61 +133,24 @@ def _guard(G: np.ndarray, x: np.ndarray, name: str) -> dict[int, np.linalg.LinAl
     return failures
 
 
-def _solve_guarded_stack(
-    G: np.ndarray, rhs: np.ndarray, name: str
-) -> tuple[np.ndarray, dict[int, np.linalg.LinAlgError]]:
-    """Solve every G[i] x = rhs[i] of a stack under the condition guard.
+def _judge(G: np.ndarray, x: np.ndarray, b: np.ndarray, name: str) -> dict[int, np.linalg.LinAlgError]:
+    """The rejections of a stack's solutions ``x = _solve(G, b)``: ``_guard``'s, then the residual bound's.
 
-    Returns the solutions (NaN for a rejected slice) and ``_guard``'s error
-    per rejected slice index.
+    A slice the guard accepts misses the residual bound, with a
+    FixedPointResidualError, when max|G x - b| exceeds 1e-10 max(1, max|b|)
+    or is NaN; a slice the guard rejected keeps its own error. ``b`` need
+    only broadcast against ``G @ x``, so a caller that solved many times
+    against one right-hand side, as the two-time-scale drift does at each
+    Runge-Kutta stage, judges all its solves at once as one stack. Sets each
+    rejected slice of ``x`` to NaN, as ``_guard`` does. The reductions call
+    the ufuncs' ``reduce`` directly, as in ``_guard``.
     """
-    x = _solve(G, rhs)
-    return x, _guard(G, x, name)
-
-
-def _checked_solve(
-    G: np.ndarray, b: np.ndarray, name: str, bound: np.ndarray | None = None
-) -> tuple[np.ndarray, dict[int, np.linalg.LinAlgError]]:
-    """Solve each G[i] x = b[i] of a stack under the condition guard and the residual bound.
-
-    Returns ``_solve_guarded_stack``'s solutions and rejections, plus the
-    FixedPointResidualErrors of ``_residual_failures``. ``bound`` holds each
-    slice's ``_residual_bound(b)``; it is worked out here if None.
-    """
-    x, failures = _solve_guarded_stack(G, b, name)
-    return x, _residual_failures(G, x, b, name, bound, failures)
-
-
-def _judge(
-    G: np.ndarray, x: np.ndarray, b: np.ndarray, name: str, bound: np.ndarray
-) -> dict[int, np.linalg.LinAlgError]:
-    """The rejections ``_checked_solve`` reports, for solutions ``x = _solve(G, b)`` made earlier.
-
-    Lets a caller that solves many times, as the two-time-scale drift does at
-    each Runge-Kutta stage, judge all its solves at once as one stack. ``b``
-    need only broadcast against ``G @ x``. Sets each rejected slice of ``x``
-    to NaN, as ``_guard`` does.
-    """
-    return _residual_failures(G, x, b, name, bound, _guard(G, x, name))
-
-
-def _residual_failures(
-    G: np.ndarray, x: np.ndarray, b: np.ndarray, name: str, bound: np.ndarray | None,
-    failures: dict[int, np.linalg.LinAlgError],
-) -> dict[int, np.linalg.LinAlgError]:
-    """``failures`` plus a FixedPointResidualError for each slice whose max|G x - b| exceeds its bound.
-
-    A NaN residual misses too, and a slice the guard rejected (NaN solution)
-    keeps its own error. ``bound`` holds each slice's ``_residual_bound(b)``,
-    passed by a caller that solves against the same ``b`` many times; it is
-    worked out here if None. The reductions call the ufuncs' ``reduce``
-    directly, as in ``_guard``.
-    """
+    failures = _guard(G, x, name)
     residual = np.maximum.reduce(np.abs(G @ x - b), axis=(1, 2))
-    if bound is None:
-        bound = _residual_bound(b)
+    bound = 1e-10 * np.maximum.reduce(np.abs(b), axis=(-2, -1), initial=1.0)
     missed = ~(residual <= bound)
     if np.logical_or.reduce(missed):
+        bound = np.broadcast_to(bound, missed.shape)
         for i in np.flatnonzero(missed):
             failures.setdefault(int(i), FixedPointResidualError(
                 f"{name} residual {residual[i]:.3e} exceeds {bound[i]:.3e}"
@@ -195,14 +158,11 @@ def _residual_failures(
     return failures
 
 
-def _residual_bound(b: np.ndarray) -> np.ndarray:
-    """The largest residual a solve against each slice of ``b`` may leave: 1e-10 max(1, max|b|)."""
-    return 1e-10 * np.maximum.reduce(np.abs(b), axis=(1, 2), initial=1.0)
-
-
 def _solve_or_raise(G: np.ndarray, rhs: np.ndarray, name: str) -> np.ndarray:
-    """``_checked_solve`` over any leading axes; raises the first failed slice's error."""
-    x, failures = _checked_solve(G.reshape(-1, *G.shape[-2:]), rhs.reshape(-1, *rhs.shape[-2:]), name)
+    """Solve G x = rhs over any leading axes, judged by ``_judge``; raises the first rejected slice's error."""
+    G, b = G.reshape(-1, *G.shape[-2:]), rhs.reshape(-1, *rhs.shape[-2:])
+    x = _solve(G, b)
+    failures = _judge(G, x, b, name)
     if failures:
         raise failures[min(failures)]
     return x.reshape(rhs.shape)

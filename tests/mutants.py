@@ -59,8 +59,8 @@ MUTANTS = (
     Mutant("semi_gradients_drop_d", _DYN, "_semi_gradients(mrp.A, mrp.dR, ",
            "_semi_gradients(mrp.system, mrp.R, ",
            _ACC + "test_criterion_1_gradient_flow_identity"),
-    Mutant("fixed_point_uses_A_transpose", _DYN, '            G_inv = _metrics._solve(G, a["eye"])\n',
-           '            G = G.swapaxes(1, 2)\n            G_inv = _metrics._solve(G, a["eye"])\n',
+    Mutant("fixed_point_uses_A_transpose", _DYN, '            G_inv = _metrics._solve(G, self.eye)\n',
+           '            G = G.swapaxes(1, 2)\n            G_inv = _metrics._solve(G, self.eye)\n',
            _ACC + "test_criterion_3_covariance_constancy"),
     Mutant("stacked_field_negates_eta_phi", _DYN, 'full([row.spec.eta_phi for row in rows]',
            'full([-row.spec.eta_phi for row in rows]',
@@ -99,14 +99,14 @@ MUTANTS = (
     Mutant("step_budget_never_fires", _DYN, "if taken >= MAX_STEPS:", "if False:",
            _TDYN + "test_step_budget_ends_only_the_row_that_spends_it"),
     # every solve a metric raises on meets the residual bound, not the guard alone
-    Mutant("raising_solve_skips_residual", _MET, "x, failures = _checked_solve(",
-           "x, failures = _solve_guarded_stack(",
+    Mutant("raising_solve_skips_residual", _MET, "failures = _judge(G, x, b, name)",
+           "failures = _guard(G, x, name)",
            "tests/test_metrics.py::test_critical_point_residual_raises_for_an_ill_conditioned_snapshot"),
-    # the work the integrator's hot path skips or keeps once: the two-time-scale
-    # inverse's stored residual bound and its solves judged once per attempt, the
-    # step floor's fast path, per-slot counts
-    Mutant("inverse_residual_bound_looser", _DYN, 'arrays["eye_bound"] = _residual_bound(',
-           'arrays["eye_bound"] = 1e6 * _residual_bound(',
+    # the one residual bound every judgement meets, and the work the integrator's hot
+    # path skips or keeps once: the two-time-scale solves judged once per attempt,
+    # the step floor's fast path, per-slot counts
+    Mutant("residual_bound_looser", _MET, "bound = 1e-10 * np.maximum.reduce(",
+           "bound = 1e-4 * np.maximum.reduce(",
            _TDYN + "test_fixed_point_residual_failure_has_its_own_type"),
     Mutant("judgement_reports_last_rejected_call", _DYN, "for i in sorted(failures):",
            "for i in sorted(failures, reverse=True):",

@@ -337,6 +337,14 @@ def test_mdp_file_that_is_not_an_object_exits_2(tmp_path, capsys):
     assert "cannot load MDP" in capsys.readouterr().err
 
 
+def test_mdp_file_without_states_exits_2(tmp_path, capsys):
+    # such a file failed to load with numpy's message about a zero-size reduction
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 0, "h": 1, "gamma": 0.9, "P": [], "R": [], "d": []}))
+    assert run_cli(["simulate", "--mdp", str(path), "--t-end", "1"]) == 2
+    assert "P has no states: a process needs at least one" in capsys.readouterr().err
+
+
 def test_mdp_file_without_reward_columns_exits_2(tmp_path, capsys):
     # such a file loaded, and simulate then died in a zero-size reduction
     path = tmp_path / "m.json"

@@ -120,6 +120,12 @@ def test_fixed_point_is_bit_identical_to_reference_formula():
     assert np.isnan(info.value.cond) and str(info.value) == str(first.value)
 
 
+def _guarded(G, b):
+    """Every slice's solution of G x = b, and the condition guard's rejections."""
+    x = met._solve(G, b)
+    return x, met._guard(G, x, "G")
+
+
 @pytest.mark.parametrize("factor", [1 - 1e-9, 1 + 1e-9])
 def test_cond_guard_decides_like_numpy_at_the_limit(factor):
     rng = make_rng(7)
@@ -129,7 +135,7 @@ def test_cond_guard_decides_like_numpy_at_the_limit(factor):
         Q1, _ = np.linalg.qr(rng.standard_normal((2, 2)))
         Q2, _ = np.linalg.qr(rng.standard_normal((2, 2)))
         mats.append(Q1 @ mats[0] @ Q2)
-    _, rejected = met._solve_guarded_stack(np.array(mats), np.array([rhs] * len(mats)), "G")
+    _, rejected = _guarded(np.array(mats), np.array([rhs] * len(mats)))
     assert sorted(rejected) == [
         i for i, G in enumerate(mats) if not np.linalg.cond(G) <= COND_LIMIT
     ]
@@ -148,7 +154,7 @@ def test_singular_and_non_finite_systems_raise_ill_conditioned(small_mixed):
             met._solve_or_raise(np.array([[bad, 0.0], [0.0, 1.0]]), np.ones((2, 1)), "G")
     # in a stack, the bad slices are reported and the good one is still solved
     stack = np.array([[[np.nan, 0.0], [0.0, 1.0]], [[2.0, 0.0], [0.0, 4.0]], [[1.0, 0.0], [0.0, 0.0]]])
-    x, rejected = met._solve_guarded_stack(stack, np.ones((3, 2, 1)), "G")
+    x, rejected = _guarded(stack, np.ones((3, 2, 1)))
     assert sorted(rejected) == [0, 2] and np.array_equal(x[1], [[0.5], [0.25]])
     assert np.isnan(rejected[0].cond) and rejected[2].cond == np.inf
 
@@ -203,7 +209,7 @@ def test_cond_guard_rejects_exactly_what_numpy_cond_rejects(k, kinds, seed):
     rng = make_rng(seed)
     G = np.array([_guard_slice(rng, k, kind) for kind in kinds])
     b = rng.standard_normal((len(kinds), k, 2))
-    x, rejected = met._solve_guarded_stack(G, b, "G")
+    x, rejected = _guarded(G, b)
     assert set(rejected) == {i for i in range(len(G)) if not _numpy_cond(G[i]) <= COND_LIMIT}
     for i, kind in enumerate(kinds):
         if i in rejected:
@@ -241,11 +247,11 @@ def test_certified_solves_skip_the_svd(monkeypatch):
     mrp = make_mdp(False, 8, n=30, seed=0)  # one fig3 two-time-scale row
     phi0 = exp.initial_representation(0, 30, 2)
     config = dyn.IntegratorConfig(t_end=10.0, log_points=11)
-    want_x, _ = met._solve_guarded_stack(G, b, "G")
+    want_x, _ = _guarded(G, b)
     want_log = dyn.integrate(mrp, dyn.two_time_scale(), phi0, config=config)
 
     monkeypatch.setattr(met, "np", _NumpyWithout("svd", "solve", "det"))
-    x, rejected = met._solve_guarded_stack(G, b, "G")
+    x, rejected = _guarded(G, b)
     assert not rejected and x.tobytes() == want_x.tobytes()
     log = dyn.integrate(mrp, dyn.two_time_scale(), phi0, config=config)
     assert log.stats == want_log.stats
@@ -258,11 +264,11 @@ def test_guard_svd_path_solves_without_the_numpy_wrappers(monkeypatch):
     kinds = ("well", "band", "singular", "near_limit", "well")
     G = np.array([_guard_slice(rng, 3, kind) for kind in kinds])
     b = rng.standard_normal((len(kinds), 3, 2))
-    want_x, want_rejected = met._solve_guarded_stack(G, b, "G")
+    want_x, want_rejected = _guarded(G, b)
     assert 2 in want_rejected and 0 not in want_rejected  # the SVD ran and accepted some slices
 
     monkeypatch.setattr(met, "np", _NumpyWithout("solve", "det"))
-    x, rejected = met._solve_guarded_stack(G, b, "G")
+    x, rejected = _guarded(G, b)
     assert x.tobytes() == want_x.tobytes()
     assert {i: e.cond for i, e in rejected.items()} == {i: e.cond for i, e in want_rejected.items()}
     for i in set(range(len(G))) - set(rejected):
@@ -281,7 +287,7 @@ def test_singular_lu_of_an_svd_accepted_slice_is_rejected():
     rng = make_rng(5)
     G = np.array([_guard_slice(rng, 3, "well"), _SUBNORMAL_SINGULAR_LU, _guard_slice(rng, 3, "well")])
     b = rng.standard_normal((3, 3, 2))
-    x, rejected = met._solve_guarded_stack(G, b, "G")
+    x, rejected = _guarded(G, b)
     assert list(rejected) == [1] and isinstance(rejected[1], met.SolutionOverflowError)
     assert np.isnan(x[1]).all()
     for i in (0, 2):
@@ -296,7 +302,8 @@ def test_certified_solve_overflow_is_its_own_error():
     G, b = np.array([[[0.5, 0.1], [-0.1, 0.5]]]), np.full((1, 2, 1), 1e308)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        x, rejected = met._checked_solve(G, b, "G")
+        x = met._solve(G, b)
+        rejected = met._judge(G, x, b, "G")
         assert list(rejected) == [0] and type(rejected[0]) is met.SolutionOverflowError
         assert np.isnan(x).all()
         with pytest.raises(met.SolutionOverflowError, match=r"G overflowed \(cond = 1\.000e\+00"):
@@ -304,18 +311,19 @@ def test_certified_solve_overflow_is_its_own_error():
 
 
 def test_nan_fixed_point_solution_misses_its_residual_bound(monkeypatch):
-    real = met._solve_guarded_stack
+    real = met._guard
 
-    def nan_in_slice_1(G, rhs, name):
-        x, rejected = real(G, rhs, name)
+    def nan_in_slice_1(G, x, name):
+        rejected = real(G, x, name)
         x[1] = np.nan
-        return x, rejected
+        return rejected
 
-    monkeypatch.setattr(met, "_solve_guarded_stack", nan_in_slice_1)
+    monkeypatch.setattr(met, "_guard", nan_in_slice_1)
     mrp = make_mdp(False, 2, n=8, seed=1)
     phi = np.stack([dyn.orthonormal_init(8, 2, seed=s) for s in range(3)])
     phi_t = phi.swapaxes(1, 2)
-    _, failures = met._checked_solve(phi_t @ mrp.A @ phi, phi_t @ mrp.dR, "phi^T A phi")
+    G, b = phi_t @ mrp.A @ phi, phi_t @ mrp.dR
+    failures = met._judge(G, met._solve(G, b), b, "phi^T A phi")
     assert list(failures) == [1] and type(failures[1]) is dyn.FixedPointResidualError
     with pytest.raises(dyn.FixedPointResidualError):
         dyn.td_fixed_point(mrp, phi)
@@ -346,8 +354,8 @@ def test_fixed_point_residual_failure_has_its_own_type(small_mixed, monkeypatch)
 
 
 def test_two_time_scale_inverse_misses_the_fixed_point_residual_bound(monkeypatch):
-    # the field keeps its inverse's residual bound from build; a miss must read as the
-    # one _checked_solve(G, I, name) reports when it works the bound out from I itself
+    # the field judges its inverses against the one identity it broadcasts; a miss must
+    # read as the one a judgement of the same solves against a tiled identity reports
     real = met._solve
     seen = []
 
@@ -365,11 +373,34 @@ def test_two_time_scale_inverse_misses_the_fixed_point_residual_bound(monkeypatc
     judged = field.judge()
     assert {call for call, _ in judged.values()} == {0}
     failures = {row: exc for row, (_, exc) in judged.items()}
-    _, want = met._checked_solve(seen[0], np.tile(np.eye(2), (len(rows), 1, 1)), "phi^T A phi")
+    eye = np.tile(np.eye(2), (len(rows), 1, 1))
+    want = met._judge(seen[0], met._solve(seen[0], eye), eye, "phi^T A phi")
     assert list(failures) == list(want) == [0, 1, 2]
     for i, exc in failures.items():
         assert type(exc) is dyn.FixedPointResidualError and str(exc) == str(want[i])
         assert str(exc).endswith("exceeds 1.000e-10")
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_broadcast_inverse_is_numpy_inv_of_each_slice(k):
+    # the field solves every row's G^-1 against one k x k identity that the solve
+    # gufunc broadcasts over the stack's loop dimension, numpy 1.24 included
+    rows = [
+        dyn.Problem(make_mdp(False, h, n=8, seed=h), dyn.two_time_scale(), dyn.orthonormal_init(8, k, seed=h))
+        for h in (1, 2, 3, 4, 5)
+    ]
+    y = np.stack([dyn._initial_state(row) for row in rows])
+    y[3] = 0.0  # G = 0, singular
+    y[4, 0] = np.nan
+    field = dyn._StackedField.build(dyn.TWO_TIME_SCALE, rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        field(y)
+        [(G, G_inv)] = field.solves
+        assert set(field.judge()) == {3, 4}
+    for i in range(3):
+        assert G_inv[i].tobytes() == np.linalg.inv(G[i]).tobytes()
+    assert np.isnan(G_inv[3:]).all()
 
 
 def test_semi_gradients_match_hand_formula(small_mixed):
@@ -756,20 +787,20 @@ def test_stacked_field_rows_are_bitwise_the_public_drifts(kind, h, seed, etas):
 
 def test_rejected_metric_solve_is_the_rows_result(monkeypatch):
     # the critical-point residual of the first row's log hits one rejected snapshot
-    real = met._solve_guarded_stack
+    real = met._guard
     injected = IllConditionedError("phi^T A phi", np.inf)
     calls = []
 
-    def reject_once(G, rhs, name):
-        x, rejected = real(G, rhs, name)
+    def reject_once(G, x, name):
+        rejected = real(G, x, name)
         calls.append(len(G))
         if len(calls) == 1:
             rejected[4] = injected
-        return x, rejected
+        return rejected
 
     mrp = make_mdp(False, 2, n=8, seed=1)
     mrp.V, mrp.resolvent  # the process's own guarded solves, cached before the patch
-    monkeypatch.setattr(met, "_solve_guarded_stack", reject_once)
+    monkeypatch.setattr(met, "_guard", reject_once)
     problems = [dyn.Problem(mrp, dyn.end_to_end(), dyn.orthonormal_init(8, 2, seed=s)) for s in (1, 2)]
     config = dyn.IntegratorConfig(t_end=2.0, log_points=9)
     first, second = dyn.integrate_batch(problems, config)

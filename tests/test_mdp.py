@@ -167,6 +167,13 @@ def test_mrp_rejects_nonstationary_d():
         MarkovRewardProcess(P=P, R=np.zeros((2, 1)), gamma=0.9, d=np.array([0.5, 0.5]))
 
 
+def test_mrp_rejects_a_process_without_states():
+    # it died in a zero-size reduction, with numpy's "zero-size array to reduction
+    # operation maximum which has no identity"
+    with pytest.raises(ValueError, match="P has no states"):
+        MarkovRewardProcess(P=np.zeros((0, 0)), R=np.zeros((0, 1)), gamma=0.9, d=np.zeros(0))
+
+
 @pytest.mark.parametrize("name", ["P", "R", "d"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_mrp_rejects_non_finite_entries(name, bad):
@@ -313,19 +320,21 @@ def test_value_function_overflow_is_its_own_error():
     assert np.linalg.cond(big.system) < 20
     with pytest.raises(SolutionOverflowError, match=r"I - gamma P overflowed \(cond = 1\.845e\+01"):
         big.V
-    x, rejected = met._checked_solve(big.system[None], big.R[None], "I - gamma P")
+    G, b = big.system[None], big.R[None]
+    x = met._solve(G, b)
+    rejected = met._judge(G, x, b, "I - gamma P")
     assert list(rejected) == [0] and np.isnan(x).all()
 
 
 def test_rejected_value_function_and_resolvent_are_kept(monkeypatch):
     # cached_property keeps no exception, so each read of a rejected V solved again
-    real, calls = met._solve_guarded_stack, []
+    real, calls = met._guard, []
 
     def counted(*args):
         calls.append(args[-1])
         return real(*args)
 
-    monkeypatch.setattr(met, "_solve_guarded_stack", counted)
+    monkeypatch.setattr(met, "_guard", counted)
     for mrp, name, error in (
         (make_mdp(False, 1, n=30).with_rewards(np.full((30, 1), 1e308)), "V", SolutionOverflowError),
         (make_mdp(False, 1, n=30, gamma=1 - 1e-12), "resolvent", IllConditionedError),
